@@ -210,11 +210,6 @@ def _G_prime(n: int, beta: float, x: float) -> float:
     )
 
 
-def _G_second(n: int, beta: float, x: float) -> float:
-    lx = math.log(x)
-    return -digamma(n + 1 - x, 1) + beta / 4 * (3 - lx * lx) / (x**1.5 * lx**2.5)
-
-
 def g_profile(n: int, eps: float, delta: float = 0.25) -> GProfile:
     """Maximize G over [6, n-1] by bisection on the strictly decreasing G'."""
     if n < 100:
@@ -249,14 +244,6 @@ def g_profile(n: int, eps: float, delta: float = 0.25) -> GProfile:
         k_eps=k_eps_closed_form(beta),
         bracket_ok=bracket_ok,
     )
-
-
-def concavity_check(n: int, eps: float, xs: tuple[float, ...] | None = None) -> bool:
-    """G'' < 0 at the sampled points (always true: both terms are negative)."""
-    beta = constants().beta0 + eps
-    if xs is None:
-        xs = (10.0, n / 2.0, n - 10.0)
-    return all(_G_second(n, beta, x) < 0 for x in xs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,8 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
-from fractions import Fraction
-
-import numpy as np
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -133,10 +129,7 @@ def cmd_series(args) -> int:
             for m in range(args.degree + 1):
                 writer.writerow([m, repr(float(table.e[m])), repr(float(table.mu[m]))])
         else:
-            header = ["n", "log_E_B", "rankin_log_bound", "s_star", "A_n"]
-            if args.with_mu_variant:
-                header.append("log_E_B_with_mu_variant")
-            writer.writerow(header)
+            writer.writerow(["n", "log_E_B", "rankin_log_bound", "s_star", "A_n"])
             for n in args.eval_n or [args.degree]:
                 if n > args.degree:
                     raise series.SeriesError("degree above configured cap")
@@ -148,8 +141,6 @@ def cmd_series(args) -> int:
                     repr(rep.s_star),
                     repr(rep.A_n),
                 ]
-                if args.with_mu_variant:
-                    row.append(repr(series.log_expected_B_with_mu(n, table)))
                 writer.writerow(row)
     except series.SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -235,7 +226,7 @@ def cmd_simulate(args) -> int:
             "n", "samples", "seed", "blocks",
             "mean_log_T", "var_log_T", "mean_log_B", "var_log_B",
             "mean_diff", "var_diff", "frac_norm_nonpos",
-            "viol_T_divides_B", "viol_denes", "viol_logB_lt_logT",
+            "viol_T_divides_B", "viol_logB_lt_logT",
             "crosscheck_max_rel",
         ]
     )
@@ -247,7 +238,6 @@ def cmd_simulate(args) -> int:
             repr(summary.mean_diff), repr(summary.var_diff),
             repr(summary.frac_norm_nonpos),
             summary.violations["T_divides_B"],
-            summary.violations["denes"],
             summary.violations["logB_lt_logT"],
             repr(summary.crosscheck_max_rel),
         ]
@@ -304,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-ceiling", type=int, default=200,
                    help="largest d carried exactly in the renyi table")
     p.add_argument("--eval-n", dest="eval_n", type=int, nargs="*", default=None)
-    p.add_argument("--with-mu-variant", action="store_true",
-                   help="also emit the with-mu convolution variant")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_series)
 

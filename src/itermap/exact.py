@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .mapping import _doubling
+
 BRUTE_FORCE_MAX_N = 8
 M_MAX_DEFAULT = 60
 CONDITIONAL_MAX_N = 500
@@ -57,9 +59,9 @@ def _profile_T_B(counts: tuple[int, ...]) -> tuple[int, int]:
 def enumerate_summary(n: int, chunk: int = 1 << 18) -> EnumerationSummary:
     """One vectorized pass over all n^n mappings.
 
-    Mappings are enumerated in mixed radix; cycles are found by pointer
-    doubling (f^(2^k) for 2^k >= n has the cyclic set as image) and the
-    per-vertex cycle length by comparing iterates f^t against the identity.
+    Mappings are enumerated in mixed radix; the cyclic set is found by
+    mapping._doubling (pointer doubling) and the per-vertex cycle length
+    by comparing iterates f^t against the identity.
     Rows are then grouped by cycle-count profile so T and B are computed
     once per profile.
     """
@@ -67,7 +69,6 @@ def enumerate_summary(n: int, chunk: int = 1 << 18) -> EnumerationSummary:
         raise CeilingError("enumeration too large")
     total = n**n
     ident = np.arange(n, dtype=np.int64)
-    doublings = max(1, math.ceil(math.log2(n))) if n > 1 else 1
     sum_T = 0
     sum_B = 0
     z_counts = np.zeros(n + 1, dtype=np.int64)
@@ -83,11 +84,7 @@ def enumerate_summary(n: int, chunk: int = 1 << 18) -> EnumerationSummary:
         for j in range(n):
             f[:, j] = (idx // n**j) % n
 
-        g = f
-        for _ in range(doublings):
-            g = np.take_along_axis(g, g, axis=1)
-        cyclic = np.zeros_like(f, dtype=bool)
-        np.put_along_axis(cyclic, g, True, axis=1)
+        _, cyclic = _doubling(f)
         Z = cyclic.sum(axis=1)
         z_counts += np.bincount(Z, minlength=n + 1)
 
@@ -168,21 +165,6 @@ def z_pmf_sums_to_one(n: int) -> bool:
         falling *= n - m + 1
         acc += m * falling * n ** (n - m)
     return acc == n ** (n + 1)
-
-
-def z_log_pmf(n: int) -> np.ndarray:
-    """log P_n(Z=m) for m = 1..n, vectorized floats for large n."""
-    m = np.arange(1, n + 1, dtype=np.float64)
-    from scipy.special import gammaln
-
-    return gammaln(n + 1) - gammaln(n - m + 1) + np.log(m) - (m + 1) * math.log(n)
-
-
-def z_mean(n: int) -> float:
-    """E_n(Z), in floats, usable at large n."""
-    logp = z_log_pmf(n)
-    m = np.arange(1, n + 1, dtype=np.float64)
-    return float(np.sum(m * np.exp(logp)))
 
 
 # ---------------------------------------------------------------------------

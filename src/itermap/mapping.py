@@ -11,8 +11,9 @@ always satisfies |O - T| < n.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class MappingError(ValueError):
@@ -92,63 +93,69 @@ def parse_mapping(text: str | bytes) -> Mapping:
     return Mapping(n, tuple(values[1:]))
 
 
-def analyze(f: Mapping) -> CycleStructure:
-    """Decompose the functional graph of f in O(n) time and space."""
-    n = f.n
-    t = [v - 1 for v in f.targets]
+def _doubling(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer doubling along the last axis: (f^(2^K), cyclic mask), 2^K >= n.
 
-    # Cycle detection: walk forward from each unvisited vertex; a walk that
-    # closes on itself (hits a vertex of the current path) found a new cycle.
-    color = [0] * n  # 0 unseen, 1 on current path, 2 finished
-    cycle_id = [-1] * n
-    cycle_lengths: list[int] = []
-    for start in range(n):
-        if color[start]:
+    f holds 0-based targets, one row (1-D) or a block of rows (2-D).  A
+    tail is shorter than n, so f^(2^K) maps every vertex onto its cycle
+    and its image is the cyclic set.  Only the current table is kept.
+    """
+    g = f
+    for _ in range(max(1, (f.shape[-1] - 1).bit_length())):
+        g = np.take_along_axis(g, g, axis=-1)
+    mask = np.zeros(f.shape, dtype=bool)
+    np.put_along_axis(mask, g, True, axis=-1)
+    return g, mask
+
+
+def _cycles(f: np.ndarray, cyclic: np.ndarray) -> tuple[list[int], list[int]]:
+    """Cycle lengths of one row f on its cyclic vertices, and their cycle ids.
+
+    cyclic holds the cyclic vertices in ascending order; cycles are
+    numbered by their smallest vertex, and ids[i] is the id of cyclic[i].
+    """
+    verts = cyclic.tolist()
+    succ = dict(zip(verts, f[cyclic].tolist()))
+    cid: dict[int, int] = {}
+    lengths: list[int] = []
+    for v in verts:
+        if v in cid:
             continue
-        path = []
-        v = start
-        while color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = t[v]
-        if color[v] == 1:
-            cyc = path[path.index(v):]
-            cid = len(cycle_lengths)
-            cycle_lengths.append(len(cyc))
-            for u in cyc:
-                cycle_id[u] = cid
-        for u in path:
-            color[u] = 2
+        start, u = len(cid), v
+        while u not in cid:
+            cid[u] = len(lengths)
+            u = succ[u]
+        lengths.append(len(cid) - start)
+    return lengths, [cid[v] for v in verts]
 
-    # Tail heights and component ids by reverse BFS from the cyclic set.
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        preds[t[v]].append(v)
-    height = [-1] * n
-    comp = [-1] * n
-    queue: deque[int] = deque()
-    for v in range(n):
-        if cycle_id[v] >= 0:
-            height[v] = 0
-            comp[v] = cycle_id[v]
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for u in preds[v]:
-            if height[u] < 0:
-                height[u] = height[v] + 1
-                comp[u] = comp[v]
-                queue.append(u)
 
-    comp_sizes = Counter(comp)
-    profile = dict(sorted(Counter(comp_sizes.values()).items()))
-    cyclic = frozenset(v + 1 for v in range(n) if cycle_id[v] >= 0)
-    assert sum(cycle_lengths) == len(cyclic)
+def analyze(f: Mapping) -> CycleStructure:
+    """Decompose the functional graph of f in O(n log n) time and O(n) space."""
+    n = f.n
+    t = np.array(f.targets, dtype=np.int64) - 1
+    g, mask = _doubling(t)
+    cyclic = np.flatnonzero(mask)
+    lengths, ids = _cycles(t, cyclic)
+
+    # A vertex's component is the cycle that f^(2^K) maps it onto.
+    cycle_id = np.zeros(n, dtype=np.int64)
+    cycle_id[cyclic] = ids
+    sizes, counts = np.unique(np.bincount(cycle_id[g]), return_counts=True)
+    profile = dict(zip(sizes.tolist(), counts.tolist()))
+
+    # Tail heights by pointer jumping, with the cyclic vertices made fixed points.
+    nxt = np.where(mask, np.arange(n), t)
+    height = (~mask).astype(np.int64)
+    for _ in range(max(1, (n - 1).bit_length())):
+        height += height[nxt]
+        nxt = nxt[nxt]
+
+    assert sum(lengths) == len(cyclic)
     assert sum(d * a for d, a in profile.items()) == n
     return CycleStructure(
-        cyclic_vertices=cyclic,
-        cycle_lengths=tuple(sorted(cycle_lengths)),
-        tail_heights=tuple(height),
+        cyclic_vertices=frozenset((cyclic + 1).tolist()),
+        cycle_lengths=tuple(sorted(lengths)),
+        tail_heights=tuple(height.tolist()),
         component_profile=profile,
         nu=n,
     )
@@ -208,10 +215,8 @@ def period_stats(cs: CycleStructure) -> PeriodStats:
     for p, e in sorted(exps.items()):
         T *= p**e
         log_T += e * math.log(p)
-    h_max = cs.max_tail_height
-    O = T + max(h_max - 1, 0)
+    O = T + max(cs.max_tail_height - 1, 0)
     assert B % T == 0
-    assert abs(O - T) < cs.nu
     return PeriodStats(T=T, B=B, O=O, log_T=log_T, log_B=log_B, prime_exponents_T=exps)
 
 

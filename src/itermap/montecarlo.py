@@ -4,9 +4,9 @@ Samples are drawn in fixed-size blocks; block b uses the generator
 PCG64(SeedSequence(entropy=seed, spawn_key=(b,))), so results are
 bit-identical for a given (n, samples, seed, blocks) no matter how the
 blocks would be scheduled.  Per sample the cyclic set is found by
-pointer doubling, tail heights by a binary descent over the cached
-f^(2^k) tables, and log T through the prime-exponent sieve (no big
-integers on the hot path).
+pointer doubling (mapping._doubling, O(n) memory per sample), the cycle
+lengths by a walk over the cyclic vertices only, and log T through the
+prime-exponent sieve (no big integers on the hot path).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy.special import gammaincc
 
 from . import asymptotics
 from .exact import ZDistribution
-from .mapping import _spf
+from .mapping import _cycles, _doubling, _spf
 
 HIST_BINS = 41          # over [-4, 4], plus two overflow bins; fixed forever
 HIST_LO, HIST_HI = -4.0, 4.0
@@ -67,16 +67,8 @@ class _Accum:
     hist: np.ndarray = field(default_factory=lambda: np.zeros(HIST_BINS + 2, dtype=np.int64))
     z_counts: np.ndarray | None = None
     v_divide: int = 0
-    v_denes: int = 0
     v_logorder: int = 0
     cross_rel: float = 0.0
-
-
-def sample_mapping(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform mapping as a 0-based target array of length n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return rng.integers(0, n, size=n, dtype=np.int64)
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -84,65 +76,6 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     )
-
-
-def _doubling_tables(f: np.ndarray, axis1: bool):
-    """f^(2^k) for k = 0..K with 2^K >= n; also the cyclic-vertex mask."""
-    n = f.shape[-1]
-    K = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-    gs = [f]
-    g = f
-    for _ in range(K):
-        g = np.take_along_axis(g, g, axis=1) if axis1 else g[g]
-        gs.append(g)
-    if axis1:
-        mask = np.zeros(f.shape, dtype=bool)
-        np.put_along_axis(mask, gs[-1], True, axis=1)
-    else:
-        mask = np.zeros(n, dtype=bool)
-        mask[gs[-1]] = True
-    return gs, mask, K
-
-
-def _tail_heights_1d(gs, mask, K, n) -> np.ndarray:
-    cur = np.arange(n)
-    t = np.zeros(n, dtype=np.int64)
-    for k in range(K - 1, -1, -1):
-        nxt = gs[k][cur]
-        step = ~mask[nxt]
-        cur = np.where(step, nxt, cur)
-        t += (1 << k) * step
-    return np.where(mask, 0, t + 1)
-
-
-def _tail_heights_2d(gs, mask, K, n) -> np.ndarray:
-    rows = gs[0].shape[0]
-    cur = np.broadcast_to(np.arange(n), (rows, n)).copy()
-    t = np.zeros((rows, n), dtype=np.int64)
-    for k in range(K - 1, -1, -1):
-        nxt = np.take_along_axis(gs[k], cur, axis=1)
-        step = ~np.take_along_axis(mask, nxt, axis=1)
-        cur = np.where(step, nxt, cur)
-        t += (1 << k) * step
-    return np.where(mask, 0, t + 1)
-
-
-def _cycle_lengths(f_row: np.ndarray, cyclic: np.ndarray) -> list[int]:
-    """Cycle lengths of the permutation induced on the cyclic vertices."""
-    seen = set()
-    lengths = []
-    for v in cyclic:
-        v = int(v)
-        if v in seen:
-            continue
-        length = 0
-        u = v
-        while u not in seen:
-            seen.add(u)
-            u = int(f_row[u])
-            length += 1
-        lengths.append(length)
-    return lengths
 
 
 def _log_T_via_sieve(lengths: list[int], n: int) -> tuple[float, bool]:
@@ -166,17 +99,15 @@ def _log_T_via_sieve(lengths: list[int], n: int) -> tuple[float, bool]:
     return log_T, divides
 
 
-def _consume_sample(acc: _Accum, f_row, cyclic_idx, h_max, a_n, b_n, crosscheck):
-    n = acc.n
-    lengths = _cycle_lengths(f_row, cyclic_idx)
-    log_T, divides = _log_T_via_sieve(lengths, n)
+def _consume_sample(acc: _Accum, f_row, mask_row, a_n, b_n, crosscheck):
+    cyclic = np.flatnonzero(mask_row)
+    lengths, _ = _cycles(f_row, cyclic)
+    log_T, divides = _log_T_via_sieve(lengths, acc.n)
     log_B = float(sum(math.log(L) for L in lengths))
     if not divides:
         acc.v_divide += 1
     if log_B < log_T - 1e-9:
         acc.v_logorder += 1
-    if not max(int(h_max) - 1, 0) < n:  # |O - T| = max(h_max - 1, 0)
-        acc.v_denes += 1
     if crosscheck:
         T = math.lcm(*lengths) if lengths else 1
         rel = abs(log_T - math.log(T)) / max(math.log(T), 1.0)
@@ -199,7 +130,7 @@ def _consume_sample(acc: _Accum, f_row, cyclic_idx, h_max, a_n, b_n, crosscheck)
     else:
         b = int((norm - HIST_LO) / (HIST_HI - HIST_LO) * HIST_BINS)
         acc.hist[1 + b] += 1
-    acc.z_counts[len(cyclic_idx)] += 1
+    acc.z_counts[len(cyclic)] += 1
 
 
 def run_experiment(
@@ -236,19 +167,12 @@ def run_experiment(
         rng = block_rng(seed, b)
         fmat = rng.integers(0, n, size=(bs, n), dtype=np.int64)
         if n <= BATCH_N_MAX:
-            gs, mask, K = _doubling_tables(fmat, axis1=True)
-            heights = _tail_heights_2d(gs, mask, K, n)
-            hmaxes = heights.max(axis=1)
-            for i in range(bs):
-                cyc = np.flatnonzero(mask[i])
-                _consume_sample(acc, fmat[i], cyc, hmaxes[i], a_n, b_n, crosscheck)
+            _, mask = _doubling(fmat)
+            for row, mask_row in zip(fmat, mask):
+                _consume_sample(acc, row, mask_row, a_n, b_n, crosscheck)
         else:
-            for i in range(bs):
-                row = fmat[i]
-                gs, mask, K = _doubling_tables(row, axis1=False)
-                heights = _tail_heights_1d(gs, mask, K, n)
-                cyc = np.flatnonzero(mask)
-                _consume_sample(acc, row, cyc, heights.max(), a_n, b_n, crosscheck)
+            for row in fmat:
+                _consume_sample(acc, row, _doubling(row)[1], a_n, b_n, crosscheck)
 
     cnt = acc.count
     mean_T = acc.s_logT / cnt
@@ -270,7 +194,6 @@ def run_experiment(
         z_counts=acc.z_counts,
         violations={
             "T_divides_B": acc.v_divide,
-            "denes": acc.v_denes,
             "logB_lt_logT": acc.v_logorder,
         },
         crosscheck_max_rel=acc.cross_rel,

@@ -5,10 +5,9 @@ coefficients of exp(sum_d c_d z^d) with h_m = m^m/(m! e^m).  mu(m)
 denotes the prefix sums (the coefficients after an extra 1/(1-z)
 factor); mu feeds the Rankin bound and the saddle-point analysis of
 g(s) = sum_d c_d e^{-ds}, while the convolution itself uses the bare
-exponential coefficients -- including the 1/(1-z) factor inside the
-convolution fails the brute-force oracle already at n = 1 (it yields
-1 + e instead of 1), so both variants are computed and reported side by
-side but only the oracle-validated one is called E_n(B).
+exponential coefficients, the variant that matches the brute-force
+oracle (putting mu into the convolution gives 1 + e instead of 1 at
+n = 1).
 """
 
 from __future__ import annotations
@@ -160,14 +159,6 @@ def log_expected_B(n: int, table: SeriesTable | None = None) -> float:
     s = float(np.dot(table.e[: n + 1], table.h[n::-1]))
     logpref = math.lgamma(n + 1) + n - n * math.log(n)
     return logpref + math.log(s)
-
-
-def log_expected_B_with_mu(n: int, table: SeriesTable | None = None) -> float:
-    """The literal with-mu convolution, reported for transparency only."""
-    if table is None or table.N < n:
-        table = mu_table(n, "float")
-    s = float(np.dot(table.mu[: n + 1], table.h[n::-1]))
-    return math.lgamma(n + 1) + n - n * math.log(n) + math.log(s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,72 @@
+"""Pure-Python cycle decomposition, the test oracle for mapping.analyze.
+
+Independent of the numpy kernel: cycles by forward walks with path
+colouring, tail heights and components by reverse BFS from the cyclic
+set.
+"""
+
+from collections import Counter, deque
+
+from itermap.mapping import CycleStructure, Mapping
+
+
+def analyze(f: Mapping) -> CycleStructure:
+    """Decompose the functional graph of f in O(n) time and space."""
+    n = f.n
+    t = [v - 1 for v in f.targets]
+
+    # Cycle detection: walk forward from each unvisited vertex; a walk that
+    # closes on itself (hits a vertex of the current path) found a new cycle.
+    color = [0] * n  # 0 unseen, 1 on current path, 2 finished
+    cycle_id = [-1] * n
+    cycle_lengths: list[int] = []
+    for start in range(n):
+        if color[start]:
+            continue
+        path = []
+        v = start
+        while color[v] == 0:
+            color[v] = 1
+            path.append(v)
+            v = t[v]
+        if color[v] == 1:
+            cyc = path[path.index(v):]
+            cid = len(cycle_lengths)
+            cycle_lengths.append(len(cyc))
+            for u in cyc:
+                cycle_id[u] = cid
+        for u in path:
+            color[u] = 2
+
+    # Tail heights and component ids by reverse BFS from the cyclic set.
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        preds[t[v]].append(v)
+    height = [-1] * n
+    comp = [-1] * n
+    queue: deque[int] = deque()
+    for v in range(n):
+        if cycle_id[v] >= 0:
+            height[v] = 0
+            comp[v] = cycle_id[v]
+            queue.append(v)
+    while queue:
+        v = queue.popleft()
+        for u in preds[v]:
+            if height[u] < 0:
+                height[u] = height[v] + 1
+                comp[u] = comp[v]
+                queue.append(u)
+
+    comp_sizes = Counter(comp)
+    profile = dict(sorted(Counter(comp_sizes.values()).items()))
+    cyclic = frozenset(v + 1 for v in range(n) if cycle_id[v] >= 0)
+    assert sum(cycle_lengths) == len(cyclic)
+    assert sum(d * a for d, a in profile.items()) == n
+    return CycleStructure(
+        cyclic_vertices=cyclic,
+        cycle_lengths=tuple(sorted(cycle_lengths)),
+        tail_heights=tuple(height),
+        component_profile=profile,
+        nu=n,
+    )

@@ -102,9 +102,6 @@ class TestGProfile:
         vals = [asymptotics.k_eps_closed_form(b0 + e) for e in (0.0, 0.01, 0.1, 1.0)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
-    def test_concavity(self):
-        assert asymptotics.concavity_check(10**5, 0.01)
-
     def test_domain(self):
         with pytest.raises(asymptotics.DomainError):
             asymptotics.g_profile(50, 0.01)

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mapping_reference
 from itermap import mapping
 
 
@@ -89,6 +90,12 @@ def all_mappings(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_analyze_matches_reference(n):
+    for f in all_mappings(n):
+        assert mapping.analyze(f) == mapping_reference.analyze(f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_O_matches_explicit_composition(n):
     for f in all_mappings(n):
         ps = mapping.period_stats(mapping.analyze(f))
@@ -112,8 +119,9 @@ def test_invariants_random(data):
     # permutations: O = T
     if cs.num_cyclic == n:
         assert ps.O == ps.T
-    # pure and deterministic
+    # pure and deterministic, and equal to the pure-Python reference
     assert mapping.analyze(f) == cs
+    assert mapping_reference.analyze(f) == cs
 
 
 def test_log_values_match_integers():

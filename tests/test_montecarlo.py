@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from itermap import exact, montecarlo
+import mapping_reference
+from itermap import exact, mapping, montecarlo
+from itermap.mapping import _cycles, _doubling
 
 
 class TestDeterminism:
@@ -31,13 +33,13 @@ class TestDeterminism:
 class TestInvariants:
     def test_no_violations_small(self):
         s = montecarlo.run_experiment(50, 2000, seed=1)
-        assert s.violations == {"T_divides_B": 0, "denes": 0, "logB_lt_logT": 0}
+        assert s.violations == {"T_divides_B": 0, "logB_lt_logT": 0}
         assert s.samples == 2000
         assert int(s.hist.sum()) == 2000
         assert int(s.z_counts.sum()) == 2000
 
     def test_no_violations_large_n_path(self):
-        # n above the batch threshold exercises the per-row 1D descent
+        # n above the batch threshold exercises the per-row 1-D kernel path
         s = montecarlo.run_experiment(2000, 50, seed=3)
         assert sum(s.violations.values()) == 0
         assert s.mean_log_B >= s.mean_log_T
@@ -55,6 +57,22 @@ class TestInvariants:
             montecarlo.run_experiment(montecarlo.MAX_N + 1, 1, seed=0)
         with pytest.raises(montecarlo.ResourceError):
             montecarlo.run_experiment(10, 0, seed=0)
+
+
+class TestKernelPaths:
+    # one block at the batched path's largest n, one row above it
+    @pytest.mark.parametrize("n, rows", [(montecarlo.BATCH_N_MAX, 16), (2000, 1)])
+    def test_1d_and_2d_agree_row_by_row(self, n, rows):
+        fmat = montecarlo.block_rng(4, 0).integers(0, n, size=(rows, n), dtype=np.int64)
+        _, mask2 = _doubling(fmat)
+        for row, mask_row in zip(fmat, mask2):
+            _, mask1 = _doubling(row)
+            assert np.array_equal(mask1, mask_row)
+            lengths, _ = _cycles(row, np.flatnonzero(mask1))
+            assert lengths == _cycles(row, np.flatnonzero(mask_row))[0]
+            ref = mapping_reference.analyze(mapping.Mapping(n, tuple((row + 1).tolist())))
+            assert tuple(sorted(lengths)) == ref.cycle_lengths
+            assert set((np.flatnonzero(mask1) + 1).tolist()) == ref.cyclic_vertices
 
 
 class TestAgainstExact:

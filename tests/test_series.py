@@ -82,12 +82,8 @@ class TestExpectedB:
             e = float(series.expected_B(n, "exact"))
             assert abs(f - e) <= 1e-9 * e
 
-    def test_with_mu_variant_differs(self):
-        # the with-mu convolution yields 1 + e at n = 1; the bare variant yields 1
+    def test_n1_float(self):
         tab = series.mu_table(5, "float")
-        assert math.isclose(
-            math.exp(series.log_expected_B_with_mu(1, tab)), 1 + math.e, rel_tol=1e-12
-        )
         assert math.isclose(series.expected_B(1, "float", tab), 1.0, rel_tol=1e-12)
 
 

@@ -26,7 +26,10 @@ PRECISION_ENV = "ITERMAP_PRECISION_BITS"
 
 def _default_precision() -> int | None:
     raw = os.environ.get(PRECISION_ENV)
-    return int(raw) if raw else None
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -76,7 +79,7 @@ def cmd_exact(args) -> int:
         if args.orders:
             writer.writerow(["m", "M_num", "M_den", "b_num", "b_den"])
             if n > exact.M_MAX_DEFAULT:
-                raise exact.CeilingError("partition enumeration too large")
+                raise exact.CeilingError("order-count table too large")
             for m in range(1, n + 1):
                 M = exact.perm_order_mean(m)
                 b = exact.perm_B_mean(m)
@@ -322,7 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a bad ITERMAP_PRECISION_BITS default
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

@@ -168,68 +168,36 @@ def z_pmf_sums_to_one(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Integer partitions and permutation averages
+# Permutation averages
+
+# _ORDER_ROWS[k] = {L: number of permutations of [k] with order L}; grown on demand.
+_ORDER_ROWS: list[dict[int, int]] = [{1: 1}]
 
 
-def iter_cycle_types(m: int):
-    """Yield (lcm, product, count) over integer partitions of m.
+def _order_counts(m: int) -> dict[int, int]:
+    """{L: number of permutations of [m] with order L}.
 
-    count is the number of permutations of [m] with that cycle type,
-    m! / prod(d^a_d * a_d!).  Parts are enumerated descending with
-    multiplicity grouping so the weight accumulates incrementally.
+    Conditioning on the cycle through element 1: it has length d in
+    (k-1)!/(k-d)! ways, the other k-d elements carry any permutation, and
+    the order is the lcm of d and that permutation's order.
     """
-    fact_m = math.factorial(m)
-
-    def rec(remaining: int, max_part: int, denom: int, cur_lcm: int, cur_prod: int):
-        if remaining == 0:
-            yield cur_lcm, cur_prod, fact_m // denom
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            piece = 1
-            new_lcm = math.lcm(cur_lcm, part)
-            for mult in range(1, remaining // part + 1):
-                piece *= part * mult
-                yield from rec(
-                    remaining - part * mult,
-                    part - 1,
-                    denom * piece,
-                    new_lcm,
-                    cur_prod * part**mult,
-                )
-
-    yield from rec(m, m, 1, 1, 1)
-
-
-@lru_cache(maxsize=None)
-def _partition_sums(m: int) -> tuple[int, int, int]:
-    """(sum lcm*count, sum product*count, number of partitions) over cycle types of m."""
-    lcm_total = 0
-    prod_total = 0
-    partitions = 0
-    for l, p, c in iter_cycle_types(m):
-        lcm_total += l * c
-        prod_total += p * c
-        partitions += 1
-    return lcm_total, prod_total, partitions
-
-
-def partition_count(m: int) -> int:
-    """p(m), counted by the same enumeration that drives M_m."""
-    return _partition_sums(m)[2]
+    for k in range(len(_ORDER_ROWS), m + 1):
+        row: dict[int, int] = {}
+        ways = 1  # (k-1)!/(k-d)!
+        for d in range(1, k + 1):
+            for L, c in _ORDER_ROWS[k - d].items():
+                key = math.lcm(L, d)
+                row[key] = row.get(key, 0) + ways * c
+            ways *= k - d
+        _ORDER_ROWS.append(row)
+    return _ORDER_ROWS[m]
 
 
 def perm_order_mean(m: int, m_max: int = M_MAX_DEFAULT) -> Fraction:
     """M_m: mean order (lcm of cycle lengths) of a uniform permutation of [m]."""
     if not 1 <= m <= m_max:
-        raise CeilingError("partition enumeration too large")
-    return Fraction(_partition_sums(m)[0], math.factorial(m))
-
-
-def perm_B_mean_by_partitions(m: int) -> Fraction:
-    """b_m via explicit partition enumeration (slow reference route)."""
-    if m == 0:
-        return Fraction(1)
-    return Fraction(_partition_sums(m)[1], math.factorial(m))
+        raise CeilingError("order-count table too large")
+    return Fraction(sum(L * c for L, c in _order_counts(m).items()), math.factorial(m))
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +236,7 @@ def perm_B_mean(m: int) -> Fraction:
 def exact_E_T(n: int, m_max: int = M_MAX_DEFAULT) -> Fraction:
     """E_n(T) = sum_m P_n(Z=m) * M_m, exact."""
     if n > m_max:
-        raise CeilingError("partition enumeration too large")
+        raise CeilingError("order-count table too large")
     dist = z_pmf(n)
     return sum(
         (p * perm_order_mean(m, m_max) for m, p in enumerate(dist.pmf, start=1)),

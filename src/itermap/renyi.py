@@ -156,16 +156,18 @@ def gamma_exact(d: int) -> Fraction:
     return (d - r) * d ** (d - 1) / Fraction(math.factorial(d))
 
 
-def c_table(N: int) -> np.ndarray:
-    """c_1..c_N as a float array (index d-1), fully vectorized.
+def c_table(N: int, start: int = 1) -> np.ndarray:
+    """c_start..c_N as a float array (index d-start), fully vectorized.
 
     Uses Q(d) = gammaincc(d, d) (the regularized upper incomplete gamma
     equals the Poisson cdf factor exactly); c_1 = 0 by construction.
+    Each c_d depends on d alone, so a table built in pieces is bit-equal
+    to one built at once.
     """
-    d = np.arange(1, N + 1, dtype=np.float64)
+    d = np.arange(start, N + 1, dtype=np.float64)
     h = np.exp(d * np.log(d) - gammaln(d + 1) - d)
     c = h - gammaincc(d, d) / d
-    c[0] = 0.0
+    c[d == 1] = 0.0
     np.maximum(c, 0.0, out=c)
     return c
 

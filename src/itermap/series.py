@@ -170,8 +170,16 @@ _c_cache = np.empty(0)
 def _c_upto(N: int) -> np.ndarray:
     global _c_cache
     if _c_cache.size < N:
-        _c_cache = renyi.c_table(max(N, 2 * _c_cache.size))
+        _c_cache = np.concatenate([_c_cache, renyi.c_table(N, start=_c_cache.size + 1)])
     return _c_cache[:N]
+
+
+def _g_sums(s: float, orders) -> tuple[float, ...]:
+    """g^(j)(s) for each j in orders, from one array of c_d e^{-ds}."""
+    D = math.ceil(40.0 / s)
+    d = np.arange(1, D + 1, dtype=np.float64)
+    terms = _c_upto(D) * np.exp(-d * s)
+    return tuple(float((terms * (-d) ** j).sum() if j else terms.sum()) for j in orders)
 
 
 def g_eval(s: float, j: int = 0) -> float:
@@ -184,13 +192,7 @@ def g_eval(s: float, j: int = 0) -> float:
         raise SeriesError("domain error")
     if j not in (0, 1, 2, 3):
         raise SeriesError("derivative order must be 0..3")
-    D = math.ceil(40.0 / s)
-    c = _c_upto(D)
-    d = np.arange(1, D + 1, dtype=np.float64)
-    terms = c * np.exp(-d * s)
-    if j:
-        terms = terms * (-d) ** j
-    return float(terms.sum())
+    return _g_sums(s, (j,))[0]
 
 
 def rankin_bound(n: int, s: float, table: SeriesTable) -> float:
@@ -219,43 +221,76 @@ class SaddleReport:
     odlyzko_ok: bool
 
 
+NEWTON_MAX_STEPS = 50
+ROOT_MARGIN = 1e-12  # relative to s0; far wider than the rounding noise of g' + n
+
+
+def _newton_root(n: int, s0: float) -> float | None:
+    """Root of g'(s) + n by Newton's method from s0; None if it does not converge.
+
+    g' is increasing and concave (g'' > 0 > g'''), so after the first
+    step the iterates rise monotonically to the root.
+    """
+    s = s0
+    for _ in range(NEWTON_MAX_STEPS):
+        g1, g2 = _g_sums(s, (1, 2))
+        step = (g1 + n) / g2
+        s -= step
+        if not s > 0:
+            return None
+        if abs(step) <= 1e-14 * s0:  # the error left is of order step^2 / s0
+            return s
+    return None
+
+
 def saddle_point(n: int, rel_tol: float = 1e-10) -> SaddleReport:
     """Minimize n s + g(s) by bisection on g'(s) + n = 0.
 
     g' is strictly increasing, so the root is unique; the bracket starts
     around the asymptotic location 1/(2 n^(2/3)) and is widened
-    geometrically if needed.
+    geometrically if needed.  Newton's method first locates the root r.
+    A sign test farther than ROOT_MARGIN * s0 from r takes its sign from
+    the side of r, so g' is evaluated only inside that margin.  The
+    bisection still sets s_star, so its bits do not depend on where
+    Newton stopped; if Newton does not converge, every point is evaluated.
     """
     if n < 1:
         raise SeriesError("n must be positive")
     s0 = 0.5 * n ** (-2.0 / 3.0)
+    r = _newton_root(n, s0)
+    margin = ROOT_MARGIN * s0
+
+    def slope(s: float) -> float:
+        """g'(s) + n, or a number of its sign where s is clear of the root."""
+        if r is None or abs(s - r) <= margin:
+            return g_eval(s, 1) + n
+        return -1.0 if s < r else 1.0
+
     lo, hi = s0 / 4, min(4 * s0, 1.0)
     for _ in range(8):
-        if g_eval(lo, 1) + n < 0:
+        if slope(lo) < 0:
             break
         lo /= 4
     else:
         raise RuntimeError("saddle bracket failure")
     for _ in range(8):
-        if g_eval(hi, 1) + n > 0:
+        if slope(hi) > 0:
             break
         hi = min(4 * hi, 1.0)
-        if hi >= 1.0 and g_eval(hi, 1) + n <= 0:
+        if hi >= 1.0 and slope(hi) <= 0:
             raise RuntimeError("saddle bracket failure")
     else:
         raise RuntimeError("saddle bracket failure")
     while hi - lo > rel_tol * s0:
         mid = 0.5 * (lo + hi)
-        if g_eval(mid, 1) + n < 0:
+        if slope(mid) < 0:
             lo = mid
         else:
             hi = mid
     s_star = 0.5 * (lo + hi)
-    g0 = g_eval(s_star, 0)
-    g1 = g_eval(s_star, 1)
-    g2 = g_eval(s_star, 2)
-    g3 = g_eval(s_star, 3)
-    assert g2 > 0 and g3 < 0
+    g0, g1, g2, g3 = _g_sums(s_star, range(4))
+    if not (g2 > 0 and g3 < 0):
+        raise RuntimeError(f"saddle point at n={n}: need g'' > 0 > g''', got {g2!r}, {g3!r}")
     return SaddleReport(
         n=n,
         s_star=s_star,

@@ -1,0 +1,68 @@
+"""Partition enumeration, the small-m test oracle for exact.perm_order_mean.
+
+Independent of the order-count recurrence in exact: every cycle type of
+m is enumerated, weighted by the number of permutations that have it.
+"""
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+
+def iter_cycle_types(m: int):
+    """Yield (lcm, product, count) over integer partitions of m.
+
+    count is the number of permutations of [m] with that cycle type,
+    m! / prod(d^a_d * a_d!).  Parts are enumerated descending with
+    multiplicity grouping so the weight accumulates incrementally.
+    """
+    fact_m = math.factorial(m)
+
+    def rec(remaining: int, max_part: int, denom: int, cur_lcm: int, cur_prod: int):
+        if remaining == 0:
+            yield cur_lcm, cur_prod, fact_m // denom
+            return
+        for part in range(min(max_part, remaining), 0, -1):
+            piece = 1
+            new_lcm = math.lcm(cur_lcm, part)
+            for mult in range(1, remaining // part + 1):
+                piece *= part * mult
+                yield from rec(
+                    remaining - part * mult,
+                    part - 1,
+                    denom * piece,
+                    new_lcm,
+                    cur_prod * part**mult,
+                )
+
+    yield from rec(m, m, 1, 1, 1)
+
+
+@lru_cache(maxsize=None)
+def _partition_sums(m: int) -> tuple[int, int, int]:
+    """(sum lcm*count, sum product*count, number of partitions) over cycle types of m."""
+    lcm_total = 0
+    prod_total = 0
+    partitions = 0
+    for l, p, c in iter_cycle_types(m):
+        lcm_total += l * c
+        prod_total += p * c
+        partitions += 1
+    return lcm_total, prod_total, partitions
+
+
+def partition_count(m: int) -> int:
+    """p(m), counted by the same enumeration that drives M_m."""
+    return _partition_sums(m)[2]
+
+
+def perm_order_mean(m: int) -> Fraction:
+    """M_m by summing the lcm over every cycle type of m."""
+    return Fraction(_partition_sums(m)[0], math.factorial(m))
+
+
+def perm_B_mean(m: int) -> Fraction:
+    """b_m by summing the cycle-length product over every cycle type of m."""
+    if m == 0:
+        return Fraction(1)
+    return Fraction(_partition_sums(m)[1], math.factorial(m))

@@ -147,3 +147,12 @@ def test_byte_identical_reruns(capsys):
         assert code == 0
         outs.append(out.encode())
     assert outs[0] == outs[1]
+
+
+class TestEnvironment:
+    def test_bad_precision_env(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.PRECISION_ENV, "high")
+        code, out, err = run(capsys, "exact", "--n", "3")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == "error: ITERMAP_PRECISION_BITS must be an integer, got 'high'\n"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import exact_reference
 import mapping_reference
 from itermap import exact, mapping
 
@@ -95,7 +96,11 @@ class TestPermutationMeans:
 
     def test_b_matches_partition_route(self):
         for m in range(21):
-            assert exact.perm_B_mean(m) == exact.perm_B_mean_by_partitions(m)
+            assert exact.perm_B_mean(m) == exact_reference.perm_B_mean(m)
+
+    def test_M_matches_partition_route(self):
+        for m in range(1, 26):
+            assert exact.perm_order_mean(m) == exact_reference.perm_order_mean(m)
 
     def test_M_le_b_with_equality_iff_small(self):
         for m in range(1, 31):
@@ -110,16 +115,20 @@ class TestPermutationMeans:
         assert all(x <= y for x, y in zip(bs, bs[1:]))
 
     def test_partition_counts(self):
-        assert exact.partition_count(4) == 5
-        assert exact.partition_count(10) == 42
+        assert exact_reference.partition_count(4) == 5
+        assert exact_reference.partition_count(10) == 42
 
     def test_ceiling(self):
-        with pytest.raises(exact.CeilingError, match="partition enumeration too large"):
+        with pytest.raises(exact.CeilingError, match="order-count table too large"):
             exact.perm_order_mean(61)
 
     def test_cycle_type_counts_sum_to_factorial(self):
         for m in (5, 9, 12):
-            assert sum(c for _, _, c in exact.iter_cycle_types(m)) == math.factorial(m)
+            assert sum(c for _, _, c in exact_reference.iter_cycle_types(m)) == math.factorial(m)
+
+    def test_order_count_rows_sum_to_factorial(self):
+        for m in range(1, 61):
+            assert sum(exact._order_counts(m).values()) == math.factorial(m)
 
 
 class TestConditionalExpectations:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import series_reference
 from itermap import exact, renyi, series
 
 
@@ -107,6 +108,12 @@ class TestGEval:
         assert abs(r5 - 1) < 0.05
         assert r5 > r4
 
+    def test_coefficients_grown_in_pieces(self, monkeypatch):
+        monkeypatch.setattr(series, "_c_cache", np.empty(0))
+        for N in (1, 2, 10, 500, 4096):
+            series._c_upto(N)
+        assert np.array_equal(series._c_upto(4096), renyi.c_table(4096))
+
 
 class TestRankin:
     def test_trivial_floor(self):
@@ -139,3 +146,45 @@ class TestSaddle:
             rep.rankin_log_value, rep.n * rep.s_star + rep.g0, rel_tol=1e-12
         )
         assert rep.odlyzko_ok == (abs(rep.g3) <= rep.A_n**1.5)
+
+
+SADDLE_GRID = list(range(1, 51)) + [5000, 10000, 20000, 10**6]
+SADDLE_FIELDS = ("s_star", "g0", "g1", "g2", "g3", "rankin_log_value")
+
+
+class TestSaddleMatchesBisection:
+    """Every bit of the saddle report equals plain bisection's."""
+
+    def _assert_same(self, n):
+        rep, ref = series.saddle_point(n), series_reference.saddle_point(n)
+        for field in SADDLE_FIELDS:
+            assert getattr(rep, field) == getattr(ref, field), (n, field)
+
+    def test_grid(self, monkeypatch):
+        calls = []
+        real = series.g_eval
+        monkeypatch.setattr(series, "g_eval", lambda s, j=0: calls.append(s) or real(s, j))
+        counts = {}
+        for n in SADDLE_GRID:
+            before = len(calls)
+            self._assert_same(n)
+            counts[n] = len(calls) - before
+        # g' is evaluated only next to the root; at n = 1 Newton's first
+        # step lands below 0, so that search evaluates every point
+        assert max(counts[n] for n in SADDLE_GRID if n > 1) <= 2
+
+    def test_newton_fallback(self, monkeypatch):
+        monkeypatch.setattr(series, "NEWTON_MAX_STEPS", 0)
+        for n in (1, 2, 7, 50, 5000):
+            self._assert_same(n)
+
+    def test_sign_check_raises(self, monkeypatch):
+        real = series._g_sums
+
+        def g3_positive(s, orders):
+            vals = real(s, orders)
+            return vals[:3] + (abs(vals[3]),) if len(vals) == 4 else vals
+
+        monkeypatch.setattr(series, "_g_sums", g3_positive)
+        with pytest.raises(RuntimeError, match="saddle point at n=100"):
+            series.saddle_point(100)

@@ -4,7 +4,8 @@ The leading constant is k0 = (3/2)(3I)^{2/3} ~ 3.36 with
 I = int_0^inf log log(e/(1-e^{-t})) dt; beta0 = sqrt(8I) governs the
 expected order of a random permutation (exp(beta0 sqrt(m/log m))).
 The upper-bound route maximizes G(x) = log [n!/((n-x)! n^{x-1})
-e^{beta_eps sqrt(x/log x)}] over real x, the lower bound plugs the
+e^{beta_eps sqrt(x/log x)}] over real x by bisection on G', whose
+psi(n+1-x) term is scipy's digamma; the lower bound plugs the
 near-optimal integer m0* into P_n(Z=m) M_m.  Also owns the Harris CLT
 normalization (a_n, b_n) and the normal cdf.
 """
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import digamma
 
 
 class DomainError(ValueError):
@@ -111,63 +113,6 @@ def compute_constants(tolerance: float = 1e-10) -> Constants:
 @lru_cache(maxsize=None)
 def constants(tolerance: float = 1e-10) -> Constants:
     return compute_constants(tolerance)
-
-
-# ---------------------------------------------------------------------------
-# Digamma / trigamma
-
-_PSI_COEFS = (  # -B_{2k}/(2k) for the psi asymptotic series, k = 1..7
-    -1.0 / 12,
-    1.0 / 120,
-    -1.0 / 252,
-    1.0 / 240,
-    -1.0 / 132,
-    691.0 / 32760,
-    -1.0 / 12,
-)
-
-_TRI_COEFS = (  # B_{2k} for the trigamma asymptotic series, k = 1..7
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-)
-
-
-def digamma(y: float, order: int = 0) -> float:
-    """Psi(y) (order 0) or Psi'(y) (order 1); relative error <= 1e-12.
-
-    Upward recurrence to y >= 10 followed by the Bernoulli asymptotic
-    series.
-    """
-    if y <= 0:
-        raise DomainError("domain error")
-    if order not in (0, 1):
-        raise DomainError("order must be 0 or 1")
-    acc = 0.0
-    while y < 10.0:
-        if order == 0:
-            acc -= 1.0 / y
-        else:
-            acc += 1.0 / (y * y)
-        y += 1.0
-    z = 1.0 / (y * y)
-    if order == 0:
-        s = math.log(y) - 0.5 / y
-        zk = z
-        for coef in _PSI_COEFS:
-            s += coef * zk
-            zk *= z
-        return acc + s
-    s = 1.0 / y + 0.5 * z
-    zk = z / y
-    for coef in _TRI_COEFS:
-        s += coef * zk
-        zk *= z
-    return acc + s
 
 
 # ---------------------------------------------------------------------------

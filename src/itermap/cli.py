@@ -24,12 +24,22 @@ EXIT_INVARIANT = 5
 PRECISION_ENV = "ITERMAP_PRECISION_BITS"
 
 
+def _check_precision(bits: int, source: str) -> int:
+    # float64 carries 53 bits; fewer or equal bits would add nothing to Q_d
+    if bits <= 53:
+        raise ValueError(f"{source} must exceed 53 bits, got {bits}")
+    return bits
+
+
 def _default_precision() -> int | None:
     raw = os.environ.get(PRECISION_ENV)
+    if not raw:
+        return None
     try:
-        return int(raw) if raw else None
+        bits = int(raw)
     except ValueError:
         raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+    return _check_precision(bits, PRECISION_ENV)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -112,6 +122,12 @@ def cmd_series(args) -> int:
 
     buf = io.StringIO()
     writer = csv.writer(buf)
+    if args.precision is not None:
+        try:
+            _check_precision(args.precision, "--precision")
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         if args.renyi_table:
             writer.writerow(["d", "U_d", "kappa_num", "kappa_den", "Q_d", "c_d"])
@@ -122,7 +138,7 @@ def cmd_series(args) -> int:
                     u, knum, kden = tab.U[d - 1], kap.numerator, kap.denominator
                 else:
                     u, knum, kden = "", "", ""
-                q = renyi.q_factor(d, prec=args.precision) if args.precision else float(tab.Q[d - 1])
+                q = renyi.q_factor(d, args.precision) if args.precision else float(tab.Q[d - 1])
                 writer.writerow([d, u, knum, kden, repr(q), repr(float(tab.c[d - 1]))])
             _write_text(args.out, buf.getvalue())
             return EXIT_OK
@@ -290,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="generating-function route to E_n(B)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "float"], default="float")
-    p.add_argument("--precision", type=int, default=_default_precision(), help="float precision bits")
+    p.add_argument("--precision", type=int, default=_default_precision(), help="mpmath bits (> 53) for the Q_d column of --renyi-table")
     p.add_argument("--coefficients", action="store_true", help="emit (m, e_coeff, mu) table")
     p.add_argument("--renyi-table", action="store_true",
                    help="emit the (d, U_d, kappa, Q_d, c_d) connected-mapping table")

@@ -220,26 +220,6 @@ def period_stats(cs: CycleStructure) -> PeriodStats:
     return PeriodStats(T=T, B=B, O=O, log_T=log_T, log_B=log_B, prime_exponents_T=exps)
 
 
-def distinct_iterate_count(f: Mapping, limit: int = 10**6) -> int:
-    """Count distinct functions among f, f^2, f^3, ... by explicit composition.
-
-    Exponential-free reference route for small n; used to validate the
-    closed form O = T + max(h_max - 1, 0).
-    """
-    t = tuple(v - 1 for v in f.targets)
-    seen = {}
-    cur = t
-    count = 0
-    while cur not in seen:
-        seen[cur] = count
-        count += 1
-        if count > limit:
-            raise RuntimeError("iterate sequence did not close")
-        cur = tuple(t[v] for v in cur)
-    # Distinct functions = preperiod start of repeat + period remainder.
-    return count
-
-
 def stats_to_json_dict(f: Mapping, cs: CycleStructure, ps: PeriodStats) -> dict:
     """JSON-ready dict with big integers as decimal strings."""
     return {

@@ -3,7 +3,9 @@
 Samples are drawn in fixed-size blocks; block b uses the generator
 PCG64(SeedSequence(entropy=seed, spawn_key=(b,))), so results are
 bit-identical for a given (n, samples, seed, blocks) no matter how the
-blocks would be scheduled.  Per sample the cyclic set is found by
+blocks would be scheduled.  Up to BATCH_N_MAX a block is drawn and
+analysed as one matrix; above it, row by row from the same stream, so
+memory stays O(n) per sample.  Per sample the cyclic set is found by
 pointer doubling (mapping._doubling, O(n) memory per sample), the cycle
 lengths by a walk over the cyclic vertices only, and log T through the
 prime-exponent sieve (no big integers on the hot path).
@@ -165,13 +167,14 @@ def run_experiment(
         if bs == 0:
             continue
         rng = block_rng(seed, b)
-        fmat = rng.integers(0, n, size=(bs, n), dtype=np.int64)
         if n <= BATCH_N_MAX:
+            fmat = rng.integers(0, n, size=(bs, n), dtype=np.int64)
             _, mask = _doubling(fmat)
             for row, mask_row in zip(fmat, mask):
                 _consume_sample(acc, row, mask_row, a_n, b_n, crosscheck)
         else:
-            for row in fmat:
+            for _ in range(bs):
+                row = rng.integers(0, n, size=n, dtype=np.int64)
                 _consume_sample(acc, row, _doubling(row)[1], a_n, b_n, crosscheck)
 
     cnt = acc.count

@@ -12,8 +12,11 @@ the weighted cycle-length sum telescopes to exactly d, so
 
     kappa_d = d / R_d,   Q(d) = h_d * R_d,   c_d = h_d - Q(d)/d,
 
-with h_d = d^d/(d! e^d).  Exact rational values are available below a
-configurable ceiling; the floating route never forms d^k or k!.
+with h_d = d^d/(d! e^d).  Each quantity has one route: |U_d|, kappa_d
+and gamma_d = c_d e^d are exact (connected_count, kappa_exact,
+gamma_exact); Q(d) is the regularized upper incomplete gamma
+Gamma(d, d)/Gamma(d), from scipy's gammaincc in float64 (c_table,
+renyi_table) or from mpmath at a chosen precision (q_factor).
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
-
-EXACT_CEILING_DEFAULT = 2000
 
 
 def connected_count(d: int) -> int:
@@ -52,27 +53,6 @@ def _ramanujan_r_exact(d: int) -> Fraction:
     return Fraction(acc, d**d)
 
 
-def _ramanujan_r_float(d: int) -> float:
-    """R_d by the term-ratio recurrence r_{k+1} = r_k (1 - k/d).
-
-    Terms decay like exp(-k^2/2d); truncating at ~12*sqrt(d) leaves a
-    tail below 1e-28 of the total.
-    """
-    kmax = min(d, int(12 * math.sqrt(d)) + 20)
-    ratios = 1.0 - np.arange(1, kmax, dtype=np.float64) / d
-    terms = np.cumprod(ratios)
-    return 1.0 + float(terms.sum())
-
-
-def s_exact(d: int) -> Fraction:
-    """S_d = sum_{k=0}^{d-1} d^k/k!, exact rational with denominator (d-1)!."""
-    fact = math.factorial(d - 1)
-    num = 0
-    for k in range(d):
-        num += d**k * (fact // math.factorial(k))
-    return Fraction(num, fact)
-
-
 def kappa_exact(d: int) -> Fraction:
     """kappa_d = d^(d+1) / sum_k d!/(d-k)! d^(d-k), exact."""
     if d < 1:
@@ -81,77 +61,23 @@ def kappa_exact(d: int) -> Fraction:
     return Fraction(d) / r
 
 
-def kappa(d: int, exact_ceiling: int = EXACT_CEILING_DEFAULT) -> Fraction | float:
-    """Mean cycle length of a uniform connected mapping on d vertices.
+def q_factor(d: int, prec: int) -> float:
+    """Q(d) = e^{-d} sum_{k=0}^{d-1} d^k/k! in (0, 1), tending to 1/2.
 
-    Exact rational below the ceiling, else the compensated floating
-    route (relative error well under 1e-12).
+    The regularized upper incomplete gamma Gamma(d, d)/Gamma(d), computed
+    by mpmath at prec bits and rounded once to float64; float64 callers
+    use scipy's gammaincc(d, d) instead.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    if d <= exact_ceiling:
-        return kappa_exact(d)
-    return kappa_float(d)
+    import mpmath
 
-
-def kappa_float(d: int) -> float:
-    return d / _ramanujan_r_float(d)
-
-
-def _h_float(d: int) -> float:
-    """h_d = d^d / (d! e^d)."""
-    return math.exp(d * math.log(d) - math.lgamma(d + 1) - d)
-
-
-def q_factor(d: int, prec: int | None = None) -> float:
-    """Q(d) = e^{-d} sum_{k=0}^{d-1} d^k/k!, in (0,1), tending to 1/2.
-
-    Computed as h_d * R_d via the descending-ratio recurrence; no d^k or
-    k! is ever formed.  prec (bits) > 53 switches to mpmath arithmetic.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if prec is not None and prec > 53:
-        import mpmath
-
-        with mpmath.workprec(prec):
-            dd = mpmath.mpf(d)
-            term = mpmath.mpf(1)
-            acc = mpmath.mpf(1)
-            k = 1
-            while True:
-                term *= 1 - mpmath.mpf(k) / dd
-                acc += term
-                if term < mpmath.mpf(10) ** (-int(prec * 0.302) - 5):
-                    break
-                k += 1
-            h = mpmath.exp(dd * mpmath.log(dd) - mpmath.loggamma(dd + 1) - dd)
-            return float(h * acc)
-    return _h_float(d) * _ramanujan_r_float(d)
-
-
-def c_coeff(
-    d: int, exact_ceiling: int = EXACT_CEILING_DEFAULT
-) -> tuple[float, Fraction | float]:
-    """(c_d, gamma_d) with c_d = (kappa_d - 1) Q(d)/d and gamma_d = c_d e^d.
-
-    gamma_d is exact when d is within the exact ceiling (it is the
-    e-free rational carrier used by the exact series route); above the
-    ceiling a float gamma is returned when e^d does not overflow, else
-    math.inf.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    c = float(_h_float(d) - q_factor(d) / d) if d > 1 else 0.0
-    if d <= exact_ceiling:
-        r = _ramanujan_r_exact(d)
-        gamma = (d - r) * d ** (d - 1) / Fraction(math.factorial(d))
-        return c, gamma
-    return c, (c * math.exp(d) if d < 700 else math.inf)
+    with mpmath.workprec(prec):
+        return float(mpmath.gammainc(d, d, mpmath.inf, regularized=True))
 
 
 def gamma_exact(d: int) -> Fraction:
-    """gamma_d = (kappa_d - 1) S_d / d = (d - R_d) d^(d-1)/d!, exact."""
+    """gamma_d = c_d e^d = (d - R_d) d^(d-1)/d!, exact."""
     r = _ramanujan_r_exact(d)
     return (d - r) * d ** (d - 1) / Fraction(math.factorial(d))
 
@@ -180,44 +106,20 @@ class RenyiTable:
     exact_upto: int
     U: tuple[int, ...]            # |U_d| for d <= exact_upto
     kappa_exact: tuple[Fraction, ...]
-    S: tuple[Fraction, ...]
-    gamma: tuple[Fraction, ...]
     Q: np.ndarray                 # float, all d
     c: np.ndarray                 # float, all d
-
-    def row(self, d: int) -> dict:
-        out = {"d": d, "Q": float(self.Q[d - 1]), "c": float(self.c[d - 1])}
-        if d <= self.exact_upto:
-            out["U"] = self.U[d - 1]
-            out["kappa"] = self.kappa_exact[d - 1]
-        else:
-            out["kappa"] = kappa_float(d)
-        return out
 
 
 def renyi_table(N: int, exact_upto: int = 0) -> RenyiTable:
     """Build the table to degree N; exact columns computed for d <= exact_upto."""
     exact_upto = min(exact_upto, N)
-    c = c_table(N)
     d = np.arange(1, N + 1, dtype=np.float64)
-    Q = gammaincc(d, d)
-    U = []
-    kap = []
-    S = []
-    gam = []
-    for dd in range(1, exact_upto + 1):
-        U.append(connected_count(dd))
-        r = _ramanujan_r_exact(dd)
-        kap.append(Fraction(dd) / r)
-        S.append(s_exact(dd))
-        gam.append((dd - r) * dd ** (dd - 1) / Fraction(math.factorial(dd)))
+    exact_d = range(1, exact_upto + 1)
     return RenyiTable(
         N=N,
         exact_upto=exact_upto,
-        U=tuple(U),
-        kappa_exact=tuple(kap),
-        S=tuple(S),
-        gamma=tuple(gam),
-        Q=Q,
-        c=c,
+        U=tuple(connected_count(k) for k in exact_d),
+        kappa_exact=tuple(kappa_exact(k) for k in exact_d),
+        Q=gammaincc(d, d),
+        c=c_table(N),
     )

@@ -1,8 +1,8 @@
-"""Pure-Python cycle decomposition, the test oracle for mapping.analyze.
+"""Pure-Python routes for one mapping, the test oracles for the mapping module.
 
 Independent of the numpy kernel: cycles by forward walks with path
 colouring, tail heights and components by reverse BFS from the cyclic
-set.
+set, and O(f) by explicit composition of the iterates.
 """
 
 from collections import Counter, deque
@@ -70,3 +70,23 @@ def analyze(f: Mapping) -> CycleStructure:
         component_profile=profile,
         nu=n,
     )
+
+
+def distinct_iterate_count(f: Mapping, limit: int = 10**6) -> int:
+    """Count distinct functions among f, f^2, f^3, ... by explicit composition.
+
+    Exponential-free reference route for small n; used to validate the
+    closed form O = T + max(h_max - 1, 0).
+    """
+    t = tuple(v - 1 for v in f.targets)
+    seen = {}
+    cur = t
+    count = 0
+    while cur not in seen:
+        seen[cur] = count
+        count += 1
+        if count > limit:
+            raise RuntimeError("iterate sequence did not close")
+        cur = tuple(t[v] for v in cur)
+    # Distinct functions = preperiod start of repeat + period remainder.
+    return count

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -55,26 +56,6 @@ class TestConstants:
         assert abs(a.I - b.I) <= 1e-6
 
 
-class TestDigamma:
-    @pytest.mark.parametrize("y", [0.1, 0.5, 1.0, 2.5, 9.9, 10.0, 137.0, 1e6])
-    def test_psi_matches_scipy(self, y):
-        assert math.isclose(
-            asymptotics.digamma(y), float(scipy.special.digamma(y)), rel_tol=1e-12, abs_tol=1e-12
-        )
-
-    @pytest.mark.parametrize("y", [0.1, 0.5, 1.0, 2.5, 9.9, 10.0, 137.0, 1e6])
-    def test_trigamma_matches_scipy(self, y):
-        assert math.isclose(
-            asymptotics.digamma(y, 1), float(scipy.special.polygamma(1, y)), rel_tol=1e-12
-        )
-
-    def test_domain(self):
-        with pytest.raises(asymptotics.DomainError, match="domain error"):
-            asymptotics.digamma(0.0)
-        with pytest.raises(asymptotics.DomainError):
-            asymptotics.digamma(1.0, order=2)
-
-
 class TestGProfile:
     def test_maximizer_scaling(self):
         # x* ~ m* = beta^(2/3) (3/8)^(1/3) n^(2/3) / log^(1/3) n
@@ -85,6 +66,22 @@ class TestGProfile:
     def test_stationary_point(self):
         prof = asymptotics.g_profile(10**5, 0.05)
         assert abs(asymptotics._G_prime(10**5, prof.beta_eps, prof.x_star)) < 1e-6
+
+    def test_G_prime_is_derivative_of_G(self):
+        # G' carries psi(n+1-x); an mpmath derivative of G is the oracle
+        beta = asymptotics.constants().beta0 + 0.01
+        for n in (100, 10**4, 10**7):
+            for x in (6.0, 0.5 * n, n - 1.0):
+                with mpmath.workdps(40):
+                    ref = mpmath.diff(
+                        lambda t: -mpmath.loggamma(n + 1 - t)
+                        - (t - 1) * mpmath.log(n)
+                        + beta * mpmath.sqrt(t / mpmath.log(t)),
+                        x,
+                    )
+                assert math.isclose(
+                    asymptotics._G_prime(n, beta, x), float(ref), rel_tol=1e-12, abs_tol=1e-12
+                )
 
     def test_maximum_beats_neighbors(self):
         n = 10**4

@@ -78,6 +78,18 @@ class TestSeries:
         assert lines[0] == "d,U_d,kappa_num,kappa_den,Q_d,c_d"
         assert lines[3].startswith("3,17,27,17,")
 
+    def test_renyi_table_precision(self, capsys):
+        code, out, _ = run(capsys, "series", "--degree", "3", "--renyi-table", "--precision", "64")
+        assert code == 0
+        assert out.strip().splitlines()[2] == "2,3,4,3,0.40600584970983805,0.06766764161830643"
+
+    @pytest.mark.parametrize("bits", ["53", "0", "-5"])
+    def test_low_precision_rejected(self, capsys, bits):
+        code, out, err = run(capsys, "series", "--degree", "3", "--renyi-table", "--precision", bits)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == f"error: --precision must exceed 53 bits, got {bits}\n"
+
     def test_eval_above_degree(self, capsys):
         code, _, err = run(capsys, "series", "--degree", "10", "--eval-n", "50")
         assert code == cli.EXIT_CEILING
@@ -126,6 +138,18 @@ class TestSimulate:
         assert hlines[0] == "bin_low,bin_high,count,phi_delta"
         assert hlines[1].startswith("-inf,")
 
+    def test_per_row_path_pinned(self, capsys):
+        # n above BATCH_N_MAX draws one row at a time; the CSV is the one the
+        # whole-block draw gave, so the per-row draws keep the PCG64 stream
+        code, out, _ = run(
+            capsys, "simulate", "--n", "2000", "--samples", "40", "--blocks", "3", "--seed", "4"
+        )
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "2000,40,4,3,6.765463099468809,4.464771109175992,8.513703452175985,"
+            "8.787902377998776,1.7482403527071757,3.2537184659738987,0.6,0,0,0.0"
+        )
+
     def test_too_large(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "100000000", "--samples", "1")
         assert code == cli.EXIT_CEILING
@@ -156,3 +180,11 @@ class TestEnvironment:
         assert code == cli.EXIT_PARSE
         assert out == ""
         assert err == "error: ITERMAP_PRECISION_BITS must be an integer, got 'high'\n"
+
+    @pytest.mark.parametrize("bits", ["53", "-5"])
+    def test_low_precision_env(self, capsys, monkeypatch, bits):
+        monkeypatch.setenv(cli.PRECISION_ENV, bits)
+        code, out, err = run(capsys, "series", "--degree", "3", "--renyi-table")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == f"error: ITERMAP_PRECISION_BITS must exceed 53 bits, got {bits}\n"

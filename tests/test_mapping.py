@@ -99,7 +99,7 @@ def test_analyze_matches_reference(n):
 def test_O_matches_explicit_composition(n):
     for f in all_mappings(n):
         ps = mapping.period_stats(mapping.analyze(f))
-        assert ps.O == mapping.distinct_iterate_count(f)
+        assert ps.O == mapping_reference.distinct_iterate_count(f)
 
 
 @given(st.data())

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
-import numpy as np
+import mpmath
 import pytest
+from scipy.special import gammaincc
 
+import renyi_reference
 from itermap import exact, renyi
 
 
@@ -26,7 +28,7 @@ class TestConnectedCount:
     def test_asymptotic(self):
         # |U_d| / (d^d sqrt(pi/2d)) = R_d / sqrt(pi d / 2)
         for d in (100, 1000, 10000):
-            ratio = renyi._ramanujan_r_float(d) / math.sqrt(math.pi * d / 2)
+            ratio = renyi_reference.ramanujan_r_float(d) / math.sqrt(math.pi * d / 2)
             assert abs(ratio - 1) <= 5 / math.sqrt(d)
 
 
@@ -44,62 +46,73 @@ class TestKappa:
     @pytest.mark.parametrize("d", [1, 2, 5, 17, 50, 200, 700, 2000])
     def test_float_matches_exact(self, d):
         ke = renyi.kappa_exact(d)
-        kf = renyi.kappa_float(d)
+        kf = renyi_reference.kappa_float(d)
         assert abs(kf - float(ke)) <= 1e-12 * float(ke)
 
     def test_asymptotic_band(self):
         for d in (100, 1000, 10000):
-            ratio = renyi.kappa_float(d) / math.sqrt(2 * d / math.pi)
+            ratio = renyi_reference.kappa_float(d) / math.sqrt(2 * d / math.pi)
             assert abs(ratio - 1) <= 5 / math.sqrt(d)
-
-    def test_dispatch(self):
-        assert isinstance(renyi.kappa(10), Fraction)
-        assert isinstance(renyi.kappa(10, exact_ceiling=5), float)
 
 
 class TestQFactor:
     def test_d1(self):
-        assert math.isclose(renyi.q_factor(1), math.exp(-1), rel_tol=1e-13)
+        assert math.isclose(renyi.q_factor(1, 64), math.exp(-1), rel_tol=1e-13)
 
     def test_d2(self):
-        assert math.isclose(renyi.q_factor(2), 3 * math.exp(-2), rel_tol=1e-13)
+        assert math.isclose(renyi.q_factor(2, 64), 3 * math.exp(-2), rel_tol=1e-13)
 
     def test_limit_half(self):
-        q = renyi.q_factor(10**4)
+        q = renyi.q_factor(10**4, 64)
         assert abs(q - 0.5) <= 0.01
 
     def test_range(self):
         for d in (1, 2, 10, 100, 10**5):
-            assert 0 < renyi.q_factor(d) < 1
+            assert 0 < renyi.q_factor(d, 64) < 1
 
     def test_high_precision_agrees(self):
+        # the mpmath route agrees with the float64 column of the table
+        tab = renyi.renyi_table(400)
         for d in (3, 50, 400):
-            assert math.isclose(renyi.q_factor(d, prec=100), renyi.q_factor(d), rel_tol=1e-12)
+            assert math.isclose(renyi.q_factor(d, prec=100), tab.Q[d - 1], rel_tol=1e-12)
 
     def test_exact_S(self):
-        assert renyi.s_exact(2) == 3
-        assert renyi.s_exact(3) == Fraction(17, 2)  # 1 + 3 + 9/2
+        assert renyi_reference.s_exact(2) == 3
+        assert renyi_reference.s_exact(3) == Fraction(17, 2)  # 1 + 3 + 9/2
+        # Q(d) = e^{-d} S_d, with S_d summed exactly
+        with mpmath.workprec(300):
+            for d in (1, 2, 3, 10, 37):
+                s = renyi_reference.s_exact(d)
+                ref = float(mpmath.exp(-d) * s.numerator / s.denominator)
+                assert renyi.q_factor(d, 64) == ref
+
+    @pytest.mark.parametrize("prec", [64, 100])
+    def test_correctly_rounded(self, prec):
+        with mpmath.workprec(300):
+            ref = [float(mpmath.gammainc(d, d, mpmath.inf, regularized=True)) for d in range(1, 401)]
+        got = [renyi.q_factor(d, prec) for d in range(1, 401)]
+        assert got == ref
+
 
 
 class TestCCoeff:
     def test_c1_zero(self):
-        c, g = renyi.c_coeff(1)
-        assert c == 0.0 and g == 0
+        assert renyi.c_table(1)[0] == 0.0
+        assert renyi.gamma_exact(1) == 0
 
     def test_c2(self):
-        c, g = renyi.c_coeff(2)
-        assert math.isclose(c, math.exp(-2) / 2, rel_tol=1e-13)
-        assert g == Fraction(1, 2)
+        assert math.isclose(renyi.c_table(2)[1], math.exp(-2) / 2, rel_tol=1e-13)
+        assert renyi.gamma_exact(2) == Fraction(1, 2)
 
     def test_large_d_envelope(self):
         d = 10**4
-        c, _ = renyi.c_coeff(d, exact_ceiling=0)
+        c = renyi.c_table(d)[d - 1]
         assert abs(c * math.sqrt(2 * math.pi * d) - 1) <= 0.02
 
     def test_table_agrees_with_scalar(self):
         ct = renyi.c_table(600)
         for d in (1, 2, 3, 10, 100, 600):
-            c, _ = renyi.c_coeff(d, exact_ceiling=0)
+            c = renyi_reference.c_coeff(d)
             assert abs(ct[d - 1] - c) <= 1e-11 * max(c, 1e-3)
 
     def test_table_nonnegative(self):
@@ -111,10 +124,10 @@ class TestCCoeff:
 def test_renyi_table_build():
     tab = renyi.renyi_table(50, exact_upto=10)
     assert tab.N == 50 and tab.exact_upto == 10
-    assert tab.U[2] == 17
+    assert len(tab.U) == len(tab.kappa_exact) == 10
+    assert tab.U[2] == 17 and tab.U[4] == 1569
     assert tab.kappa_exact[1] == Fraction(4, 3)
-    assert tab.gamma[1] == Fraction(1, 2)
-    assert len(tab.c) == 50
-    row = tab.row(5)
-    assert row["U"] == 1569
-    assert 0 < tab.row(30)["kappa"] < 30
+    assert tab.kappa_exact[9] == renyi.kappa_exact(10)
+    assert len(tab.Q) == len(tab.c) == 50
+    assert tab.Q[29] == gammaincc(30, 30)
+    assert (tab.c == renyi.c_table(50)).all()

@@ -25,9 +25,9 @@ PRECISION_ENV = "ITERMAP_PRECISION_BITS"
 
 
 def _check_precision(bits: int, source: str) -> int:
-    # float64 carries 53 bits; fewer or equal bits would add nothing to Q_d
-    if bits <= 53:
-        raise ValueError(f"{source} must exceed 53 bits, got {bits}")
+    # mpmath's Q_d rounds correctly to float64 from 60 bits (checked for d <= 800), not below
+    if bits < 60:
+        raise ValueError(f"{source} must be at least 60 bits, got {bits}")
     return bits
 
 
@@ -68,8 +68,12 @@ def cmd_analyze(args) -> int:
     except mapping.MappingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    cs = mapping.analyze(f)
-    ps = mapping.period_stats(cs)
+    try:
+        cs = mapping.analyze(f)
+        ps = mapping.period_stats(cs)
+    except mapping.InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     try:
         _write_text(args.out, _json_dumps(mapping.stats_to_json_dict(f, cs, ps)))
     except OSError as exc:
@@ -96,14 +100,12 @@ def cmd_exact(args) -> int:
                 writer.writerow([m, M.numerator, M.denominator, b.numerator, b.denominator])
         else:
             writer.writerow(["n", "E_T_num", "E_T_den", "E_B_num", "E_B_den"])
-            for k in range(1, n + 1):
-                et = exact.exact_E_T(k)
-                eb = exact.exact_E_B_conditional(k)
+            rows = [(k, exact.exact_E_T(k), exact.exact_E_B_conditional(k)) for k in range(1, n + 1)]
+            for k, et, eb in rows:
                 writer.writerow([k, et.numerator, et.denominator, eb.numerator, eb.denominator])
             # oracle cross-checks against full enumeration
-            for k in range(1, min(n, 7) + 1):
-                bt, bb = exact.brute_force_expectations(k)
-                match = bt == exact.exact_E_T(k) and bb == exact.exact_E_B_conditional(k)
+            for k, et, eb in rows[:7]:
+                match = exact.brute_force_expectations(k) == (et, eb)
                 print(f"n={k} brute-force cross-check: {'PASS' if match else 'FAIL'}", file=sys.stderr)
                 ok = ok and match
     except exact.CeilingError as exc:
@@ -306,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="generating-function route to E_n(B)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "float"], default="float")
-    p.add_argument("--precision", type=int, default=_default_precision(), help="mpmath bits (> 53) for the Q_d column of --renyi-table")
+    p.add_argument("--precision", type=int, default=_default_precision(), help="mpmath bits (>= 60) for the Q_d column of --renyi-table")
     p.add_argument("--coefficients", action="store_true", help="emit (m, e_coeff, mu) table")
     p.add_argument("--renyi-table", action="store_true",
                    help="emit the (d, U_d, kappa, Q_d, c_d) connected-mapping table")

@@ -4,7 +4,10 @@ M_m, mean permutation cycle product b_m, and the exact conditional
 expectations E_n(T) and E_n(B).
 
 Everything here is exact rational arithmetic; these routines are the
-oracles every asymptotic route is validated against.
+oracles every asymptotic route is validated against.  The enumeration
+shares no code with the mapping module or with the z_pmf * M_m route: it
+packs each mapping into one integer word and reads its cycle counts off
+the fixed points of its iterates.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .mapping import _doubling
 
 BRUTE_FORCE_MAX_N = 8
 M_MAX_DEFAULT = 60
@@ -44,84 +45,62 @@ class EnumerationSummary:
     connected_cycle_total: int  # sum of the cycle length over connected f
 
 
-def _profile_T_B(counts: tuple[int, ...]) -> tuple[int, int]:
-    """T and B for a cycle-count profile (counts[L-1] cycles of length L)."""
-    T = 1
-    B = 1
-    for L, a in enumerate(counts, start=1):
-        if a:
-            T = math.lcm(T, L)
-            B *= L**a
-    return T, B
-
-
 @lru_cache(maxsize=None)
-def enumerate_summary(n: int, chunk: int = 1 << 18) -> EnumerationSummary:
-    """One vectorized pass over all n^n mappings.
+def enumerate_summary(n: int, chunk: int = 1 << 16) -> EnumerationSummary:
+    """One vectorized pass over all n^n mappings, by fixed points of iterates.
 
-    Mappings are enumerated in mixed radix; the cyclic set is found by
-    mapping._doubling (pointer doubling) and the per-vertex cycle length
-    by comparing iterates f^t against the identity.
-    Rows are then grouped by cycle-count profile so T and B are computed
-    once per profile.
+    Each mapping is a word with f(x) in bits 3x..3x+2, so f is evaluated
+    elementwise as (w >> 3x) & 7, without a gather.  Following every
+    vertex for n steps gives fix_t = #{v : f^t(v) = v} for t = 1..n.  A
+    vertex on an L-cycle is fixed by f^t iff L | t, so
+    L c_L = fix_L - sum_{d | L, d < L} d c_d gives c_L, the number of
+    L-cycles.  Then Z = sum L c_L, B = prod L^c_L, T is the lcm of the
+    lengths present, and f is connected iff it has one cycle.
     """
     if not 1 <= n <= BRUTE_FORCE_MAX_N:
         raise CeilingError("enumeration too large")
-    total = n**n
-    ident = np.arange(n, dtype=np.int64)
-    sum_T = 0
-    sum_B = 0
+    if n > 8:  # 3-bit fields hold targets 0..7
+        raise CeilingError("packed enumeration words hold n <= 8 targets")
+    words = np.zeros(1, dtype=np.int32)
+    for x in range(n):
+        words = (words[:, None] + (np.arange(n, dtype=np.int32) << 3 * x)).ravel()
+    # lcm_of[s] = lcm of the lengths L with bit L-1 set in s
+    lengths = range(1, n + 1)
+    lcm_of = np.array([math.lcm(*(L for L in lengths if s >> (L - 1) & 1)) for s in range(1 << n)])
+    sum_T = sum_B = connected_count = connected_cycle_total = 0
     z_counts = np.zeros(n + 1, dtype=np.int64)
-    connected_count = 0
-    connected_cycle_total = 0
-    radix = np.array([(n + 1) ** L for L in range(n)], dtype=np.int64)
-    profile_cache: dict[int, tuple[int, int]] = {}
 
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        f = np.empty((hi - lo, n), dtype=np.int64)
-        for j in range(n):
-            f[:, j] = (idx // n**j) % n
+    for lo in range(0, n**n, chunk):
+        w = words[lo : lo + chunk]
+        fix = np.zeros((n + 1, len(w)), dtype=np.int8)
+        for x in range(n):
+            y = np.full(len(w), x, dtype=np.int32)
+            for t in range(1, n + 1):
+                y = (w >> 3 * y) & 7
+                fix[t] += y == x
 
-        _, cyclic = _doubling(f)
-        Z = cyclic.sum(axis=1)
+        c = {}
+        present = 0
+        B = np.ones(len(w), dtype=np.int64)
+        for L in lengths:
+            c[L] = (fix[L] - sum(d * c[d] for d in range(1, L) if L % d == 0)) // L
+            B *= np.power(L, c[L], dtype=np.int64)
+            present = present | (c[L] > 0).astype(np.int64) << (L - 1)
+        Z = sum(L * c[L] for L in lengths)
+
         z_counts += np.bincount(Z, minlength=n + 1)
-
-        clen = np.zeros_like(f)
-        ft = f
-        for t in range(1, n + 1):
-            hit = cyclic & (clen == 0) & (ft == ident)
-            clen[hit] = t
-            if t < n:
-                ft = np.take_along_axis(f, ft, axis=1)
-
-        counts = np.stack(
-            [(clen == L).sum(axis=1) // L for L in range(1, n + 1)], axis=1
-        )
-        ncomp = counts.sum(axis=1)
-        conn = ncomp == 1
+        sum_T += int(lcm_of[present].sum())
+        sum_B += int(B.sum())
+        conn = sum(c.values()) == 1
         connected_count += int(conn.sum())
         connected_cycle_total += int(Z[conn].sum())
 
-        keys = counts @ radix
-        uniq, inv, ucounts = np.unique(keys, return_inverse=True, return_counts=True)
-        first = np.empty(len(uniq), dtype=np.int64)
-        first[inv] = np.arange(len(keys))
-        for u, key in enumerate(uniq):
-            k = int(key)
-            if k not in profile_cache:
-                profile_cache[k] = _profile_T_B(tuple(counts[first[u]]))
-            T, B = profile_cache[k]
-            sum_T += T * int(ucounts[u])
-            sum_B += B * int(ucounts[u])
-
     return EnumerationSummary(
         n=n,
-        count=total,
+        count=n**n,
         sum_T=sum_T,
         sum_B=sum_B,
-        z_counts=tuple(int(c) for c in z_counts),
+        z_counts=tuple(z_counts.tolist()),
         connected_count=connected_count,
         connected_cycle_total=connected_cycle_total,
     )
@@ -170,8 +149,10 @@ def z_pmf_sums_to_one(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Permutation averages
 
-# _ORDER_ROWS[k] = {L: number of permutations of [k] with order L}; grown on demand.
+# _ORDER_ROWS[k] = {L: number of permutations of [k] with order L} and
+# _ORDER_TOTALS[k] = sum of L * _ORDER_ROWS[k][L]; both grown on demand.
 _ORDER_ROWS: list[dict[int, int]] = [{1: 1}]
+_ORDER_TOTALS: list[int] = [1]
 
 
 def _order_counts(m: int) -> dict[int, int]:
@@ -190,6 +171,7 @@ def _order_counts(m: int) -> dict[int, int]:
                 row[key] = row.get(key, 0) + ways * c
             ways *= k - d
         _ORDER_ROWS.append(row)
+        _ORDER_TOTALS.append(sum(L * c for L, c in row.items()))
     return _ORDER_ROWS[m]
 
 
@@ -197,7 +179,8 @@ def perm_order_mean(m: int, m_max: int = M_MAX_DEFAULT) -> Fraction:
     """M_m: mean order (lcm of cycle lengths) of a uniform permutation of [m]."""
     if not 1 <= m <= m_max:
         raise CeilingError("order-count table too large")
-    return Fraction(sum(L * c for L, c in _order_counts(m).items()), math.factorial(m))
+    _order_counts(m)
+    return Fraction(_ORDER_TOTALS[m], math.factorial(m))
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,10 @@ class MappingError(ValueError):
     """Invalid mapping input (bad target, wrong token count, empty domain)."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed; the CLI exits with code 5."""
+
+
 @dataclass(frozen=True)
 class Mapping:
     """A total function on {1..n}; targets[i-1] holds f(i), 1-based."""
@@ -150,8 +154,10 @@ def analyze(f: Mapping) -> CycleStructure:
         height += height[nxt]
         nxt = nxt[nxt]
 
-    assert sum(lengths) == len(cyclic)
-    assert sum(d * a for d, a in profile.items()) == n
+    if sum(lengths) != len(cyclic):
+        raise InvariantError(f"cycle lengths sum to {sum(lengths)}, not to {len(cyclic)} cyclic vertices")
+    if sum(d * a for d, a in profile.items()) != n:
+        raise InvariantError(f"component sizes do not sum to n = {n}")
     return CycleStructure(
         cyclic_vertices=frozenset((cyclic + 1).tolist()),
         cycle_lengths=tuple(sorted(lengths)),
@@ -216,7 +222,8 @@ def period_stats(cs: CycleStructure) -> PeriodStats:
         T *= p**e
         log_T += e * math.log(p)
     O = T + max(cs.max_tail_height - 1, 0)
-    assert B % T == 0
+    if B % T:
+        raise InvariantError("T does not divide B")
     return PeriodStats(T=T, B=B, O=O, log_T=log_T, log_B=log_B, prime_exponents_T=exps)
 
 

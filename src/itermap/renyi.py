@@ -82,20 +82,25 @@ def gamma_exact(d: int) -> Fraction:
     return (d - r) * d ** (d - 1) / Fraction(math.factorial(d))
 
 
-def c_table(N: int, start: int = 1) -> np.ndarray:
-    """c_start..c_N as a float array (index d-start), fully vectorized.
+def _q_and_c(N: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Q(d) = gammaincc(d, d) and c_d for d = start..N as float arrays (index d-start).
 
-    Uses Q(d) = gammaincc(d, d) (the regularized upper incomplete gamma
-    equals the Poisson cdf factor exactly); c_1 = 0 by construction.
-    Each c_d depends on d alone, so a table built in pieces is bit-equal
-    to one built at once.
+    The regularized upper incomplete gamma equals the Poisson cdf factor
+    exactly; c_1 = 0 by construction.  Each value depends on d alone, so
+    a table built in pieces is bit-equal to one built at once.
     """
     d = np.arange(start, N + 1, dtype=np.float64)
     h = np.exp(d * np.log(d) - gammaln(d + 1) - d)
-    c = h - gammaincc(d, d) / d
+    q = gammaincc(d, d)
+    c = h - q / d
     c[d == 1] = 0.0
     np.maximum(c, 0.0, out=c)
-    return c
+    return q, c
+
+
+def c_table(N: int, start: int = 1) -> np.ndarray:
+    """c_start..c_N as a float array (index d-start), fully vectorized; see _q_and_c."""
+    return _q_and_c(N, start)[1]
 
 
 @dataclass(frozen=True)
@@ -113,13 +118,13 @@ class RenyiTable:
 def renyi_table(N: int, exact_upto: int = 0) -> RenyiTable:
     """Build the table to degree N; exact columns computed for d <= exact_upto."""
     exact_upto = min(exact_upto, N)
-    d = np.arange(1, N + 1, dtype=np.float64)
     exact_d = range(1, exact_upto + 1)
+    q, c = _q_and_c(N)
     return RenyiTable(
         N=N,
         exact_upto=exact_upto,
         U=tuple(connected_count(k) for k in exact_d),
         kappa_exact=tuple(kappa_exact(k) for k in exact_d),
-        Q=gammaincc(d, d),
-        c=c_table(N),
+        Q=q,
+        c=c,
     )

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import renyi
+from .mapping import InvariantError
 
 EXACT_SERIES_CEILING = 500
 DEGREE_CAP_DEFAULT = 200_000
@@ -143,7 +144,8 @@ def expected_B(
             raise SeriesError("exact mode too large")
         if table is None or table.mode != "exact" or table.N < n:
             table = mu_table(n, "exact")
-        assert table.r is not None
+        if table.r is None:
+            raise InvariantError("exact-mode table without rational coefficients")
         acc = Fraction(0)
         for m in range(n + 1):
             k = n - m

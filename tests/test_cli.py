@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
-from itermap import cli
+import itermap
+from itermap import cli, exact, mapping
 
 
 def run(capsys, *argv):
@@ -32,6 +37,35 @@ class TestAnalyze:
         assert code == cli.EXIT_IO
         assert "error" in err
 
+    def test_invariant_violation(self, capsys, tmp_path, monkeypatch):
+        p = tmp_path / "f.txt"
+        p.write_text("3 2 3 1\n")
+        monkeypatch.setattr(mapping, "_cycles", lambda f, cyclic: ([1], [0] * len(cyclic)))
+        code, out, err = run(capsys, "analyze", str(p))
+        assert code == cli.EXIT_INVARIANT
+        assert out == ""
+        assert err == "error: cycle lengths sum to 1, not to 3 cyclic vertices\n"
+
+    def test_invariant_violation_optimized(self, tmp_path):
+        # python -O strips asserts; the typed check must still fire
+        p = tmp_path / "f.txt"
+        p.write_text("3 2 3 1\n")
+        script = (
+            "import sys; from itermap import cli, mapping; "
+            "mapping._cycles = lambda f, cyclic: ([1], [0] * len(cyclic)); "
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        src = os.path.dirname(os.path.dirname(itermap.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        r = subprocess.run(
+            [sys.executable, "-O", "-c", script, "analyze", str(p)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert r.returncode == cli.EXIT_INVARIANT
+        assert r.stdout == ""
+        assert r.stderr == "error: cycle lengths sum to 1, not to 3 cyclic vertices\n"
+
 
 class TestExact:
     def test_table_with_crosschecks(self, capsys):
@@ -42,6 +76,17 @@ class TestExact:
         assert lines[2] == "2,5,4,5,4"
         assert lines[4] == "4,431,256,437,256"
         assert err.count("PASS") == 4 and "FAIL" not in err
+
+    def test_crosscheck_can_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(exact, "brute_force_expectations", lambda k: (Fraction(k), Fraction(1)))
+        code, out, err = run(capsys, "exact", "--n", "3")
+        assert code == cli.EXIT_INVARIANT
+        assert out.startswith("n,E_T_num")
+        assert err.splitlines() == [
+            "n=1 brute-force cross-check: PASS",
+            "n=2 brute-force cross-check: FAIL",
+            "n=3 brute-force cross-check: FAIL",
+        ]
 
     def test_orders_table(self, capsys):
         code, out, _ = run(capsys, "exact", "--n", "4", "--orders")
@@ -83,12 +128,12 @@ class TestSeries:
         assert code == 0
         assert out.strip().splitlines()[2] == "2,3,4,3,0.40600584970983805,0.06766764161830643"
 
-    @pytest.mark.parametrize("bits", ["53", "0", "-5"])
+    @pytest.mark.parametrize("bits", ["59", "53", "0", "-5"])
     def test_low_precision_rejected(self, capsys, bits):
         code, out, err = run(capsys, "series", "--degree", "3", "--renyi-table", "--precision", bits)
         assert code == cli.EXIT_PARSE
         assert out == ""
-        assert err == f"error: --precision must exceed 53 bits, got {bits}\n"
+        assert err == f"error: --precision must be at least 60 bits, got {bits}\n"
 
     def test_eval_above_degree(self, capsys):
         code, _, err = run(capsys, "series", "--degree", "10", "--eval-n", "50")
@@ -181,10 +226,10 @@ class TestEnvironment:
         assert out == ""
         assert err == "error: ITERMAP_PRECISION_BITS must be an integer, got 'high'\n"
 
-    @pytest.mark.parametrize("bits", ["53", "-5"])
+    @pytest.mark.parametrize("bits", ["59", "53", "-5"])
     def test_low_precision_env(self, capsys, monkeypatch, bits):
         monkeypatch.setenv(cli.PRECISION_ENV, bits)
         code, out, err = run(capsys, "series", "--degree", "3", "--renyi-table")
         assert code == cli.EXIT_PARSE
         assert out == ""
-        assert err == f"error: ITERMAP_PRECISION_BITS must exceed 53 bits, got {bits}\n"
+        assert err == f"error: ITERMAP_PRECISION_BITS must be at least 60 bits, got {bits}\n"

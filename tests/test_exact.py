@@ -25,7 +25,7 @@ def dumb_enumeration(n):
     return sum_T, sum_B, conn, conn_cycles, tuple(z)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerator_matches_pure_python(n):
     s = exact.enumerate_summary(n)
     assert (
@@ -35,6 +35,17 @@ def test_enumerator_matches_pure_python(n):
         s.connected_cycle_total,
         s.z_counts,
     ) == dumb_enumeration(n)
+
+
+def test_chunk_boundaries():
+    # 1000 divides no power of 6, so the last chunk is a partial one
+    assert exact.enumerate_summary(6, chunk=1000) == exact.enumerate_summary(6)
+
+
+def test_packed_word_guard(monkeypatch):
+    monkeypatch.setattr(exact, "BRUTE_FORCE_MAX_N", 9)
+    with pytest.raises(exact.CeilingError, match="n <= 8"):
+        exact.enumerate_summary(9)
 
 
 class TestBruteForce:
@@ -135,7 +146,7 @@ class TestConditionalExpectations:
     def test_E_T_n2_by_hand(self):
         assert exact.exact_E_T(2) == Fraction(1, 2) * 1 + Fraction(1, 2) * Fraction(3, 2)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_equals_brute_force(self, n):
         bt, bb = exact.brute_force_expectations(n)
         assert exact.exact_E_T(n) == bt

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -56,6 +57,24 @@ class TestAnalyze:
         assert cs.cycle_lengths == (1,)
         assert cs.tail_heights == (0, 1, 2)
         assert cs.component_profile == {3: 1}
+
+
+class TestInvariantErrors:
+    def test_cycle_lengths_checked(self, monkeypatch):
+        monkeypatch.setattr(mapping, "_cycles", lambda f, cyclic: ([1], [0] * len(cyclic)))
+        with pytest.raises(mapping.InvariantError, match="cycle lengths sum to 1, not to 3"):
+            mapping.analyze(mk(3, 2, 3, 1))
+
+    def test_component_sizes_checked(self, monkeypatch):
+        # a bincount over all n vertices sums to n, so only a broken one trips this check
+        monkeypatch.setattr(mapping.np, "bincount", lambda ids: np.array([1]))
+        with pytest.raises(mapping.InvariantError, match="component sizes"):
+            mapping.analyze(mk(3, 2, 3, 1))
+
+    def test_T_divides_B_checked(self, monkeypatch):
+        monkeypatch.setattr(mapping, "factorize", lambda m: {2: 5})
+        with pytest.raises(mapping.InvariantError, match="T does not divide B"):
+            mapping.period_stats(mapping.analyze(mk(2, 2, 1)))
 
 
 class TestPeriodStats:

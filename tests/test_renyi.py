@@ -15,7 +15,7 @@ class TestConnectedCount:
         assert renyi.connected_count(2) == 3
         assert renyi.connected_count(3) == 17
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_matches_brute_force(self, d):
         assert renyi.connected_count(d) == exact.enumerate_summary(d).connected_count
 
@@ -38,7 +38,7 @@ class TestKappa:
         assert renyi.kappa_exact(2) == Fraction(4, 3)
         assert renyi.kappa_exact(3) == Fraction(27, 17)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_brute_force_average(self, d):
         s = exact.enumerate_summary(d)
         assert renyi.kappa_exact(d) == Fraction(s.connected_cycle_total, s.connected_count)
@@ -86,7 +86,7 @@ class TestQFactor:
                 ref = float(mpmath.exp(-d) * s.numerator / s.denominator)
                 assert renyi.q_factor(d, 64) == ref
 
-    @pytest.mark.parametrize("prec", [64, 100])
+    @pytest.mark.parametrize("prec", [60, 64, 100])
     def test_correctly_rounded(self, prec):
         with mpmath.workprec(300):
             ref = [float(mpmath.gammainc(d, d, mpmath.inf, regularized=True)) for d in range(1, 401)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 import series_reference
 from itermap import exact, renyi, series
+from itermap.mapping import InvariantError
 
 
 class TestExpSeries:
@@ -71,6 +73,11 @@ class TestExpectedB:
 
     def test_n2_value(self):
         assert series.expected_B(2, "exact") == Fraction(5, 4)
+
+    def test_exact_table_without_rationals(self):
+        table = dataclasses.replace(series.mu_table(3, "exact"), r=None)
+        with pytest.raises(InvariantError, match="without rational coefficients"):
+            series.expected_B(3, "exact", table)
 
     @pytest.mark.parametrize("n", [10, 25, 40, 80])
     def test_exact_equals_conditional(self, n):

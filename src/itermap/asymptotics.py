@@ -19,6 +19,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import digamma
 
+from .mapping import InvariantError
+
 
 class DomainError(ValueError):
     pass
@@ -240,7 +242,7 @@ def en_T_estimate(n: int, eps: float = 0.01) -> EnTEstimate:
     prof = g_profile(n, eps)
     upper = prof.G_at_x_star
     if lower > upper:
-        raise RuntimeError("lower bound exceeded upper bound")
+        raise InvariantError("lower bound exceeded upper bound")
     return EnTEstimate(
         n=n,
         leading=leading,

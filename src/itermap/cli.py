@@ -121,6 +121,7 @@ def cmd_exact(args) -> int:
 
 def cmd_series(args) -> int:
     from . import renyi, series
+    from .mapping import InvariantError
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -166,7 +167,7 @@ def cmd_series(args) -> int:
     except series.SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING
-    except RuntimeError as exc:
+    except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     try:
@@ -179,6 +180,7 @@ def cmd_series(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     from . import asymptotics
+    from .mapping import InvariantError
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -193,7 +195,7 @@ def cmd_asymptotics(args) -> int:
     except asymptotics.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING
-    except RuntimeError as exc:
+    except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     try:

@@ -4,8 +4,10 @@ A mapping f: [n] -> [n] induces a directed graph with edges v -> f(v).
 Every weak component contains exactly one directed cycle with trees
 hanging off it.  The period T(f) of the iterate sequence equals the lcm
 of the cycle lengths; B(f) is their product with multiplicity; O(f), the
-number of distinct iterates, equals T plus the preperiod excess and
-always satisfies |O - T| < n.
+number of distinct iterates, equals T plus the largest tail height less
+one and always satisfies |O - T| < n.  `analyze` keeps only what these
+need: the cycle lengths, the number of cyclic vertices and the largest
+tail height.
 """
 
 from __future__ import annotations
@@ -24,46 +26,44 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed; the CLI exits with code 5."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mapping:
-    """A total function on {1..n}; targets[i-1] holds f(i), 1-based."""
+    """A total function on {1..n}; targets[i-1] holds f(i), 1-based.
+
+    targets may be given as any int sequence; it is stored as a read-only
+    int64 array and range-checked in one vectorised pass.
+    """
 
     n: int
-    targets: tuple[int, ...]
+    targets: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise MappingError("empty domain")
-        if len(self.targets) != self.n:
+        try:
+            t = np.array(self.targets, dtype=np.int64)
+        except (ValueError, OverflowError, TypeError):
+            raise MappingError("invalid target") from None
+        if t.shape != (self.n,):
             raise MappingError("length mismatch")
-        for t in self.targets:
-            if not 1 <= t <= self.n:
-                raise MappingError("invalid target")
+        if t.min() < 1 or t.max() > self.n:
+            raise MappingError("invalid target")
+        t.flags.writeable = False
+        object.__setattr__(self, "targets", t)
 
 
 @dataclass(frozen=True)
 class CycleStructure:
-    """Decomposition of the functional graph of one mapping.
+    """What T, B and O need of the functional graph of one mapping.
 
-    cyclic_vertices are the v with f^t(v) = v for some t >= 1 (1-based).
-    tail_heights[v-1] is the distance from v to the cyclic set (0 iff
-    cyclic); component_profile maps component size d to the number of
-    d-vertex weak components; nu is the total vertex count.
+    cycle_lengths holds the length of every cycle, ascending; num_cyclic
+    counts the vertices on cycles; max_tail_height is the largest
+    distance from a vertex to the cyclic set (0 iff f is a permutation).
     """
 
-    cyclic_vertices: frozenset[int]
     cycle_lengths: tuple[int, ...]
-    tail_heights: tuple[int, ...]
-    component_profile: dict[int, int]
-    nu: int
-
-    @property
-    def num_cyclic(self) -> int:
-        return len(self.cyclic_vertices)
-
-    @property
-    def max_tail_height(self) -> int:
-        return max(self.tail_heights)
+    num_cyclic: int
+    max_tail_height: int
 
 
 @dataclass(frozen=True)
@@ -80,72 +80,71 @@ class PeriodStats:
 
 def parse_mapping(text: str | bytes) -> Mapping:
     """Parse 'n t1 ... tn' (whitespace separated, 1-based targets)."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     tokens = text.split()
     if not tokens:
         raise MappingError("empty domain")
     try:
-        values = [int(tok) for tok in tokens]
-    except ValueError as exc:
+        values = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise MappingError(f"invalid token: {exc}") from None
-    n = values[0]
+    n = int(values[0])
     if n < 1:
         raise MappingError("empty domain")
     if len(values) != n + 1:
         raise MappingError("length mismatch")
-    return Mapping(n, tuple(values[1:]))
+    return Mapping(n, values[1:])
 
 
-def _doubling(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointer doubling along the last axis: (f^(2^K), cyclic mask), 2^K >= n.
+def _doubling(f: np.ndarray) -> np.ndarray:
+    """Cyclic mask of f by pointer doubling along the last axis.
 
     f holds 0-based targets, one row (1-D) or a block of rows (2-D).  A
-    tail is shorter than n, so f^(2^K) maps every vertex onto its cycle
-    and its image is the cyclic set.  Only the current table is kept.
+    tail is shorter than n, so f^(2^K) with 2^K >= n maps every vertex
+    onto its cycle and its image is the cyclic set.  Only the current
+    table is kept.
     """
     g = f
     for _ in range(max(1, (f.shape[-1] - 1).bit_length())):
         g = np.take_along_axis(g, g, axis=-1)
     mask = np.zeros(f.shape, dtype=bool)
     np.put_along_axis(mask, g, True, axis=-1)
-    return g, mask
+    return mask
 
 
-def _cycles(f: np.ndarray, cyclic: np.ndarray) -> tuple[list[int], list[int]]:
-    """Cycle lengths of one row f on its cyclic vertices, and their cycle ids.
+def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
+    """Cycle lengths of one row f on its cyclic vertices (ascending array).
 
-    cyclic holds the cyclic vertices in ascending order; cycles are
-    numbered by their smallest vertex, and ids[i] is the id of cyclic[i].
+    Cycles come in the order of their smallest vertex.
     """
     verts = cyclic.tolist()
     succ = dict(zip(verts, f[cyclic].tolist()))
-    cid: dict[int, int] = {}
+    seen: set[int] = set()
     lengths: list[int] = []
     for v in verts:
-        if v in cid:
+        if v in seen:
             continue
-        start, u = len(cid), v
-        while u not in cid:
-            cid[u] = len(lengths)
+        start, u = len(seen), v
+        while u not in seen:
+            seen.add(u)
             u = succ[u]
-        lengths.append(len(cid) - start)
-    return lengths, [cid[v] for v in verts]
+        lengths.append(len(seen) - start)
+    return lengths
 
 
 def analyze(f: Mapping) -> CycleStructure:
-    """Decompose the functional graph of f in O(n log n) time and O(n) space."""
-    n = f.n
-    t = np.array(f.targets, dtype=np.int64) - 1
-    g, mask = _doubling(t)
-    cyclic = np.flatnonzero(mask)
-    lengths, ids = _cycles(t, cyclic)
+    """Decompose the functional graph of f in O(n log n) time and O(n) space.
 
-    # A vertex's component is the cycle that f^(2^K) maps it onto.
-    cycle_id = np.zeros(n, dtype=np.int64)
-    cycle_id[cyclic] = ids
-    sizes, counts = np.unique(np.bincount(cycle_id[g]), return_counts=True)
-    profile = dict(zip(sizes.tolist(), counts.tolist()))
+    The cyclic mask is checked to be exactly the cyclic set: f must
+    permute it, and every vertex must reach it.
+    """
+    n = f.n
+    t = f.targets - 1
+    mask = _doubling(t)
+    cyclic = np.flatnonzero(mask)
+    image = t[cyclic]
+    if not (mask[image].all() and np.unique(image).size == image.size):
+        raise InvariantError("f does not permute the cyclic mask")
+    lengths = _cycles(t, cyclic)
 
     # Tail heights by pointer jumping, with the cyclic vertices made fixed points.
     nxt = np.where(mask, np.arange(n), t)
@@ -153,17 +152,12 @@ def analyze(f: Mapping) -> CycleStructure:
     for _ in range(max(1, (n - 1).bit_length())):
         height += height[nxt]
         nxt = nxt[nxt]
-
-    if sum(lengths) != len(cyclic):
-        raise InvariantError(f"cycle lengths sum to {sum(lengths)}, not to {len(cyclic)} cyclic vertices")
-    if sum(d * a for d, a in profile.items()) != n:
-        raise InvariantError(f"component sizes do not sum to n = {n}")
+    if not mask[nxt].all():
+        raise InvariantError("a vertex does not reach the cyclic mask")
     return CycleStructure(
-        cyclic_vertices=frozenset((cyclic + 1).tolist()),
         cycle_lengths=tuple(sorted(lengths)),
-        tail_heights=tuple(height.tolist()),
-        component_profile=profile,
-        nu=n,
+        num_cyclic=len(cyclic),
+        max_tail_height=int(height.max()),
     )
 
 
@@ -205,7 +199,7 @@ def period_stats(cs: CycleStructure) -> PeriodStats:
     """T = lcm of cycle lengths, B = their product, O = T + max(h-1, 0).
 
     T is carried both as a big integer and as a prime -> max-exponent map
-    so log T stays cheap at large n.
+    so log T stays cheap at large n; it is checked against math.lcm.
     """
     exps: dict[int, int] = {}
     B = 1
@@ -222,8 +216,8 @@ def period_stats(cs: CycleStructure) -> PeriodStats:
         T *= p**e
         log_T += e * math.log(p)
     O = T + max(cs.max_tail_height - 1, 0)
-    if B % T:
-        raise InvariantError("T does not divide B")
+    if T != math.lcm(*cs.cycle_lengths):
+        raise InvariantError("T is not the lcm of the cycle lengths")
     return PeriodStats(T=T, B=B, O=O, log_T=log_T, log_B=log_B, prime_exponents_T=exps)
 
 
@@ -236,6 +230,6 @@ def stats_to_json_dict(f: Mapping, cs: CycleStructure, ps: PeriodStats) -> dict:
         "O": str(ps.O),
         "log_T": ps.log_T,
         "log_B": ps.log_B,
-        "cycle_lengths": sorted(cs.cycle_lengths),
+        "cycle_lengths": list(cs.cycle_lengths),
         "num_cyclic": cs.num_cyclic,
     }

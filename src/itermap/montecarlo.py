@@ -103,7 +103,7 @@ def _log_T_via_sieve(lengths: list[int], n: int) -> tuple[float, bool]:
 
 def _consume_sample(acc: _Accum, f_row, mask_row, a_n, b_n, crosscheck):
     cyclic = np.flatnonzero(mask_row)
-    lengths, _ = _cycles(f_row, cyclic)
+    lengths = _cycles(f_row, cyclic)
     log_T, divides = _log_T_via_sieve(lengths, acc.n)
     log_B = float(sum(math.log(L) for L in lengths))
     if not divides:
@@ -169,13 +169,13 @@ def run_experiment(
         rng = block_rng(seed, b)
         if n <= BATCH_N_MAX:
             fmat = rng.integers(0, n, size=(bs, n), dtype=np.int64)
-            _, mask = _doubling(fmat)
+            mask = _doubling(fmat)
             for row, mask_row in zip(fmat, mask):
                 _consume_sample(acc, row, mask_row, a_n, b_n, crosscheck)
         else:
             for _ in range(bs):
                 row = rng.integers(0, n, size=n, dtype=np.int64)
-                _consume_sample(acc, row, _doubling(row)[1], a_n, b_n, crosscheck)
+                _consume_sample(acc, row, _doubling(row), a_n, b_n, crosscheck)
 
     cnt = acc.count
     mean_T = acc.s_logT / cnt

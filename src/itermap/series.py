@@ -203,7 +203,7 @@ def rankin_bound(n: int, s: float, table: SeriesTable) -> float:
         raise SeriesError("domain error")
     bound = math.exp(n * s + g_eval(s))
     if table.N >= n and not table.mu[n] <= bound:
-        raise RuntimeError(f"Rankin bound violated at n={n}")
+        raise InvariantError(f"Rankin bound violated at n={n}")
     return bound
 
 
@@ -274,15 +274,15 @@ def saddle_point(n: int, rel_tol: float = 1e-10) -> SaddleReport:
             break
         lo /= 4
     else:
-        raise RuntimeError("saddle bracket failure")
+        raise InvariantError("saddle bracket failure")
     for _ in range(8):
         if slope(hi) > 0:
             break
         hi = min(4 * hi, 1.0)
         if hi >= 1.0 and slope(hi) <= 0:
-            raise RuntimeError("saddle bracket failure")
+            raise InvariantError("saddle bracket failure")
     else:
-        raise RuntimeError("saddle bracket failure")
+        raise InvariantError("saddle bracket failure")
     while hi - lo > rel_tol * s0:
         mid = 0.5 * (lo + hi)
         if slope(mid) < 0:
@@ -292,7 +292,7 @@ def saddle_point(n: int, rel_tol: float = 1e-10) -> SaddleReport:
     s_star = 0.5 * (lo + hi)
     g0, g1, g2, g3 = _g_sums(s_star, range(4))
     if not (g2 > 0 and g3 < 0):
-        raise RuntimeError(f"saddle point at n={n}: need g'' > 0 > g''', got {g2!r}, {g3!r}")
+        raise InvariantError(f"saddle point at n={n}: need g'' > 0 > g''', got {g2!r}, {g3!r}")
     return SaddleReport(
         n=n,
         s_star=s_star,

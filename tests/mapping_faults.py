@@ -1,0 +1,44 @@
+"""Broken kernels for the mapping module: each one must trip an InvariantError.
+
+A fault names an input mapping, the `itermap.mapping` attribute it
+replaces, a factory that builds the replacement from the real function,
+and the error message `analyze` or `period_stats` must then raise.
+`install` works with `setattr` (a subprocess) or `monkeypatch.setattr`.
+"""
+
+from itermap import mapping
+
+
+def _mask_with(vertex, value):
+    def make(real):
+        def broken(f):
+            mask = real(f)
+            mask[vertex] = value
+            return mask
+
+        return broken
+
+    return make
+
+
+PERMUTE = "f does not permute the cyclic mask"
+REACH = "a vertex does not reach the cyclic mask"
+LCM = "T is not the lcm of the cycle lengths"
+
+FAULTS = {
+    # 4 -> 3 -> 2 -> 1 -> 1; tail vertex 2 joins the mask and f sends 1 and 2 both to 1
+    "tail_vertex_added": ("4 1 1 2 3", "_doubling", _mask_with(1, True), PERMUTE),
+    # the 3-cycle 1 -> 2 -> 3 -> 1 loses vertex 1, so f sends vertex 3 out of the mask
+    "cyclic_vertex_missing": ("3 2 3 1", "_doubling", _mask_with(0, False), PERMUTE),
+    # the fixed point 3 leaves the mask; f still permutes what is left, {1}
+    "fixed_point_missing": ("3 1 1 3", "_doubling", _mask_with(2, False), REACH),
+    # T from the prime exponents of 2 comes out as 32
+    "broken_factorize": ("2 2 1", "factorize", lambda real: lambda m: {2: 5}, LCM),
+}
+
+
+def install(name, set_attr=setattr):
+    """Install fault `name`; return its input text and expected message."""
+    text, attr, make, message = FAULTS[name]
+    set_attr(mapping, attr, make(getattr(mapping, attr)))
+    return text, message

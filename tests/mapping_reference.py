@@ -6,14 +6,38 @@ set, and O(f) by explicit composition of the iterates.
 """
 
 from collections import Counter, deque
+from dataclasses import dataclass
 
-from itermap.mapping import CycleStructure, Mapping
+from itermap.mapping import Mapping
 
 
-def analyze(f: Mapping) -> CycleStructure:
+@dataclass(frozen=True)
+class ReferenceStructure:
+    """The full decomposition: more than the library keeps, for the tests to read.
+
+    cyclic_vertices are 1-based; tail_heights[v-1] is the distance from v
+    to the cyclic set; component_profile maps a component size d to the
+    number of d-vertex weak components.
+    """
+
+    cyclic_vertices: frozenset[int]
+    cycle_lengths: tuple[int, ...]
+    tail_heights: tuple[int, ...]
+    component_profile: dict[int, int]
+
+    @property
+    def num_cyclic(self) -> int:
+        return len(self.cyclic_vertices)
+
+    @property
+    def max_tail_height(self) -> int:
+        return max(self.tail_heights)
+
+
+def analyze(f: Mapping) -> ReferenceStructure:
     """Decompose the functional graph of f in O(n) time and space."""
     n = f.n
-    t = [v - 1 for v in f.targets]
+    t = [v - 1 for v in f.targets.tolist()]
 
     # Cycle detection: walk forward from each unvisited vertex; a walk that
     # closes on itself (hits a vertex of the current path) found a new cycle.
@@ -63,12 +87,11 @@ def analyze(f: Mapping) -> CycleStructure:
     cyclic = frozenset(v + 1 for v in range(n) if cycle_id[v] >= 0)
     assert sum(cycle_lengths) == len(cyclic)
     assert sum(d * a for d, a in profile.items()) == n
-    return CycleStructure(
+    return ReferenceStructure(
         cyclic_vertices=cyclic,
         cycle_lengths=tuple(sorted(cycle_lengths)),
         tail_heights=tuple(height),
         component_profile=profile,
-        nu=n,
     )
 
 
@@ -78,7 +101,7 @@ def distinct_iterate_count(f: Mapping, limit: int = 10**6) -> int:
     Exponential-free reference route for small n; used to validate the
     closed form O = T + max(h_max - 1, 0).
     """
-    t = tuple(v - 1 for v in f.targets)
+    t = tuple(v - 1 for v in f.targets.tolist())
     seen = {}
     cur = t
     count = 0

@@ -1,13 +1,19 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import itermap
-from itermap import cli, exact, mapping
+import mapping_faults
+from itermap import asymptotics, cli, exact, series
+
+ANALYZE_2E5_SHA256 = "15a3ad673a98ea9da4406212f6742645b0fe901f740cddf466d804f416f63d88"
 
 
 def run(capsys, *argv):
@@ -37,34 +43,55 @@ class TestAnalyze:
         assert code == cli.EXIT_IO
         assert "error" in err
 
-    def test_invariant_violation(self, capsys, tmp_path, monkeypatch):
+    # a non-ASCII byte, and a target too large for int64
+    @pytest.mark.parametrize("data", [b"2 2 \xc3\xa9", b"2 2 99999999999999999999\n"])
+    def test_bad_token(self, capsys, tmp_path, data):
         p = tmp_path / "f.txt"
-        p.write_text("3 2 3 1\n")
-        monkeypatch.setattr(mapping, "_cycles", lambda f, cyclic: ([1], [0] * len(cyclic)))
+        p.write_bytes(data)
         code, out, err = run(capsys, "analyze", str(p))
-        assert code == cli.EXIT_INVARIANT
-        assert out == ""
-        assert err == "error: cycle lengths sum to 1, not to 3 cyclic vertices\n"
+        assert code == cli.EXIT_PARSE
+        assert out == "" and err.startswith("error: invalid token")
+
+    def test_invariant_violation(self, capsys, tmp_path, monkeypatch):
+        for fault in mapping_faults.FAULTS:
+            with monkeypatch.context() as m:
+                text, message = mapping_faults.install(fault, m.setattr)
+                p = tmp_path / f"{fault}.txt"
+                p.write_text(text + "\n")
+                code, out, err = run(capsys, "analyze", str(p))
+            assert (fault, code, out, err) == (fault, cli.EXIT_INVARIANT, "", f"error: {message}\n")
 
     def test_invariant_violation_optimized(self, tmp_path):
-        # python -O strips asserts; the typed check must still fire
-        p = tmp_path / "f.txt"
-        p.write_text("3 2 3 1\n")
+        # python -O strips asserts; the typed checks must still fire
         script = (
-            "import sys; from itermap import cli, mapping; "
-            "mapping._cycles = lambda f, cyclic: ([1], [0] * len(cyclic)); "
-            "sys.exit(cli.main(sys.argv[1:]))"
+            "import sys, mapping_faults; from itermap import cli; "
+            "text, _ = mapping_faults.install(sys.argv[1]); "
+            "open(sys.argv[2], 'w').write(text); "
+            "sys.exit(cli.main(['analyze', sys.argv[2]]))"
         )
         src = os.path.dirname(os.path.dirname(itermap.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
-        r = subprocess.run(
-            [sys.executable, "-O", "-c", script, "analyze", str(p)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert r.returncode == cli.EXIT_INVARIANT
-        assert r.stdout == ""
-        assert r.stderr == "error: cycle lengths sum to 1, not to 3 cyclic vertices\n"
+        for fault, (*_, message) in mapping_faults.FAULTS.items():
+            r = subprocess.run(
+                [sys.executable, "-O", "-c", script, fault, str(tmp_path / f"{fault}.txt")],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (fault, r.returncode, r.stdout, r.stderr) == (
+                fault, cli.EXIT_INVARIANT, "", f"error: {message}\n"
+            )
+
+    def test_output_pinned(self, capsys, tmp_path):
+        # sha256 of the analyze JSON for one seeded n = 2e5 mapping, recorded
+        # before the parse and analyze paths moved to numpy arrays
+        n = 200_000
+        targets = np.random.default_rng(1).integers(1, n + 1, size=n)
+        p = tmp_path / "f.txt"
+        p.write_text(f"{n}\n" + "\n".join(map(str, targets.tolist())) + "\n")
+        code, out, _ = run(capsys, "analyze", str(p))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_2E5_SHA256
 
 
 class TestExact:
@@ -140,6 +167,26 @@ class TestSeries:
         assert code == cli.EXIT_CEILING
         assert "degree above configured cap" in err
 
+    def test_invariant_violation(self, capsys, monkeypatch):
+        real = series._g_sums
+
+        def g3_positive(s, orders):
+            vals = real(s, orders)
+            return vals[:3] + (abs(vals[3]),) if len(vals) == 4 else vals
+
+        monkeypatch.setattr(series, "_g_sums", g3_positive)
+        code, out, err = run(capsys, "series", "--degree", "100", "--eval-n", "100")
+        assert code == cli.EXIT_INVARIANT
+        assert out == "" and err.startswith("error: saddle point at n=100: need g'' > 0 > g'''")
+
+    def test_other_errors_propagate(self, capsys, monkeypatch):
+        def broken(n):
+            raise NotImplementedError
+
+        monkeypatch.setattr(series, "saddle_point", broken)
+        with pytest.raises(NotImplementedError):
+            run(capsys, "series", "--degree", "100", "--eval-n", "100")
+
 
 class TestConstants:
     def test_json(self, capsys):
@@ -166,6 +213,20 @@ class TestAsymptotics:
     def test_small_n_rejected(self, capsys):
         code, _, err = run(capsys, "asymptotics", "--n", "10")
         assert code == cli.EXIT_CEILING
+
+    def test_invariant_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(asymptotics, "stong_logM", lambda m: math.inf)
+        code, out, err = run(capsys, "asymptotics", "--n", "10000")
+        assert code == cli.EXIT_INVARIANT
+        assert out == "" and err == "error: lower bound exceeded upper bound\n"
+
+    def test_other_errors_propagate(self, capsys, monkeypatch):
+        def broken(n, eps):
+            raise RecursionError
+
+        monkeypatch.setattr(asymptotics, "en_T_estimate", broken)
+        with pytest.raises(RecursionError):
+            run(capsys, "asymptotics", "--n", "10000")
 
 
 class TestSimulate:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mapping_faults
 import mapping_reference
 from itermap import mapping
 
@@ -16,11 +17,11 @@ def mk(n, *targets):
 class TestParse:
     def test_identity(self):
         f = mapping.parse_mapping("2 1 2")
-        assert f.n == 2 and f.targets == (1, 2)
+        assert f.n == 2 and f.targets.tolist() == [1, 2]
 
     def test_swap(self):
         f = mapping.parse_mapping("2 2 1")
-        assert f.targets == (2, 1)
+        assert f.targets.tolist() == [2, 1]
 
     def test_invalid_target(self):
         with pytest.raises(mapping.MappingError, match="invalid target"):
@@ -35,46 +36,78 @@ class TestParse:
             mapping.parse_mapping("0")
 
     def test_bytes_input(self):
-        assert mapping.parse_mapping(b"2 2 1").targets == (2, 1)
+        assert mapping.parse_mapping(b"2 2 1").targets.tolist() == [2, 1]
+
+    @pytest.mark.parametrize(
+        "text", [b"2 2 \xc3\xa9", b"2 2 1.5", b"2 2 0x1", "2 2 x", "2 2 99999999999999999999"]
+    )
+    def test_bad_token(self, text):
+        with pytest.raises(mapping.MappingError, match="invalid token"):
+            mapping.parse_mapping(text)
+
+    def test_target_beyond_n(self):
+        with pytest.raises(mapping.MappingError, match="invalid target"):
+            mapping.parse_mapping("2 2 3")
+
+
+class TestMapping:
+    def test_targets_are_a_read_only_copy(self):
+        src = np.array([2, 1], dtype=np.int64)
+        f = mapping.Mapping(2, src)
+        src[0] = 1
+        assert f.targets.dtype == np.int64 and f.targets.tolist() == [2, 1]
+        with pytest.raises(ValueError):
+            f.targets[0] = 1
+
+    @pytest.mark.parametrize("targets", [(0, 1), (1, 3), (1, -1), (1, 2**70)])
+    def test_range_checked(self, targets):
+        with pytest.raises(mapping.MappingError, match="invalid target"):
+            mapping.Mapping(2, targets)
+
+    def test_length_checked(self):
+        with pytest.raises(mapping.MappingError, match="length mismatch"):
+            mapping.Mapping(3, (1, 1))
 
 
 class TestAnalyze:
     def test_identity_three(self):
         cs = mapping.analyze(mk(3, 1, 2, 3))
-        assert cs.cycle_lengths == (1, 1, 1)
-        assert cs.tail_heights == (0, 0, 0)
-        assert cs.component_profile == {1: 3}
+        assert cs == mapping.CycleStructure(cycle_lengths=(1, 1, 1), num_cyclic=3, max_tail_height=0)
 
     def test_transposition(self):
         cs = mapping.analyze(mk(2, 2, 1))
-        assert cs.cycle_lengths == (2,)
-        assert cs.component_profile == {2: 1}
+        assert cs == mapping.CycleStructure(cycle_lengths=(2,), num_cyclic=2, max_tail_height=0)
 
     def test_tail_chain(self):
         # 3 -> 2 -> 1 -> 1
         cs = mapping.analyze(mk(3, 1, 1, 2))
-        assert cs.cyclic_vertices == frozenset({1})
-        assert cs.cycle_lengths == (1,)
-        assert cs.tail_heights == (0, 1, 2)
-        assert cs.component_profile == {3: 1}
+        assert cs == mapping.CycleStructure(cycle_lengths=(1,), num_cyclic=1, max_tail_height=2)
+
+    def test_lengths_ascending(self):
+        # cycles by smallest vertex: (1 2 3), (4), (5 6); cycle_lengths sorts them
+        cs = mapping.analyze(mk(6, 2, 3, 1, 4, 6, 5))
+        assert cs.cycle_lengths == (1, 2, 3)
 
 
 class TestInvariantErrors:
-    def test_cycle_lengths_checked(self, monkeypatch):
-        monkeypatch.setattr(mapping, "_cycles", lambda f, cyclic: ([1], [0] * len(cyclic)))
-        with pytest.raises(mapping.InvariantError, match="cycle lengths sum to 1, not to 3"):
-            mapping.analyze(mk(3, 2, 3, 1))
+    """Each check in analyze and period_stats fires on a kernel broken to trip it."""
 
-    def test_component_sizes_checked(self, monkeypatch):
-        # a bincount over all n vertices sums to n, so only a broken one trips this check
-        monkeypatch.setattr(mapping.np, "bincount", lambda ids: np.array([1]))
-        with pytest.raises(mapping.InvariantError, match="component sizes"):
-            mapping.analyze(mk(3, 2, 3, 1))
+    def _raises(self, monkeypatch, fault):
+        text, message = mapping_faults.install(fault, monkeypatch.setattr)
+        with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
+            mapping.period_stats(mapping.analyze(mapping.parse_mapping(text)))
 
-    def test_T_divides_B_checked(self, monkeypatch):
-        monkeypatch.setattr(mapping, "factorize", lambda m: {2: 5})
-        with pytest.raises(mapping.InvariantError, match="T does not divide B"):
-            mapping.period_stats(mapping.analyze(mk(2, 2, 1)))
+    def test_mask_with_tail_vertex_checked(self, monkeypatch):
+        self._raises(monkeypatch, "tail_vertex_added")
+
+    def test_mask_missing_cyclic_vertex_checked(self, monkeypatch):
+        self._raises(monkeypatch, "cyclic_vertex_missing")
+
+    def test_mask_missing_cycle_checked(self, monkeypatch):
+        self._raises(monkeypatch, "fixed_point_missing")
+
+    def test_T_is_lcm_checked(self, monkeypatch):
+        self._raises(monkeypatch, "broken_factorize")
 
 
 class TestPeriodStats:
@@ -108,10 +141,16 @@ def all_mappings(n):
         yield mapping.Mapping(n, tgt)
 
 
+def reference_structure(f):
+    """The reference decomposition cut down to the fields the library keeps."""
+    ref = mapping_reference.analyze(f)
+    return mapping.CycleStructure(ref.cycle_lengths, ref.num_cyclic, ref.max_tail_height)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_analyze_matches_reference(n):
     for f in all_mappings(n):
-        assert mapping.analyze(f) == mapping_reference.analyze(f)
+        assert mapping.analyze(f) == reference_structure(f)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -132,15 +171,15 @@ def test_invariants_random(data):
     assert ps.B % ps.T == 0
     assert abs(ps.O - ps.T) < n
     assert sum(cs.cycle_lengths) == cs.num_cyclic
-    for v in range(1, n + 1):
-        assert (cs.tail_heights[v - 1] == 0) == (v in cs.cyclic_vertices)
-    assert sum(d * a for d, a in cs.component_profile.items()) == n
-    # permutations: O = T
+    # permutations, and only they, have no tails; for them O = T
+    assert (cs.max_tail_height == 0) == (cs.num_cyclic == n)
     if cs.num_cyclic == n:
         assert ps.O == ps.T
-    # pure and deterministic, and equal to the pure-Python reference
+    # pure and deterministic, equal to the pure-Python reference, and the
+    # same from the parsed text
     assert mapping.analyze(f) == cs
-    assert mapping_reference.analyze(f) == cs
+    assert reference_structure(f) == cs
+    assert mapping.analyze(mapping.parse_mapping(" ".join(map(str, [n, *targets])))) == cs
 
 
 def test_log_values_match_integers():

@@ -64,15 +64,21 @@ class TestKernelPaths:
     @pytest.mark.parametrize("n, rows", [(montecarlo.BATCH_N_MAX, 16), (2000, 1)])
     def test_1d_and_2d_agree_row_by_row(self, n, rows):
         fmat = montecarlo.block_rng(4, 0).integers(0, n, size=(rows, n), dtype=np.int64)
-        _, mask2 = _doubling(fmat)
+        mask2 = _doubling(fmat)
         for row, mask_row in zip(fmat, mask2):
-            _, mask1 = _doubling(row)
+            mask1 = _doubling(row)
             assert np.array_equal(mask1, mask_row)
-            lengths, _ = _cycles(row, np.flatnonzero(mask1))
-            assert lengths == _cycles(row, np.flatnonzero(mask_row))[0]
-            ref = mapping_reference.analyze(mapping.Mapping(n, tuple((row + 1).tolist())))
+            lengths = _cycles(row, np.flatnonzero(mask1))
+            assert lengths == _cycles(row, np.flatnonzero(mask_row))
+            ref = mapping_reference.analyze(mapping.Mapping(n, row + 1))
             assert tuple(sorted(lengths)) == ref.cycle_lengths
             assert set((np.flatnonzero(mask1) + 1).tolist()) == ref.cyclic_vertices
+
+
+    def test_cycles_in_order_of_smallest_vertex(self):
+        # the sampler's float sums run over the lengths in this order
+        f = np.array([4, 3, 1, 2, 0, 5], dtype=np.int64)  # cycles (0 4), (1 3 2), (5)
+        assert _cycles(f, np.flatnonzero(_doubling(f))) == [2, 3, 1]
 
 
 class TestAgainstExact:

@@ -193,5 +193,5 @@ class TestSaddleMatchesBisection:
             return vals[:3] + (abs(vals[3]),) if len(vals) == 4 else vals
 
         monkeypatch.setattr(series, "_g_sums", g3_positive)
-        with pytest.raises(RuntimeError, match="saddle point at n=100"):
+        with pytest.raises(InvariantError, match="saddle point at n=100"):
             series.saddle_point(100)

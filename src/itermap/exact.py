@@ -185,19 +185,15 @@ def perm_order_mean(m: int, m_max: int = M_MAX_DEFAULT) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _perm_B_numerators(upto: int) -> tuple[int, ...]:
-    """beta_m with b_m = beta_m / m!, via the exp-of-series recurrence.
+    """beta_0..beta_upto, with b_m = beta_m / m!.
 
-    b(x) = exp(x/(1-x)); m*b_m = sum_d d*b_{m-d} becomes integer-only after
-    clearing factorials.
+    b(x) = exp(x/(1-x)) solves (1-x)^2 b' = b, which in beta reads
+    beta_m = (2m-1) beta_{m-1} - (m-1)(m-2) beta_{m-2}.
     """
-    beta = [1] * (upto + 1)
-    fact = [math.factorial(i) for i in range(upto + 1)]
-    for m in range(1, upto + 1):
-        acc = 0
-        for d in range(1, m + 1):
-            acc += d * beta[m - d] * (fact[m - 1] // fact[m - d])
-        beta[m] = acc
-    return tuple(beta)
+    beta = [1, 1]
+    for m in range(2, upto + 1):
+        beta.append((2 * m - 1) * beta[m - 1] - (m - 1) * (m - 2) * beta[m - 2])
+    return tuple(beta[: upto + 1])
 
 
 def perm_B_mean(m: int) -> Fraction:
@@ -208,8 +204,7 @@ def perm_B_mean(m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    beta = _perm_B_numerators(max(m, 64))
-    return Fraction(beta[m], math.factorial(m))
+    return Fraction(_perm_B_numerators(m)[m], math.factorial(m))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +227,7 @@ def exact_E_B_conditional(n: int, ceiling: int = CONDITIONAL_MAX_N) -> Fraction:
     if n > ceiling:
         raise CeilingError("enumeration too large")
     dist = z_pmf(n)
-    beta = _perm_B_numerators(max(n, 64))
+    beta = _perm_B_numerators(n)
     return sum(
         (p * Fraction(beta[m], math.factorial(m)) for m, p in enumerate(dist.pmf, start=1)),
         Fraction(0),

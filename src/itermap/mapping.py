@@ -7,7 +7,8 @@ of the cycle lengths; B(f) is their product with multiplicity; O(f), the
 number of distinct iterates, equals T plus the largest tail height less
 one and always satisfies |O - T| < n.  `analyze` keeps only what these
 need: the cycle lengths, the number of cyclic vertices and the largest
-tail height.
+tail height.  `period_logs` takes T from `math.lcm` of the lengths, for
+`analyze` and the sampler alike.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ class PeriodStats:
     O: int
     log_T: float
     log_B: float
-    prime_exponents_T: dict[int, int]
 
 
 def parse_mapping(text: str | bytes) -> Mapping:
@@ -114,7 +114,9 @@ def _doubling(f: np.ndarray) -> np.ndarray:
 def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
     """Cycle lengths of one row f on its cyclic vertices (ascending array).
 
-    Cycles come in the order of their smallest vertex.
+    Cycles come in the order of their smallest vertex.  Every walk must
+    stay in the mask and close at its start, which holds iff f permutes
+    the mask.
     """
     verts = cyclic.tolist()
     succ = dict(zip(verts, f[cyclic].tolist()))
@@ -126,7 +128,9 @@ def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
         start, u = len(seen), v
         while u not in seen:
             seen.add(u)
-            u = succ[u]
+            u = succ.get(u)  # None off the mask, where the walk stops
+        if u != v:
+            raise InvariantError("f does not permute the cyclic mask")
         lengths.append(len(seen) - start)
     return lengths
 
@@ -135,15 +139,12 @@ def analyze(f: Mapping) -> CycleStructure:
     """Decompose the functional graph of f in O(n log n) time and O(n) space.
 
     The cyclic mask is checked to be exactly the cyclic set: f must
-    permute it, and every vertex must reach it.
+    permute it (checked by `_cycles`), and every vertex must reach it.
     """
     n = f.n
     t = f.targets - 1
     mask = _doubling(t)
     cyclic = np.flatnonzero(mask)
-    image = t[cyclic]
-    if not (mask[image].all() and np.unique(image).size == image.size):
-        raise InvariantError("f does not permute the cyclic mask")
     lengths = _cycles(t, cyclic)
 
     # Tail heights by pointer jumping, with the cyclic vertices made fixed points.
@@ -161,64 +162,21 @@ def analyze(f: Mapping) -> CycleStructure:
     )
 
 
-def _smallest_prime_factors(limit: int) -> list[int]:
-    spf = list(range(limit + 1))
-    for p in range(2, int(limit**0.5) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    return spf
+def period_logs(lengths) -> tuple[int, float, float]:
+    """(T, log T, log B) of cycle lengths; T is their lcm.
 
-
-_SPF: list[int] = [0, 1]
-
-
-def _spf(limit: int) -> list[int]:
-    global _SPF
-    if limit >= len(_SPF):
-        _SPF = _smallest_prime_factors(max(limit, 2 * len(_SPF)))
-    return _SPF
-
-
-def factorize(m: int) -> dict[int, int]:
-    """Prime factorization via a cached smallest-prime-factor sieve."""
-    spf = _spf(m)
-    out: dict[int, int] = {}
-    while m > 1:
-        p = spf[m]
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out[p] = e
-    return out
+    log B sums the logs in the order given.  The sampler calls this too,
+    so T has one route: `math.lcm`.
+    """
+    T = math.lcm(*lengths)
+    return T, math.log(T), sum(math.log(L) for L in lengths)
 
 
 def period_stats(cs: CycleStructure) -> PeriodStats:
-    """T = lcm of cycle lengths, B = their product, O = T + max(h-1, 0).
-
-    T is carried both as a big integer and as a prime -> max-exponent map
-    so log T stays cheap at large n; it is checked against math.lcm.
-    """
-    exps: dict[int, int] = {}
-    B = 1
-    log_B = 0.0
-    for length in cs.cycle_lengths:
-        B *= length
-        log_B += math.log(length)
-        for p, e in factorize(length).items():
-            if e > exps.get(p, 0):
-                exps[p] = e
-    T = 1
-    log_T = 0.0
-    for p, e in sorted(exps.items()):
-        T *= p**e
-        log_T += e * math.log(p)
+    """T = lcm of cycle lengths, B = their product, O = T + max(h-1, 0)."""
+    T, log_T, log_B = period_logs(cs.cycle_lengths)
     O = T + max(cs.max_tail_height - 1, 0)
-    if T != math.lcm(*cs.cycle_lengths):
-        raise InvariantError("T is not the lcm of the cycle lengths")
-    return PeriodStats(T=T, B=B, O=O, log_T=log_T, log_B=log_B, prime_exponents_T=exps)
+    return PeriodStats(T=T, B=math.prod(cs.cycle_lengths), O=O, log_T=log_T, log_B=log_B)
 
 
 def stats_to_json_dict(f: Mapping, cs: CycleStructure, ps: PeriodStats) -> dict:

@@ -7,8 +7,9 @@ blocks would be scheduled.  Up to BATCH_N_MAX a block is drawn and
 analysed as one matrix; above it, row by row from the same stream, so
 memory stays O(n) per sample.  Per sample the cyclic set is found by
 pointer doubling (mapping._doubling, O(n) memory per sample), the cycle
-lengths by a walk over the cyclic vertices only, and log T through the
-prime-exponent sieve (no big integers on the hot path).
+lengths by a walk over the cyclic vertices only, which raises
+mapping.InvariantError unless f permutes the cyclic set, and log T and
+log B by mapping.period_logs, the route `analyze` takes.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincc
 
-from . import asymptotics
+from . import asymptotics, mapping
 from .exact import ZDistribution
-from .mapping import _cycles, _doubling, _spf
 
 HIST_BINS = 41          # over [-4, 4], plus two overflow bins; fixed forever
 HIST_LO, HIST_HI = -4.0, 4.0
@@ -51,13 +51,10 @@ class StatSummary:
     frac_norm_nonpos: float  # empirical P((log T - a_n)/b_n <= 0)
     hist: np.ndarray         # HIST_BINS + 2 counts (underflow, bins, overflow)
     z_counts: np.ndarray     # index m = 0..n
-    violations: dict[str, int]
-    crosscheck_max_rel: float = 0.0
 
 
 @dataclass
 class _Accum:
-    n: int
     count: int = 0
     s_logT: float = 0.0
     s2_logT: float = 0.0
@@ -68,9 +65,6 @@ class _Accum:
     nonpos: int = 0
     hist: np.ndarray = field(default_factory=lambda: np.zeros(HIST_BINS + 2, dtype=np.int64))
     z_counts: np.ndarray | None = None
-    v_divide: int = 0
-    v_logorder: int = 0
-    cross_rel: float = 0.0
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -80,40 +74,9 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
     )
 
 
-def _log_T_via_sieve(lengths: list[int], n: int) -> tuple[float, bool]:
-    """(log T, T divides B) from the prime-exponent maps of the cycle lengths."""
-    spf = _spf(n)
-    max_exp: dict[int, int] = {}
-    sum_exp: dict[int, int] = {}
-    for length in lengths:
-        m = length
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e > max_exp.get(p, 0):
-                max_exp[p] = e
-            sum_exp[p] = sum_exp.get(p, 0) + e
-    log_T = sum(e * math.log(p) for p, e in max_exp.items())
-    divides = all(sum_exp[p] >= e for p, e in max_exp.items())
-    return log_T, divides
-
-
-def _consume_sample(acc: _Accum, f_row, mask_row, a_n, b_n, crosscheck):
+def _consume_sample(acc: _Accum, f_row, mask_row, a_n, b_n):
     cyclic = np.flatnonzero(mask_row)
-    lengths = _cycles(f_row, cyclic)
-    log_T, divides = _log_T_via_sieve(lengths, acc.n)
-    log_B = float(sum(math.log(L) for L in lengths))
-    if not divides:
-        acc.v_divide += 1
-    if log_B < log_T - 1e-9:
-        acc.v_logorder += 1
-    if crosscheck:
-        T = math.lcm(*lengths) if lengths else 1
-        rel = abs(log_T - math.log(T)) / max(math.log(T), 1.0)
-        acc.cross_rel = max(acc.cross_rel, rel)
+    _, log_T, log_B = mapping.period_logs(mapping._cycles(f_row, cyclic))
     diff = log_B - log_T
     acc.count += 1
     acc.s_logT += log_T
@@ -140,24 +103,22 @@ def run_experiment(
     samples: int,
     seed: int,
     blocks: int | None = None,
-    crosscheck: bool = False,
 ) -> StatSummary:
     """Sample `samples` uniform mappings of [n] and accumulate StatSummary.
 
     Deterministic for fixed (n, samples, seed, blocks); blocks defaults
-    to ceil(samples / 256).
+    to ceil(samples / 256).  Raises mapping.InvariantError if a sample's
+    cyclic mask fails its check.
     """
     if n < 1 or n > MAX_N:
         raise ResourceError("experiment too large")
     if samples < 1:
         raise ResourceError("samples must be positive")
-    if crosscheck and n > 10**3:
-        raise ResourceError("crosscheck limited to n <= 1000")
     if blocks is None:
         blocks = math.ceil(samples / DEFAULT_BLOCK)
     blocks = max(1, min(blocks, samples))
     a_n, b_n = asymptotics.harris_params(max(n, 2))
-    acc = _Accum(n=n)
+    acc = _Accum()
     acc.z_counts = np.zeros(n + 1, dtype=np.int64)
 
     base = samples // blocks
@@ -169,13 +130,13 @@ def run_experiment(
         rng = block_rng(seed, b)
         if n <= BATCH_N_MAX:
             fmat = rng.integers(0, n, size=(bs, n), dtype=np.int64)
-            mask = _doubling(fmat)
+            mask = mapping._doubling(fmat)
             for row, mask_row in zip(fmat, mask):
-                _consume_sample(acc, row, mask_row, a_n, b_n, crosscheck)
+                _consume_sample(acc, row, mask_row, a_n, b_n)
         else:
             for _ in range(bs):
                 row = rng.integers(0, n, size=n, dtype=np.int64)
-                _consume_sample(acc, row, _doubling(row), a_n, b_n, crosscheck)
+                _consume_sample(acc, row, mapping._doubling(row), a_n, b_n)
 
     cnt = acc.count
     mean_T = acc.s_logT / cnt
@@ -195,11 +156,6 @@ def run_experiment(
         frac_norm_nonpos=acc.nonpos / cnt,
         hist=acc.hist,
         z_counts=acc.z_counts,
-        violations={
-            "T_divides_B": acc.v_divide,
-            "logB_lt_logT": acc.v_logorder,
-        },
-        crosscheck_max_rel=acc.cross_rel,
     )
 
 

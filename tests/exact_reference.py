@@ -1,7 +1,10 @@
-"""Partition enumeration, the small-m test oracle for exact.perm_order_mean.
+"""Test oracles for exact's permutation means.
 
-Independent of the order-count recurrence in exact: every cycle type of
-m is enumerated, weighted by the number of permutations that have it.
+Partition enumeration for small m, independent of the order-count
+recurrence in exact: every cycle type of m is enumerated, weighted by
+the number of permutations that have it.  For b_m up to m = 500, the
+O(m^2) exp-of-series convolution that exact's three-term recurrence
+replaced.
 """
 
 import math
@@ -59,6 +62,22 @@ def partition_count(m: int) -> int:
 def perm_order_mean(m: int) -> Fraction:
     """M_m by summing the lcm over every cycle type of m."""
     return Fraction(_partition_sums(m)[0], math.factorial(m))
+
+
+def perm_B_numerators(upto: int) -> list[int]:
+    """beta_m = m! b_m for m = 0..upto, from m b_m = sum_d d b_{m-d}.
+
+    That is the coefficient recurrence of b(x) = exp(x/(1-x)), integer-only
+    after clearing factorials.
+    """
+    beta = [1] * (upto + 1)
+    fact = [math.factorial(i) for i in range(upto + 1)]
+    for m in range(1, upto + 1):
+        acc = 0
+        for d in range(1, m + 1):
+            acc += d * beta[m - d] * (fact[m - 1] // fact[m - d])
+        beta[m] = acc
+    return beta
 
 
 def perm_B_mean(m: int) -> Fraction:

@@ -2,8 +2,10 @@
 
 A fault names an input mapping, the `itermap.mapping` attribute it
 replaces, a factory that builds the replacement from the real function,
-and the error message `analyze` or `period_stats` must then raise.
-`install` works with `setattr` (a subprocess) or `monkeypatch.setattr`.
+and the error message `analyze` must then raise.  A broken `_doubling`
+changes the same vertex in every row of a block, so the sampler meets
+it too.  `install` works with `setattr` (a subprocess) or
+`monkeypatch.setattr`.
 """
 
 from itermap import mapping
@@ -13,7 +15,7 @@ def _mask_with(vertex, value):
     def make(real):
         def broken(f):
             mask = real(f)
-            mask[vertex] = value
+            mask[..., vertex] = value
             return mask
 
         return broken
@@ -23,7 +25,6 @@ def _mask_with(vertex, value):
 
 PERMUTE = "f does not permute the cyclic mask"
 REACH = "a vertex does not reach the cyclic mask"
-LCM = "T is not the lcm of the cycle lengths"
 
 FAULTS = {
     # 4 -> 3 -> 2 -> 1 -> 1; tail vertex 2 joins the mask and f sends 1 and 2 both to 1
@@ -32,8 +33,6 @@ FAULTS = {
     "cyclic_vertex_missing": ("3 2 3 1", "_doubling", _mask_with(0, False), PERMUTE),
     # the fixed point 3 leaves the mask; f still permutes what is left, {1}
     "fixed_point_missing": ("3 1 1 3", "_doubling", _mask_with(2, False), REACH),
-    # T from the prime exponents of 2 comes out as 32
-    "broken_factorize": ("2 2 1", "factorize", lambda real: lambda m: {2: 5}, LCM),
 }
 
 

@@ -101,15 +101,14 @@ def test_08_exact_M60_magnitude():
 
 
 def test_09_monte_carlo_invariants_and_gof():
-    ok = True
+    # run_experiment raises mapping.InvariantError on a failed check, so
+    # returning is the invariant gate
     for n, samples in ((10**4, 10**4), (10**5, 10**3)):
-        s = montecarlo.run_experiment(n, samples, seed=20260825)
-        ok = ok and sum(s.violations.values()) == 0
+        montecarlo.run_experiment(n, samples, seed=20260825)
     s = montecarlo.run_experiment(100, 10**5, seed=20260825)
-    ok = ok and sum(s.violations.values()) == 0
     _, p = montecarlo.z_gof(s.z_counts, exact.z_pmf(100))
-    ok = ok and p > 0.001
-    assert report(9, ok, f"zero invariant violations; Z chi-square p = {p:.4f} at n=100")
+    ok = p > 0.001
+    assert report(9, ok, f"invariant checks pass; Z chi-square p = {p:.4f} at n=100")
 
 
 def test_10_harris_centering_diagnostic():

@@ -155,6 +155,12 @@ class TestSeries:
         assert code == 0
         assert out.strip().splitlines()[2] == "2,3,4,3,0.40600584970983805,0.06766764161830643"
 
+    def test_precision_needs_renyi_table(self, capsys):
+        code, out, err = run(capsys, "series", "--degree", "100", "--precision", "80", "--eval-n", "50")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == "error: --precision applies only to --renyi-table\n"
+
     @pytest.mark.parametrize("bits", ["59", "53", "0", "-5"])
     def test_low_precision_rejected(self, capsys, bits):
         code, out, err = run(capsys, "series", "--degree", "3", "--renyi-table", "--precision", bits)
@@ -253,8 +259,14 @@ class TestSimulate:
         assert code == 0
         assert out.splitlines()[1] == (
             "2000,40,4,3,6.765463099468809,4.464771109175992,8.513703452175985,"
-            "8.787902377998776,1.7482403527071757,3.2537184659738987,0.6,0,0,0.0"
+            "8.787902377998776,1.7482403527071757,3.2537184659738987,0.6"
         )
+
+    @pytest.mark.parametrize("fault", ["tail_vertex_added", "cyclic_vertex_missing"])
+    def test_invariant_violation(self, capsys, monkeypatch, fault):
+        _, message = mapping_faults.install(fault, monkeypatch.setattr)
+        code, out, err = run(capsys, "simulate", "--n", "100", "--samples", "200")
+        assert (code, out, err) == (cli.EXIT_INVARIANT, "", f"error: {message}\n")
 
     def test_too_large(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "100000000", "--samples", "1")
@@ -286,6 +298,18 @@ class TestEnvironment:
         assert code == cli.EXIT_PARSE
         assert out == ""
         assert err == "error: ITERMAP_PRECISION_BITS must be an integer, got 'high'\n"
+
+    def test_precision_env_ignored_without_renyi_table(self, capsys, monkeypatch):
+        argv = ("series", "--degree", "100", "--eval-n", "50")
+        code, plain, _ = run(capsys, *argv)
+        monkeypatch.setenv(cli.PRECISION_ENV, "80")
+        assert run(capsys, *argv) == (code, plain, "") and code == 0
+
+    def test_precision_env_sets_table_default(self, capsys, monkeypatch):
+        argv = ("series", "--degree", "3", "--renyi-table")
+        explicit = run(capsys, *argv, "--precision", "64")
+        monkeypatch.setenv(cli.PRECISION_ENV, "64")
+        assert run(capsys, *argv) == explicit
 
     @pytest.mark.parametrize("bits", ["59", "53", "-5"])
     def test_low_precision_env(self, capsys, monkeypatch, bits):

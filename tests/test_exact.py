@@ -109,6 +109,10 @@ class TestPermutationMeans:
         for m in range(21):
             assert exact.perm_B_mean(m) == exact_reference.perm_B_mean(m)
 
+    def test_b_numerators_match_convolution(self):
+        # the three-term recurrence against the O(m^2) convolution it replaced
+        assert list(exact._perm_B_numerators(500)) == exact_reference.perm_B_numerators(500)
+
     def test_M_matches_partition_route(self):
         for m in range(1, 26):
             assert exact.perm_order_mean(m) == exact_reference.perm_order_mean(m)

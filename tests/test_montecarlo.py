@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import mapping_faults
 import mapping_reference
 from itermap import exact, mapping, montecarlo
 from itermap.mapping import _cycles, _doubling
@@ -33,7 +35,6 @@ class TestDeterminism:
 class TestInvariants:
     def test_no_violations_small(self):
         s = montecarlo.run_experiment(50, 2000, seed=1)
-        assert s.violations == {"T_divides_B": 0, "logB_lt_logT": 0}
         assert s.samples == 2000
         assert int(s.hist.sum()) == 2000
         assert int(s.z_counts.sum()) == 2000
@@ -41,16 +42,29 @@ class TestInvariants:
     def test_no_violations_large_n_path(self):
         # n above the batch threshold exercises the per-row 1-D kernel path
         s = montecarlo.run_experiment(2000, 50, seed=3)
-        assert sum(s.violations.values()) == 0
         assert s.mean_log_B >= s.mean_log_T
 
-    def test_crosscheck_exact_lcm(self):
-        s = montecarlo.run_experiment(300, 200, seed=5, crosscheck=True)
-        assert s.crosscheck_max_rel <= 1e-12
+    def test_means_match_reference(self):
+        # the same rows through the pure-Python reference, T by gcd and B as a product
+        n, samples = 300, 200
+        s = montecarlo.run_experiment(n, samples, seed=5, blocks=1)
+        rows = montecarlo.block_rng(5, 0).integers(0, n, size=(samples, n), dtype=np.int64)
+        sum_log_T = sum_log_B = 0.0
+        for row in rows:
+            lengths = mapping_reference.analyze(mapping.Mapping(n, row + 1)).cycle_lengths
+            sum_log_T += math.log(functools.reduce(lambda a, b: a * b // math.gcd(a, b), lengths))
+            sum_log_B += math.log(math.prod(lengths))
+        assert math.isclose(s.mean_log_T, sum_log_T / samples, rel_tol=1e-12)
+        assert math.isclose(s.mean_log_B, sum_log_B / samples, rel_tol=1e-12)
 
-    def test_crosscheck_ceiling(self):
-        with pytest.raises(montecarlo.ResourceError, match="crosscheck"):
-            montecarlo.run_experiment(2000, 10, seed=0, crosscheck=True)
+    # batched at n = 100 and per row at n = 2000; among these rows vertex 1
+    # (0-based) is a tail vertex and vertex 0 lies on a cycle of length >= 2
+    @pytest.mark.parametrize("n", [100, 2000])
+    @pytest.mark.parametrize("fault", ["tail_vertex_added", "cyclic_vertex_missing"])
+    def test_mask_faults_raise(self, monkeypatch, fault, n):
+        _, message = mapping_faults.install(fault, monkeypatch.setattr)
+        with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
+            montecarlo.run_experiment(n, 200, seed=0)
 
     def test_resource_errors(self):
         with pytest.raises(montecarlo.ResourceError, match="experiment too large"):

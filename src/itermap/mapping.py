@@ -135,30 +135,39 @@ def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
     return lengths
 
 
-def analyze(f: Mapping) -> CycleStructure:
-    """Decompose the functional graph of f in O(n log n) time and O(n) space.
+def _max_tail_height(f: np.ndarray, mask: np.ndarray) -> int:
+    """Largest distance from a vertex of one row f to its cyclic mask.
 
-    The cyclic mask is checked to be exactly the cyclic set: f must
-    permute it (checked by `_cycles`), and every vertex must reach it.
+    Tail heights by pointer jumping, with the masked vertices made fixed
+    points.  Raises InvariantError unless every vertex reaches the mask,
+    so a mask that lost a whole cycle is caught.
     """
-    n = f.n
-    t = f.targets - 1
-    mask = _doubling(t)
-    cyclic = np.flatnonzero(mask)
-    lengths = _cycles(t, cyclic)
-
-    # Tail heights by pointer jumping, with the cyclic vertices made fixed points.
-    nxt = np.where(mask, np.arange(n), t)
+    n = f.shape[-1]
+    nxt = np.where(mask, np.arange(n), f)
     height = (~mask).astype(np.int64)
     for _ in range(max(1, (n - 1).bit_length())):
         height += height[nxt]
         nxt = nxt[nxt]
     if not mask[nxt].all():
         raise InvariantError("a vertex does not reach the cyclic mask")
+    return int(height.max())
+
+
+def analyze(f: Mapping) -> CycleStructure:
+    """Decompose the functional graph of f in O(n log n) time and O(n) space.
+
+    The cyclic mask is checked to be exactly the cyclic set: f must
+    permute it (checked by `_cycles`), and every vertex must reach it
+    (checked by `_max_tail_height`).
+    """
+    t = f.targets - 1
+    mask = _doubling(t)
+    cyclic = np.flatnonzero(mask)
+    lengths = _cycles(t, cyclic)
     return CycleStructure(
         cycle_lengths=tuple(sorted(lengths)),
         num_cyclic=len(cyclic),
-        max_tail_height=int(height.max()),
+        max_tail_height=_max_tail_height(t, mask),
     )
 
 

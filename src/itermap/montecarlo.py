@@ -9,12 +9,24 @@ memory stays O(n) per sample.  Per sample the cyclic set is found by
 pointer doubling (mapping._doubling, O(n) memory per sample), the cycle
 lengths by a walk over the cyclic vertices only, which raises
 mapping.InvariantError unless f permutes the cyclic set, and log T and
-log B by mapping.period_logs, the route `analyze` takes.
+log B by mapping.period_logs, the route `analyze` takes.  The first
+sample of every block also runs mapping._max_tail_height, which raises
+unless every vertex reaches the cyclic set.
+
+From PARALLEL_N_MIN on, the per-sample kernel runs on a few worker
+threads (numpy's gathers release the GIL) while the main thread keeps
+drawing rows in stream order; results are accumulated in that same
+order, so the output does not depend on the number of threads.  Below
+it, the GIL held by the cycle walk costs more than the threads save,
+and the same ordered loop runs inline.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +38,8 @@ from .exact import ZDistribution
 HIST_BINS = 41          # over [-4, 4], plus two overflow bins; fixed forever
 HIST_LO, HIST_HI = -4.0, 4.0
 BATCH_N_MAX = 1024      # analyze whole blocks as matrices up to this n
+PARALLEL_N_MIN = 2**15  # run the per-row kernel on worker threads from this n
+MAX_WORKERS = 4         # beyond this the serial draw bounds the rate
 MAX_N = 10**7
 DEFAULT_BLOCK = 256
 
@@ -74,9 +88,22 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
     )
 
 
-def _consume_sample(acc: _Accum, f_row, mask_row, a_n, b_n):
+def _sample(f_row, mask_row) -> tuple[int, float, float]:
+    """(Z, log T, log B) of one row from its cyclic mask."""
     cyclic = np.flatnonzero(mask_row)
     _, log_T, log_B = mapping.period_logs(mapping._cycles(f_row, cyclic))
+    return len(cyclic), log_T, log_B
+
+
+def _row_sample(f_row, first_in_block: bool) -> tuple[int, float, float]:
+    """_sample of one row from its own mask, after the reach check on a block's first row."""
+    mask = mapping._doubling(f_row)
+    if first_in_block:
+        mapping._max_tail_height(f_row, mask)
+    return _sample(f_row, mask)
+
+
+def _consume_sample(acc: _Accum, z, log_T, log_B, a_n, b_n):
     diff = log_B - log_T
     acc.count += 1
     acc.s_logT += log_T
@@ -95,7 +122,44 @@ def _consume_sample(acc: _Accum, f_row, mask_row, a_n, b_n):
     else:
         b = int((norm - HIST_LO) / (HIST_HI - HIST_LO) * HIST_BINS)
         acc.hist[1 + b] += 1
-    acc.z_counts[len(cyclic)] += 1
+    acc.z_counts[z] += 1
+
+
+def _workers() -> int:
+    """Worker threads for the per-row kernel: the usable CPUs, at most MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(MAX_WORKERS, cpus)
+
+
+def _rows(n: int, seed: int, sizes: list[int]):
+    """(row, first_in_block) for every sample, drawn one row at a time in stream order."""
+    for b, bs in enumerate(sizes):
+        rng = block_rng(seed, b)
+        for i in range(bs):
+            yield rng.integers(0, n, size=n, dtype=np.int64), i == 0
+
+
+def _in_order(rows, pool: ThreadPoolExecutor | None, workers: int):
+    """_row_sample of every row, yielded in draw order.
+
+    Inline when pool is None.  Otherwise at most workers + 1 rows are
+    submitted and not yet yielded (one running per worker and one
+    queued), so rows are drawn only as fast as they are analysed.
+    """
+    if pool is None:
+        for row in rows:
+            yield _row_sample(*row)
+        return
+    pending: deque = deque()
+    for row in rows:
+        pending.append(pool.submit(_row_sample, *row))
+        if len(pending) == workers + 1:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def run_experiment(
@@ -108,7 +172,17 @@ def run_experiment(
 
     Deterministic for fixed (n, samples, seed, blocks); blocks defaults
     to ceil(samples / 256).  Raises mapping.InvariantError if a sample's
-    cyclic mask fails its check.
+    cyclic mask fails its check, or if a vertex of a block's first
+    sample does not reach it.
+
+    From PARALLEL_N_MIN on, w = _workers() threads run the per-row
+    kernel and the output is that of the serial loop.  Memory is then
+    bounded in rows of 8n bytes: at most w + 1 drawn rows are alive
+    (w running, one queued or being drawn), and each running worker
+    holds two more while it doubles (three in a block's reach check).
+    That is about 3w + 1 rows, some 1 GB at MAX_N with 4 workers.  A
+    worker's InvariantError is raised here unchanged, after the pool
+    has shut down.
     """
     if n < 1 or n > MAX_N:
         raise ResourceError("experiment too large")
@@ -123,20 +197,23 @@ def run_experiment(
 
     base = samples // blocks
     extra = samples % blocks
-    for b in range(blocks):
-        bs = base + (1 if b < extra else 0)
-        if bs == 0:
-            continue
-        rng = block_rng(seed, b)
-        if n <= BATCH_N_MAX:
-            fmat = rng.integers(0, n, size=(bs, n), dtype=np.int64)
+    sizes = [base + (1 if b < extra else 0) for b in range(blocks)]
+    if n <= BATCH_N_MAX:
+        for b, bs in enumerate(sizes):
+            fmat = block_rng(seed, b).integers(0, n, size=(bs, n), dtype=np.int64)
             mask = mapping._doubling(fmat)
+            mapping._max_tail_height(fmat[0], mask[0])
             for row, mask_row in zip(fmat, mask):
-                _consume_sample(acc, row, mask_row, a_n, b_n)
-        else:
-            for _ in range(bs):
-                row = rng.integers(0, n, size=n, dtype=np.int64)
-                _consume_sample(acc, row, mapping._doubling(row), a_n, b_n)
+                _consume_sample(acc, *_sample(row, mask_row), a_n, b_n)
+    else:
+        workers = _workers()
+        pool = ThreadPoolExecutor(workers) if n >= PARALLEL_N_MIN else None
+        try:
+            for result in _in_order(_rows(n, seed, sizes), pool, workers):
+                _consume_sample(acc, *result, a_n, b_n)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
     cnt = acc.count
     mean_T = acc.s_logT / cnt

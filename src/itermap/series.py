@@ -181,7 +181,16 @@ def _g_sums(s: float, orders) -> tuple[float, ...]:
     D = math.ceil(40.0 / s)
     d = np.arange(1, D + 1, dtype=np.float64)
     terms = _c_upto(D) * np.exp(-d * s)
-    return tuple(float((terms * (-d) ** j).sum() if j else terms.sum()) for j in orders)
+    return tuple(float((terms * _neg_power(d, j)).sum() if j else terms.sum()) for j in orders)
+
+
+def _neg_power(d: np.ndarray, j: int) -> np.ndarray:
+    """(-d)^j for j = 1..3, correctly rounded while d < 2**26.5.
+
+    The cube is a product: d * d is exact there, so it is rounded once,
+    where `** 3` would go through libm pow, some 50 times slower.
+    """
+    return -(d * d) * d if j == 3 else (-d) ** j
 
 
 def g_eval(s: float, j: int = 0) -> float:

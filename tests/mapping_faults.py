@@ -3,10 +3,12 @@
 A fault names an input mapping, the `itermap.mapping` attribute it
 replaces, a factory that builds the replacement from the real function,
 and the error message `analyze` must then raise.  A broken `_doubling`
-changes the same vertex in every row of a block, so the sampler meets
-it too.  `install` works with `setattr` (a subprocess) or
-`monkeypatch.setattr`.
+changes every row of a block alike (the same vertex, or every fixed
+point), so the sampler meets it too.  `install` works with `setattr`
+(a subprocess) or `monkeypatch.setattr`.
 """
+
+import numpy as np
 
 from itermap import mapping
 
@@ -23,6 +25,13 @@ def _mask_with(vertex, value):
     return make
 
 
+def _fixed_points_cleared(real):
+    def broken(f):
+        return real(f) & (f != np.arange(f.shape[-1]))
+
+    return broken
+
+
 PERMUTE = "f does not permute the cyclic mask"
 REACH = "a vertex does not reach the cyclic mask"
 
@@ -33,6 +42,9 @@ FAULTS = {
     "cyclic_vertex_missing": ("3 2 3 1", "_doubling", _mask_with(0, False), PERMUTE),
     # the fixed point 3 leaves the mask; f still permutes what is left, {1}
     "fixed_point_missing": ("3 1 1 3", "_doubling", _mask_with(2, False), REACH),
+    # every fixed point leaves the mask, so 1 -> 1, 3 -> 3 and 2 -> 1 reach none of it;
+    # f still permutes what is left, here nothing, so only the reach check sees it
+    "fixed_points_cleared": ("3 1 1 3", "_doubling", _fixed_points_cleared, REACH),
 }
 
 

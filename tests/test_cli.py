@@ -262,7 +262,22 @@ class TestSimulate:
             "8.787902377998776,1.7482403527071757,3.2537184659738987,0.6"
         )
 
-    @pytest.mark.parametrize("fault", ["tail_vertex_added", "cyclic_vertex_missing"])
+    def test_threaded_path_pinned(self, capsys):
+        # n = 40000 >= PARALLEL_N_MIN runs the kernel on worker threads; the CSV
+        # line is the one the serial per-row loop gave before threads were added
+        code, out, _ = run(
+            capsys, "simulate", "--n", "40000", "--samples", "12", "--blocks", "3", "--seed", "4"
+        )
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "40000,12,4,3,9.870518864224946,15.593021418973038,13.32797467768772,"
+            "29.986466195893883,3.4574558134627744,5.055241888350855,0.8333333333333334"
+        )
+
+    # the first row of seed 0 at n = 100 has a fixed point, so fixed_points_cleared trips
+    @pytest.mark.parametrize(
+        "fault", ["tail_vertex_added", "cyclic_vertex_missing", "fixed_points_cleared"]
+    )
     def test_invariant_violation(self, capsys, monkeypatch, fault):
         _, message = mapping_faults.install(fault, monkeypatch.setattr)
         code, out, err = run(capsys, "simulate", "--n", "100", "--samples", "200")

@@ -1,12 +1,15 @@
+import dataclasses
 import functools
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import mapping_faults
 import mapping_reference
-from itermap import exact, mapping, montecarlo
+from itermap import asymptotics, exact, mapping, montecarlo
 from itermap.mapping import _cycles, _doubling
 
 
@@ -66,6 +69,16 @@ class TestInvariants:
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
             montecarlo.run_experiment(n, 200, seed=0)
 
+    # batched, per row inline and per row on threads; each first row has a fixed point,
+    # and the reach check of that row is the only check the fault trips
+    @pytest.mark.parametrize("n, seed", [(100, 0), (2000, 1), (montecarlo.PARALLEL_N_MIN, 0)])
+    def test_lost_cycle_raises(self, monkeypatch, n, seed):
+        first = montecarlo.block_rng(seed, 0).integers(0, n, size=n, dtype=np.int64)
+        assert (first == np.arange(n)).any()
+        _, message = mapping_faults.install("fixed_points_cleared", monkeypatch.setattr)
+        with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
+            montecarlo.run_experiment(n, 8, seed=seed)
+
     def test_resource_errors(self):
         with pytest.raises(montecarlo.ResourceError, match="experiment too large"):
             montecarlo.run_experiment(montecarlo.MAX_N + 1, 1, seed=0)
@@ -93,6 +106,71 @@ class TestKernelPaths:
         # the sampler's float sums run over the lengths in this order
         f = np.array([4, 3, 1, 2, 0, 5], dtype=np.int64)  # cycles (0 4), (1 3 2), (5)
         assert _cycles(f, np.flatnonzero(_doubling(f))) == [2, 3, 1]
+
+
+def _serial_summary(n, seed, sizes):
+    """StatSummary of the rows of run_experiment, accumulated in draw order by a plain loop."""
+    a_n, b_n = asymptotics.harris_params(n)
+    sums = [0.0] * 6  # log T, its square, log B, its square, diff, its square
+    nonpos = 0
+    hist = np.zeros(montecarlo.HIST_BINS + 2, dtype=np.int64)
+    z_counts = np.zeros(n + 1, dtype=np.int64)
+    for b, bs in enumerate(sizes):
+        rng = montecarlo.block_rng(seed, b)
+        for _ in range(bs):
+            row = rng.integers(0, n, size=n, dtype=np.int64)
+            cyclic = np.flatnonzero(_doubling(row))
+            _, log_T, log_B = mapping.period_logs(_cycles(row, cyclic))
+            for i, x in enumerate((log_T, log_B, log_B - log_T)):
+                sums[2 * i] += x
+                sums[2 * i + 1] += x * x
+            norm = (log_T - a_n) / b_n
+            nonpos += norm <= 0.0
+            if norm < montecarlo.HIST_LO:
+                hist[0] += 1
+            elif norm >= montecarlo.HIST_HI:
+                hist[-1] += 1
+            else:
+                width = montecarlo.HIST_HI - montecarlo.HIST_LO
+                hist[1 + int((norm - montecarlo.HIST_LO) / width * montecarlo.HIST_BINS)] += 1
+            z_counts[len(cyclic)] += 1
+    cnt = sum(sizes)
+    means = [sums[2 * i] / cnt for i in range(3)]
+    var = [max(sums[2 * i + 1] / cnt - means[i] ** 2, 0.0) for i in range(3)]
+    return montecarlo.StatSummary(
+        n=n, samples=cnt, seed=seed, blocks=len(sizes),
+        mean_log_T=means[0], var_log_T=var[0], mean_log_B=means[1], var_log_B=var[1],
+        mean_diff=means[2], var_diff=var[2], frac_norm_nonpos=nonpos / cnt,
+        hist=hist, z_counts=z_counts,
+    )
+
+
+class TestThreadedPath:
+    def test_equals_serial_loop(self, monkeypatch):
+        # the first row of every block also runs the reach check; slowed down, it
+        # finishes after the rows drawn behind it, so with three workers (on any
+        # host) completion order is not draw order
+        real = mapping._max_tail_height
+
+        def slow(f, mask):
+            time.sleep(0.05)
+            return real(f, mask)
+
+        monkeypatch.setattr(mapping, "_max_tail_height", slow)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
+        n, seed = montecarlo.PARALLEL_N_MIN, 6
+        s = montecarlo.run_experiment(n, 13, seed, blocks=3)
+        ref = _serial_summary(n, seed, (5, 4, 4))
+        for f in dataclasses.fields(montecarlo.StatSummary):
+            a, b = getattr(s, f.name), getattr(ref, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+    def test_worker_error_propagates_and_pool_shuts_down(self, monkeypatch):
+        _, message = mapping_faults.install("tail_vertex_added", monkeypatch.setattr)
+        before = threading.active_count()
+        with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
+            montecarlo.run_experiment(montecarlo.PARALLEL_N_MIN, 20, seed=0)
+        assert threading.active_count() == before
 
 
 class TestAgainstExact:

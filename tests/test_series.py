@@ -115,6 +115,12 @@ class TestGEval:
         assert abs(r5 - 1) < 0.05
         assert r5 > r4
 
+    def test_cube_correctly_rounded(self):
+        # g''' weights by (-d)^3; against the cube of a Python int, rounded once
+        d = np.arange(1, 800_001, dtype=np.float64)
+        ref = np.array([float(-(k**3)) for k in range(1, 800_001)])
+        assert np.array_equal(series._neg_power(d, 3), ref)
+
     def test_coefficients_grown_in_pieces(self, monkeypatch):
         monkeypatch.setattr(series, "_c_cache", np.empty(0))
         for N in (1, 2, 10, 500, 4096):

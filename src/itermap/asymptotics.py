@@ -7,7 +7,7 @@ The upper-bound route maximizes G(x) = log [n!/((n-x)! n^{x-1})
 e^{beta_eps sqrt(x/log x)}] over real x by bisection on G', whose
 psi(n+1-x) term is scipy's digamma; the lower bound plugs the
 near-optimal integer m0* into P_n(Z=m) M_m.  Also owns the Harris CLT
-normalization (a_n, b_n) and the normal cdf.
+normalization (a_n, b_n).
 """
 
 from __future__ import annotations
@@ -121,6 +121,9 @@ def constants(tolerance: float = 1e-10) -> Constants:
 # The upper-bound profile G and its maximizer
 
 
+BRACKET_DELTA = 0.25  # bracket_ok tests G' at (1 -/+ BRACKET_DELTA) m_star
+
+
 @dataclass(frozen=True)
 class GProfile:
     n: int
@@ -129,7 +132,6 @@ class GProfile:
     x_star: float
     G_at_x_star: float
     m_star: float
-    k_eps: float
     bracket_ok: bool
 
 
@@ -157,7 +159,7 @@ def _G_prime(n: int, beta: float, x: float) -> float:
     )
 
 
-def g_profile(n: int, eps: float, delta: float = 0.25) -> GProfile:
+def g_profile(n: int, eps: float) -> GProfile:
     """Maximize G over [6, n-1] by bisection on the strictly decreasing G'."""
     if n < 100:
         raise DomainError("n must be at least 100")
@@ -178,8 +180,8 @@ def g_profile(n: int, eps: float, delta: float = 0.25) -> GProfile:
     x_star = 0.5 * (lo + hi)
     m_star = beta ** (2.0 / 3.0) * (3.0 / 8.0) ** (1.0 / 3.0) * n ** (2.0 / 3.0) / math.log(n) ** (1.0 / 3.0)
     bracket_ok = (
-        _G_prime(n, beta, (1 - delta) * m_star) > 0
-        and _G_prime(n, beta, (1 + delta) * m_star) < 0
+        _G_prime(n, beta, (1 - BRACKET_DELTA) * m_star) > 0
+        and _G_prime(n, beta, (1 + BRACKET_DELTA) * m_star) < 0
     )
     return GProfile(
         n=n,
@@ -188,7 +190,6 @@ def g_profile(n: int, eps: float, delta: float = 0.25) -> GProfile:
         x_star=x_star,
         G_at_x_star=_G(n, beta, x_star),
         m_star=m_star,
-        k_eps=k_eps_closed_form(beta),
         bracket_ok=bracket_ok,
     )
 
@@ -212,12 +213,6 @@ class EnTEstimate:
     upper_log: float
     x_star: float
     m_star: float
-    # the stated error terms have no explicit constants; the lower
-    # bound keeps only the explicit terms, flagged here
-    omitted_error_terms: tuple[str, ...] = (
-        "O(m0^3/n^2)",
-        "O(sqrt(m0) loglog m0 / log m0)",
-    )
 
 
 def en_T_estimate(n: int, eps: float = 0.01) -> EnTEstimate:
@@ -225,6 +220,8 @@ def en_T_estimate(n: int, eps: float = 0.01) -> EnTEstimate:
 
     lower_log = log P_n(Z=m0*) + beta0 sqrt(m0*/log m0*) at the nearest
     integer m0* to a0 (n^2/log n)^(1/3); upper_log = G(x*) at small eps.
+    The stated error terms O(m0^3/n^2) and O(sqrt(m0) loglog m0 / log m0)
+    have no explicit constants, so lower_log keeps only the explicit terms.
     """
     if n < 100:
         raise DomainError("n must be at least 100")
@@ -259,8 +256,3 @@ def harris_params(n: int) -> tuple[float, float]:
         raise DomainError("n must be at least 2")
     ln = math.log(n)
     return ln * ln / 8.0, ln**1.5 / math.sqrt(24.0)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal cdf, well beyond 1e-10 absolute accuracy."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))

@@ -235,7 +235,9 @@ def cmd_constants(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import asymptotics, montecarlo
+    from scipy.special import ndtr
+
+    from . import montecarlo
     from .mapping import InvariantError
 
     try:
@@ -273,9 +275,10 @@ def cmd_simulate(args) -> int:
             hw.writerow(["bin_low", "bin_high", "count", "phi_delta"])
             hw.writerow(["-inf", repr(edges[0]), int(summary.hist[0]), ""])
             total = summary.samples
+            cdf = ndtr(edges).tolist()
             for i in range(len(edges) - 1):
                 lo, hi = float(edges[i]), float(edges[i + 1])
-                expected = (asymptotics.normal_cdf(hi) - asymptotics.normal_cdf(lo)) * total
+                expected = (cdf[i + 1] - cdf[i]) * total
                 hw.writerow([repr(lo), repr(hi), int(summary.hist[1 + i]), repr(int(summary.hist[1 + i]) - expected)])
             hw.writerow([repr(edges[-1]), "inf", int(summary.hist[-1]), ""])
             _write_text(args.histogram, hbuf.getvalue())

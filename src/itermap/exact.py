@@ -175,9 +175,9 @@ def _order_counts(m: int) -> dict[int, int]:
     return _ORDER_ROWS[m]
 
 
-def perm_order_mean(m: int, m_max: int = M_MAX_DEFAULT) -> Fraction:
+def perm_order_mean(m: int) -> Fraction:
     """M_m: mean order (lcm of cycle lengths) of a uniform permutation of [m]."""
-    if not 1 <= m <= m_max:
+    if not 1 <= m <= M_MAX_DEFAULT:
         raise CeilingError("order-count table too large")
     _order_counts(m)
     return Fraction(_ORDER_TOTALS[m], math.factorial(m))
@@ -211,20 +211,20 @@ def perm_B_mean(m: int) -> Fraction:
 # Exact expectations by conditioning on the cyclic-vertex count
 
 
-def exact_E_T(n: int, m_max: int = M_MAX_DEFAULT) -> Fraction:
+def exact_E_T(n: int) -> Fraction:
     """E_n(T) = sum_m P_n(Z=m) * M_m, exact."""
-    if n > m_max:
+    if n > M_MAX_DEFAULT:
         raise CeilingError("order-count table too large")
     dist = z_pmf(n)
     return sum(
-        (p * perm_order_mean(m, m_max) for m, p in enumerate(dist.pmf, start=1)),
+        (p * perm_order_mean(m) for m, p in enumerate(dist.pmf, start=1)),
         Fraction(0),
     )
 
 
-def exact_E_B_conditional(n: int, ceiling: int = CONDITIONAL_MAX_N) -> Fraction:
+def exact_E_B_conditional(n: int) -> Fraction:
     """E_n(B) = sum_m P_n(Z=m) * b_m, exact; independent of the series engine."""
-    if n > ceiling:
+    if n > CONDITIONAL_MAX_N:
         raise CeilingError("enumeration too large")
     dist = z_pmf(n)
     beta = _perm_B_numerators(n)

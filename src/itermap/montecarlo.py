@@ -42,6 +42,7 @@ PARALLEL_N_MIN = 2**15  # run the per-row kernel on worker threads from this n
 MAX_WORKERS = 4         # beyond this the serial draw bounds the rate
 MAX_N = 10**7
 DEFAULT_BLOCK = 256
+GOF_MIN_EXPECTED = 5.0  # least expected count of a pooled chi-square bin
 
 
 class ResourceError(ValueError):
@@ -236,13 +237,11 @@ def run_experiment(
     )
 
 
-def z_gof(
-    z_counts: np.ndarray, pmf: ZDistribution | np.ndarray, min_expected: float = 5.0
-) -> tuple[float, float]:
+def z_gof(z_counts: np.ndarray, pmf: ZDistribution | np.ndarray) -> tuple[float, float]:
     """Pearson chi-square of observed Z counts against the exact pmf.
 
     Consecutive m are pooled (ascending, remainder merged into the last
-    bin) until every retained bin expects at least min_expected counts.
+    bin) until every retained bin expects at least GOF_MIN_EXPECTED counts.
     Returns (chi2, p-value from the regularized upper incomplete gamma).
     """
     counts = np.asarray(z_counts[1:], dtype=np.float64)  # m = 1..n
@@ -260,7 +259,7 @@ def z_gof(
     for m in range(n):
         co += counts[m]
         ce += expected[m]
-        if ce >= min_expected:
+        if ce >= GOF_MIN_EXPECTED:
             obs_bins.append(co)
             exp_bins.append(ce)
             co = ce = 0.0

@@ -7,7 +7,8 @@ factor); mu feeds the Rankin bound and the saddle-point analysis of
 g(s) = sum_d c_d e^{-ds}, while the convolution itself uses the bare
 exponential coefficients, the variant that matches the brute-force
 oracle (putting mu into the convolution gives 1 + e instead of 1 at
-n = 1).
+n = 1).  The saddle point of n s + g(s) is the root of g'(s) + n, found
+by Newton's method alone.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class SeriesTable:
     mu: np.ndarray
     h: np.ndarray
     r: tuple[Fraction, ...] | None = None
-    gamma: tuple[Fraction, ...] | None = None
 
 
 def _h_array(N: int) -> np.ndarray:
@@ -104,18 +104,9 @@ def mu_table(N: int, mode: Literal["exact", "float"] = "float") -> SeriesTable:
     if mode == "exact":
         if N > EXACT_SERIES_CEILING:
             raise SeriesError("exact mode too large")
-        gamma = [renyi.gamma_exact(d) for d in range(1, N + 1)]
-        r = exp_series_exact(gamma)
+        r = exp_series_exact([renyi.gamma_exact(d) for d in range(1, N + 1)])
         e = np.array([float(ri) * math.exp(-m) for m, ri in enumerate(r)])
-        return SeriesTable(
-            N=N,
-            mode="exact",
-            e=e,
-            mu=np.cumsum(e),
-            h=_h_array(N),
-            r=tuple(r),
-            gamma=tuple(gamma),
-        )
+        return SeriesTable(N=N, mode="exact", e=e, mu=np.cumsum(e), h=_h_array(N), r=tuple(r))
     if N > DEGREE_CAP_DEFAULT:
         raise SeriesError("degree above configured cap")
     e = exp_series(renyi.c_table(N) if N else np.empty(0))
@@ -233,72 +224,34 @@ class SaddleReport:
 
 
 NEWTON_MAX_STEPS = 50
-ROOT_MARGIN = 1e-12  # relative to s0; far wider than the rounding noise of g' + n
 
 
-def _newton_root(n: int, s0: float) -> float | None:
-    """Root of g'(s) + n by Newton's method from s0; None if it does not converge.
+def saddle_point(n: int) -> SaddleReport:
+    """Minimize n s + g(s) by Newton's method on g'(s) + n = 0.
 
-    g' is increasing and concave (g'' > 0 > g'''), so after the first
-    step the iterates rise monotonically to the root.
-    """
-    s = s0
-    for _ in range(NEWTON_MAX_STEPS):
-        g1, g2 = _g_sums(s, (1, 2))
-        step = (g1 + n) / g2
-        s -= step
-        if not s > 0:
-            return None
-        if abs(step) <= 1e-14 * s0:  # the error left is of order step^2 / s0
-            return s
-    return None
-
-
-def saddle_point(n: int, rel_tol: float = 1e-10) -> SaddleReport:
-    """Minimize n s + g(s) by bisection on g'(s) + n = 0.
-
-    g' is strictly increasing, so the root is unique; the bracket starts
-    around the asymptotic location 1/(2 n^(2/3)) and is widened
-    geometrically if needed.  Newton's method first locates the root r.
-    A sign test farther than ROOT_MARGIN * s0 from r takes its sign from
-    the side of r, so g' is evaluated only inside that margin.  The
-    bisection still sets s_star, so its bits do not depend on where
-    Newton stopped; if Newton does not converge, every point is evaluated.
+    g' is increasing and concave (g'' > 0 > g'''), so the root is unique,
+    every Newton step lands at or below it, and from below the iterates
+    climb to it monotonically.  The search starts at the asymptotic
+    location s0 = 1/(2 n^(2/3)); a step that would not leave s > 0
+    restarts from s/4 instead (n = 1 and n = 2 need this).  It stops at
+    the first step of at most 1e-14 s0, when the error left is of order
+    step^2 / s0.
     """
     if n < 1:
         raise SeriesError("n must be positive")
     s0 = 0.5 * n ** (-2.0 / 3.0)
-    r = _newton_root(n, s0)
-    margin = ROOT_MARGIN * s0
-
-    def slope(s: float) -> float:
-        """g'(s) + n, or a number of its sign where s is clear of the root."""
-        if r is None or abs(s - r) <= margin:
-            return g_eval(s, 1) + n
-        return -1.0 if s < r else 1.0
-
-    lo, hi = s0 / 4, min(4 * s0, 1.0)
-    for _ in range(8):
-        if slope(lo) < 0:
-            break
-        lo /= 4
-    else:
-        raise InvariantError("saddle bracket failure")
-    for _ in range(8):
-        if slope(hi) > 0:
-            break
-        hi = min(4 * hi, 1.0)
-        if hi >= 1.0 and slope(hi) <= 0:
-            raise InvariantError("saddle bracket failure")
-    else:
-        raise InvariantError("saddle bracket failure")
-    while hi - lo > rel_tol * s0:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0:
-            lo = mid
+    s_star = s0
+    for _ in range(NEWTON_MAX_STEPS):
+        g1, g2 = _g_sums(s_star, (1, 2))
+        step = (g1 + n) / g2
+        if not s_star - step > 0:
+            s_star /= 4
         else:
-            hi = mid
-    s_star = 0.5 * (lo + hi)
+            s_star -= step
+            if abs(step) <= 1e-14 * s0:
+                break
+    else:
+        raise InvariantError(f"saddle search did not converge at n={n}")
     g0, g1, g2, g3 = _g_sums(s_star, range(4))
     if not (g2 > 0 and g3 < 0):
         raise InvariantError(f"saddle point at n={n}: need g'' > 0 > g''', got {g2!r}, {g3!r}")

@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.special
 
 from itermap import asymptotics
 
@@ -133,12 +132,3 @@ class TestHarris:
     def test_domain(self):
         with pytest.raises(asymptotics.DomainError):
             asymptotics.harris_params(1)
-
-    def test_normal_cdf(self):
-        assert asymptotics.normal_cdf(0.0) == 0.5
-        assert math.isclose(
-            asymptotics.normal_cdf(1.0), float(scipy.special.ndtr(1.0)), rel_tol=1e-14
-        )
-        assert math.isclose(
-            asymptotics.normal_cdf(-3.0), float(scipy.special.ndtr(-3.0)), rel_tol=1e-12
-        )

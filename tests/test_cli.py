@@ -185,6 +185,13 @@ class TestSeries:
         assert code == cli.EXIT_INVARIANT
         assert out == "" and err.startswith("error: saddle point at n=100: need g'' > 0 > g'''")
 
+    def test_saddle_no_convergence(self, capsys, monkeypatch):
+        monkeypatch.setattr(series, "NEWTON_MAX_STEPS", 1)
+        code, out, err = run(capsys, "series", "--degree", "100", "--eval-n", "100")
+        assert (code, out, err) == (
+            cli.EXIT_INVARIANT, "", "error: saddle search did not converge at n=100\n"
+        )
+
     def test_other_errors_propagate(self, capsys, monkeypatch):
         def broken(n):
             raise NotImplementedError

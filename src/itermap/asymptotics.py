@@ -19,11 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import digamma
 
-from .mapping import InvariantError
-
-
-class DomainError(ValueError):
-    pass
+from .mapping import CeilingError, InvariantError
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +86,7 @@ def compute_constants(tolerance: float = 1e-10) -> Constants:
     tail bound 2 e^{-T} is below tolerance/10.
     """
     if not 1e-12 < tolerance < 1e-3:
-        raise DomainError("tolerance error")
+        raise CeilingError("tolerance error")
 
     def low(u: np.ndarray) -> np.ndarray:
         t = np.exp(-u)
@@ -162,13 +158,13 @@ def _G_prime(n: int, beta: float, x: float) -> float:
 def g_profile(n: int, eps: float) -> GProfile:
     """Maximize G over [6, n-1] by bisection on the strictly decreasing G'."""
     if n < 100:
-        raise DomainError("n must be at least 100")
+        raise CeilingError("n must be at least 100")
     if not 0 < eps <= 1:
-        raise DomainError("eps must lie in (0, 1]")
+        raise CeilingError("eps must lie in (0, 1]")
     beta = constants().beta0 + eps
     lo, hi = 6.0, n - 1.0
     if _G_prime(n, beta, lo) <= 0 or _G_prime(n, beta, hi) >= 0:
-        raise DomainError("maximizer bracket failure")
+        raise CeilingError("maximizer bracket failure")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _G_prime(n, beta, mid) > 0:
@@ -201,7 +197,7 @@ def g_profile(n: int, eps: float) -> GProfile:
 def stong_logM(m: int) -> float:
     """beta0 sqrt(m/log m): the leading term of log M_m."""
     if m < 3:
-        raise DomainError("domain error")
+        raise CeilingError("domain error")
     return constants().beta0 * math.sqrt(m / math.log(m))
 
 
@@ -224,7 +220,7 @@ def en_T_estimate(n: int, eps: float = 0.01) -> EnTEstimate:
     have no explicit constants, so lower_log keeps only the explicit terms.
     """
     if n < 100:
-        raise DomainError("n must be at least 100")
+        raise CeilingError("n must be at least 100")
     cst = constants()
     leading = cst.k0 * (n / math.log(n) ** 2) ** (1.0 / 3.0)
     m0 = round(cst.a0 * (n * n / math.log(n)) ** (1.0 / 3.0))
@@ -253,6 +249,6 @@ def en_T_estimate(n: int, eps: float = 0.01) -> EnTEstimate:
 def harris_params(n: int) -> tuple[float, float]:
     """(a_n, b_n) = (log^2 n / 8, log^(3/2) n / sqrt(24)): the CLT center/scale."""
     if n < 2:
-        raise DomainError("n must be at least 2")
+        raise CeilingError("n must be at least 2")
     ln = math.log(n)
     return ln * ln / 8.0, ln**1.5 / math.sqrt(24.0)

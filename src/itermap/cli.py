@@ -1,9 +1,14 @@
 """Command-line entry point.
 
 Subcommands: analyze, exact, series, asymptotics, constants, simulate.
-Outputs are byte-stable for identical configuration.  Exit codes:
-0 success, 2 input parse failure, 3 I/O failure, 4 ceiling exceeded,
-5 internal invariant violation.
+Outputs are byte-stable for identical configuration.  Each cmd_* is
+straight-line code; main alone maps a failure to its exit code
+(EXIT_CODES) and prints it as one "error: ..." line on stderr:
+0 success, 2 input parse or usage failure (MappingError, UsageError),
+3 I/O failure (OSError), 4 a size or parameter outside the supported
+domain (CeilingError), 5 internal invariant violation (InvariantError).
+Any other exception propagates.  `exact` also exits 5, after writing
+its table, when a brute-force cross-check fails.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import json
 import os
 import sys
 
+from .mapping import CeilingError, InvariantError, MappingError
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_IO = 3
@@ -24,10 +31,23 @@ EXIT_INVARIANT = 5
 PRECISION_ENV = "ITERMAP_PRECISION_BITS"
 
 
+class UsageError(ValueError):
+    """An option value or combination the CLI rejects; exit code 2."""
+
+
+EXIT_CODES = {
+    MappingError: EXIT_PARSE,
+    UsageError: EXIT_PARSE,
+    OSError: EXIT_IO,
+    CeilingError: EXIT_CEILING,
+    InvariantError: EXIT_INVARIANT,
+}
+
+
 def _check_precision(bits: int, source: str) -> int:
     # mpmath's Q_d rounds correctly to float64 from 60 bits (checked for d <= 800), not below
     if bits < 60:
-        raise ValueError(f"{source} must be at least 60 bits, got {bits}")
+        raise UsageError(f"{source} must be at least 60 bits, got {bits}")
     return bits
 
 
@@ -38,7 +58,7 @@ def _default_precision() -> int | None:
     try:
         bits = int(raw)
     except ValueError:
-        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+        raise UsageError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
     return _check_precision(bits, PRECISION_ENV)
 
 
@@ -57,28 +77,12 @@ def _json_dumps(obj) -> str:
 def cmd_analyze(args) -> int:
     from . import mapping
 
-    try:
-        with open(args.input, "rb") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        f = mapping.parse_mapping(text)
-    except mapping.MappingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        cs = mapping.analyze(f)
-        ps = mapping.period_stats(cs)
-    except mapping.InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    try:
-        _write_text(args.out, _json_dumps(mapping.stats_to_json_dict(f, cs, ps)))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.input, "rb") as fh:
+        text = fh.read()
+    f = mapping.parse_mapping(text)
+    cs = mapping.analyze(f)
+    ps = mapping.period_stats(cs)
+    _write_text(args.out, _json_dumps(mapping.stats_to_json_dict(f, cs, ps)))
     return EXIT_OK
 
 
@@ -86,151 +90,110 @@ def cmd_exact(args) -> int:
     from . import exact
 
     n = args.n
+    if n < 1:
+        raise CeilingError("n must be positive")
     buf = io.StringIO()
     writer = csv.writer(buf)
     ok = True
-    try:
-        if args.orders:
-            writer.writerow(["m", "M_num", "M_den", "b_num", "b_den"])
-            if n > exact.M_MAX_DEFAULT:
-                raise exact.CeilingError("order-count table too large")
-            for m in range(1, n + 1):
-                M = exact.perm_order_mean(m)
-                b = exact.perm_B_mean(m)
-                writer.writerow([m, M.numerator, M.denominator, b.numerator, b.denominator])
-        else:
-            writer.writerow(["n", "E_T_num", "E_T_den", "E_B_num", "E_B_den"])
-            rows = [(k, exact.exact_E_T(k), exact.exact_E_B_conditional(k)) for k in range(1, n + 1)]
-            for k, et, eb in rows:
-                writer.writerow([k, et.numerator, et.denominator, eb.numerator, eb.denominator])
-            # oracle cross-checks against full enumeration
-            for k, et, eb in rows[:7]:
-                match = exact.brute_force_expectations(k) == (et, eb)
-                print(f"n={k} brute-force cross-check: {'PASS' if match else 'FAIL'}", file=sys.stderr)
-                ok = ok and match
-    except exact.CeilingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CEILING
-    try:
-        _write_text(args.out, buf.getvalue())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.orders:
+        if n > exact.M_MAX_DEFAULT:
+            raise CeilingError("order-count table too large")
+        writer.writerow(["m", "M_num", "M_den", "b_num", "b_den"])
+        for m in range(1, n + 1):
+            M = exact.perm_order_mean(m)
+            b = exact.perm_B_mean(m)
+            writer.writerow([m, M.numerator, M.denominator, b.numerator, b.denominator])
+    else:
+        writer.writerow(["n", "E_T_num", "E_T_den", "E_B_num", "E_B_den"])
+        rows = [(k, exact.exact_E_T(k), exact.exact_E_B_conditional(k)) for k in range(1, n + 1)]
+        for k, et, eb in rows:
+            writer.writerow([k, et.numerator, et.denominator, eb.numerator, eb.denominator])
+        # oracle cross-checks against full enumeration
+        for k, et, eb in rows[:7]:
+            match = exact.brute_force_expectations(k) == (et, eb)
+            print(f"n={k} brute-force cross-check: {'PASS' if match else 'FAIL'}", file=sys.stderr)
+            ok = ok and match
+    _write_text(args.out, buf.getvalue())
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def cmd_series(args) -> int:
     from . import renyi, series
-    from .mapping import InvariantError
 
+    if args.precision is not None:
+        if not args.renyi_table:
+            raise UsageError("--precision applies only to --renyi-table")
+        _check_precision(args.precision, "--precision")
+    bits = args.env_precision if args.precision is None else args.precision
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if args.precision is not None:
-        try:
-            if not args.renyi_table:
-                raise ValueError("--precision applies only to --renyi-table")
-            _check_precision(args.precision, "--precision")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    bits = args.env_precision if args.precision is None else args.precision
-    try:
-        if args.renyi_table:
-            writer.writerow(["d", "U_d", "kappa_num", "kappa_den", "Q_d", "c_d"])
-            tab = renyi.renyi_table(args.degree, exact_upto=min(args.degree, args.exact_ceiling))
-            for d in range(1, args.degree + 1):
-                if d <= tab.exact_upto:
-                    kap = tab.kappa_exact[d - 1]
-                    u, knum, kden = tab.U[d - 1], kap.numerator, kap.denominator
-                else:
-                    u, knum, kden = "", "", ""
-                q = renyi.q_factor(d, bits) if bits else float(tab.Q[d - 1])
-                writer.writerow([d, u, knum, kden, repr(q), repr(float(tab.c[d - 1]))])
-            _write_text(args.out, buf.getvalue())
-            return EXIT_OK
-        table = series.mu_table(args.degree, args.mode)
-        if args.coefficients:
-            writer.writerow(["m", "e_coeff", "mu"])
-            for m in range(args.degree + 1):
-                writer.writerow([m, repr(float(table.e[m])), repr(float(table.mu[m]))])
-        else:
-            writer.writerow(["n", "log_E_B", "rankin_log_bound", "s_star", "A_n"])
-            for n in args.eval_n or [args.degree]:
-                if n > args.degree:
-                    raise series.SeriesError("degree above configured cap")
-                rep = series.saddle_point(n)
-                row = [
-                    n,
-                    repr(series.log_expected_B(n, table)),
-                    repr(rep.rankin_log_value),
-                    repr(rep.s_star),
-                    repr(rep.A_n),
-                ]
-                writer.writerow(row)
-    except series.SeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CEILING
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    try:
+    if args.renyi_table:
+        if args.degree < 1:
+            raise CeilingError("degree must be positive")
+        writer.writerow(["d", "U_d", "kappa_num", "kappa_den", "Q_d", "c_d"])
+        tab = renyi.renyi_table(args.degree, exact_upto=min(args.degree, args.exact_ceiling))
+        for d in range(1, args.degree + 1):
+            if d <= tab.exact_upto:
+                kap = tab.kappa_exact[d - 1]
+                u, knum, kden = tab.U[d - 1], kap.numerator, kap.denominator
+            else:
+                u, knum, kden = "", "", ""
+            q = renyi.q_factor(d, bits) if bits else float(tab.Q[d - 1])
+            writer.writerow([d, u, knum, kden, repr(q), repr(float(tab.c[d - 1]))])
         _write_text(args.out, buf.getvalue())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_OK
+    table = series.mu_table(args.degree, args.mode)
+    if args.coefficients:
+        writer.writerow(["m", "e_coeff", "mu"])
+        for m in range(args.degree + 1):
+            writer.writerow([m, repr(float(table.e[m])), repr(float(table.mu[m]))])
+    else:
+        writer.writerow(["n", "log_E_B", "rankin_log_bound", "s_star", "A_n"])
+        for n in args.eval_n or [args.degree]:
+            if n > args.degree:
+                raise CeilingError("degree above configured cap")
+            rep = series.saddle_point(n)
+            row = [
+                n,
+                repr(series.log_expected_B(n, table)),
+                repr(rep.rankin_log_value),
+                repr(rep.s_star),
+                repr(rep.A_n),
+            ]
+            writer.writerow(row)
+    _write_text(args.out, buf.getvalue())
     return EXIT_OK
 
 
 def cmd_asymptotics(args) -> int:
     from . import asymptotics
-    from .mapping import InvariantError
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "leading", "lower_log", "upper_log", "x_star", "m_star"])
-    try:
-        for n in args.n:
-            est = asymptotics.en_T_estimate(n, eps=args.eps)
-            writer.writerow(
-                [n]
-                + [repr(v) for v in (est.leading, est.lower_log, est.upper_log, est.x_star, est.m_star)]
-            )
-    except asymptotics.DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CEILING
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    try:
-        _write_text(args.out, buf.getvalue())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for n in args.n:
+        est = asymptotics.en_T_estimate(n, eps=args.eps)
+        writer.writerow(
+            [n]
+            + [repr(v) for v in (est.leading, est.lower_log, est.upper_log, est.x_star, est.m_star)]
+        )
+    _write_text(args.out, buf.getvalue())
     return EXIT_OK
 
 
 def cmd_constants(args) -> int:
     from . import asymptotics
 
-    try:
-        c = asymptotics.compute_constants(args.tolerance)
-    except asymptotics.DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CEILING
+    c = asymptotics.compute_constants(args.tolerance)
+    if not 3.35 <= c.k0 <= 3.37:
+        raise InvariantError("k0 outside expected range")
     payload = {
         "I": c.I,
         "beta0": c.beta0,
         "k0": c.k0,
         "quadrature_error": c.quadrature_error,
     }
-    if not 3.35 <= c.k0 <= 3.37:
-        print("error: k0 outside expected range", file=sys.stderr)
-        return EXIT_INVARIANT
-    try:
-        _write_text(args.out, _json_dumps(payload))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, _json_dumps(payload))
     return EXIT_OK
 
 
@@ -238,16 +201,8 @@ def cmd_simulate(args) -> int:
     from scipy.special import ndtr
 
     from . import montecarlo
-    from .mapping import InvariantError
 
-    try:
-        summary = montecarlo.run_experiment(args.n, args.samples, args.seed, blocks=args.blocks)
-    except montecarlo.ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CEILING
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    summary = montecarlo.run_experiment(args.n, args.samples, args.seed, blocks=args.blocks)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -266,25 +221,21 @@ def cmd_simulate(args) -> int:
             repr(summary.frac_norm_nonpos),
         ]
     )
-    try:
-        _write_text(args.out, buf.getvalue())
-        if args.histogram:
-            edges = montecarlo.hist_bin_edges()
-            hbuf = io.StringIO()
-            hw = csv.writer(hbuf)
-            hw.writerow(["bin_low", "bin_high", "count", "phi_delta"])
-            hw.writerow(["-inf", repr(edges[0]), int(summary.hist[0]), ""])
-            total = summary.samples
-            cdf = ndtr(edges).tolist()
-            for i in range(len(edges) - 1):
-                lo, hi = float(edges[i]), float(edges[i + 1])
-                expected = (cdf[i + 1] - cdf[i]) * total
-                hw.writerow([repr(lo), repr(hi), int(summary.hist[1 + i]), repr(int(summary.hist[1 + i]) - expected)])
-            hw.writerow([repr(edges[-1]), "inf", int(summary.hist[-1]), ""])
-            _write_text(args.histogram, hbuf.getvalue())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, buf.getvalue())
+    if args.histogram:
+        edges = montecarlo.hist_bin_edges()
+        hbuf = io.StringIO()
+        hw = csv.writer(hbuf)
+        hw.writerow(["bin_low", "bin_high", "count", "phi_delta"])
+        hw.writerow(["-inf", repr(edges[0]), int(summary.hist[0]), ""])
+        total = summary.samples
+        cdf = ndtr(edges).tolist()
+        for i in range(len(edges) - 1):
+            lo, hi = float(edges[i]), float(edges[i + 1])
+            expected = (cdf[i + 1] - cdf[i]) * total
+            hw.writerow([repr(lo), repr(hi), int(summary.hist[1 + i]), repr(int(summary.hist[1 + i]) - expected)])
+        hw.writerow([repr(edges[-1]), "inf", int(summary.hist[-1]), ""])
+        _write_text(args.histogram, hbuf.getvalue())
     return EXIT_OK
 
 
@@ -346,12 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-    except ValueError as exc:  # a bad ITERMAP_PRECISION_BITS default
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    args = parser.parse_args(argv)
-    return args.func(args)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -19,13 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .mapping import CeilingError
+
 BRUTE_FORCE_MAX_N = 8
 M_MAX_DEFAULT = 60
 CONDITIONAL_MAX_N = 500
-
-
-class CeilingError(ValueError):
-    """A requested size exceeds the configured enumeration ceiling."""
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed; the CLI exits with code 5."""
 
 
+class CeilingError(ValueError):
+    """A size or parameter outside the supported domain; the CLI exits with code 4."""
+
+
 @dataclass(frozen=True, eq=False)
 class Mapping:
     """A total function on {1..n}; targets[i-1] holds f(i), 1-based.

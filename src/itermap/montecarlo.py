@@ -45,10 +45,6 @@ DEFAULT_BLOCK = 256
 GOF_MIN_EXPECTED = 5.0  # least expected count of a pooled chi-square bin
 
 
-class ResourceError(ValueError):
-    pass
-
-
 @dataclass
 class StatSummary:
     """Accumulated statistics of one experiment."""
@@ -186,9 +182,9 @@ def run_experiment(
     has shut down.
     """
     if n < 1 or n > MAX_N:
-        raise ResourceError("experiment too large")
+        raise mapping.CeilingError("experiment too large")
     if samples < 1:
-        raise ResourceError("samples must be positive")
+        raise mapping.CeilingError("samples must be positive")
     if blocks is None:
         blocks = math.ceil(samples / DEFAULT_BLOCK)
     blocks = max(1, min(blocks, samples))
@@ -271,7 +267,7 @@ def z_gof(z_counts: np.ndarray, pmf: ZDistribution | np.ndarray) -> tuple[float,
             obs_bins.append(co)
             exp_bins.append(ce)
     if len(exp_bins) < 2:
-        raise ResourceError("insufficient data")
+        raise mapping.CeilingError("insufficient data")
     obs = np.array(obs_bins)
     exp = np.array(exp_bins)
     chi2 = float(np.sum((obs - exp) ** 2 / exp))

@@ -22,14 +22,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import renyi
-from .mapping import InvariantError
+from .mapping import CeilingError, InvariantError
 
 EXACT_SERIES_CEILING = 500
 DEGREE_CAP_DEFAULT = 200_000
-
-
-class SeriesError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +40,7 @@ def exp_series(inner: np.ndarray) -> np.ndarray:
     """
     c = np.asarray(inner, dtype=np.float64)
     if c.size and c.min() < 0:
-        raise SeriesError("invalid series")
+        raise CeilingError("invalid series")
     N = c.size
     w = c * np.arange(1, N + 1)
     e = np.zeros(N + 1)
@@ -100,15 +96,15 @@ def _h_array(N: int) -> np.ndarray:
 def mu_table(N: int, mode: Literal["exact", "float"] = "float") -> SeriesTable:
     """Build e, mu and h to degree N; exact mode also carries rationals."""
     if N < 0:
-        raise SeriesError("degree must be nonnegative")
+        raise CeilingError("degree must be nonnegative")
     if mode == "exact":
         if N > EXACT_SERIES_CEILING:
-            raise SeriesError("exact mode too large")
+            raise CeilingError("exact mode too large")
         r = exp_series_exact([renyi.gamma_exact(d) for d in range(1, N + 1)])
         e = np.array([float(ri) * math.exp(-m) for m, ri in enumerate(r)])
         return SeriesTable(N=N, mode="exact", e=e, mu=np.cumsum(e), h=_h_array(N), r=tuple(r))
     if N > DEGREE_CAP_DEFAULT:
-        raise SeriesError("degree above configured cap")
+        raise CeilingError("degree above configured cap")
     e = exp_series(renyi.c_table(N) if N else np.empty(0))
     return SeriesTable(N=N, mode="float", e=e, mu=np.cumsum(e), h=_h_array(N))
 
@@ -129,10 +125,10 @@ def expected_B(
     space.
     """
     if n < 1:
-        raise SeriesError("n must be positive")
+        raise CeilingError("n must be positive")
     if mode == "exact":
         if n > EXACT_SERIES_CEILING:
-            raise SeriesError("exact mode too large")
+            raise CeilingError("exact mode too large")
         if table is None or table.mode != "exact" or table.N < n:
             table = mu_table(n, "exact")
         if table.r is None:
@@ -191,16 +187,16 @@ def g_eval(s: float, j: int = 0) -> float:
     D(s) smaller than 1e-15 of the total for j <= 3.
     """
     if s <= 0:
-        raise SeriesError("domain error")
+        raise CeilingError("domain error")
     if j not in (0, 1, 2, 3):
-        raise SeriesError("derivative order must be 0..3")
+        raise CeilingError("derivative order must be 0..3")
     return _g_sums(s, (j,))[0]
 
 
 def rankin_bound(n: int, s: float, table: SeriesTable) -> float:
     """exp(n s + g(s)); asserts mu(n) <= bound."""
     if s <= 0:
-        raise SeriesError("domain error")
+        raise CeilingError("domain error")
     bound = math.exp(n * s + g_eval(s))
     if table.N >= n and not table.mu[n] <= bound:
         raise InvariantError(f"Rankin bound violated at n={n}")
@@ -238,7 +234,7 @@ def saddle_point(n: int) -> SaddleReport:
     step^2 / s0.
     """
     if n < 1:
-        raise SeriesError("n must be positive")
+        raise CeilingError("n must be positive")
     s0 = 0.5 * n ** (-2.0 / 3.0)
     s_star = s0
     for _ in range(NEWTON_MAX_STEPS):

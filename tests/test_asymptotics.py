@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from itermap import asymptotics
+from itermap import asymptotics, mapping
 
 
 class TestQuadrature:
@@ -44,9 +44,9 @@ class TestConstants:
         assert abs(c.I - ref) <= 1e-8 + ref_err
 
     def test_tolerance_validation(self):
-        with pytest.raises(asymptotics.DomainError, match="tolerance error"):
+        with pytest.raises(mapping.CeilingError, match="tolerance error"):
             asymptotics.compute_constants(1.0)
-        with pytest.raises(asymptotics.DomainError, match="tolerance error"):
+        with pytest.raises(mapping.CeilingError, match="tolerance error"):
             asymptotics.compute_constants(1e-13)
 
     def test_tightening_tolerance_is_consistent(self):
@@ -99,9 +99,9 @@ class TestGProfile:
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
     def test_domain(self):
-        with pytest.raises(asymptotics.DomainError):
+        with pytest.raises(mapping.CeilingError):
             asymptotics.g_profile(50, 0.01)
-        with pytest.raises(asymptotics.DomainError):
+        with pytest.raises(mapping.CeilingError):
             asymptotics.g_profile(10**4, 0.0)
 
 
@@ -118,7 +118,7 @@ class TestEnTEstimate:
             assert 0.5 < est.lower_log / est.leading < 1.6
 
     def test_stong_domain(self):
-        with pytest.raises(asymptotics.DomainError, match="domain error"):
+        with pytest.raises(mapping.CeilingError, match="domain error"):
             asymptotics.stong_logM(2)
 
 
@@ -130,5 +130,5 @@ class TestHarris:
         assert math.isclose(b, ln**1.5 / math.sqrt(24), rel_tol=1e-15)
 
     def test_domain(self):
-        with pytest.raises(asymptotics.DomainError):
+        with pytest.raises(mapping.CeilingError):
             asymptotics.harris_params(1)

@@ -11,7 +11,8 @@ import pytest
 
 import itermap
 import mapping_faults
-from itermap import asymptotics, cli, exact, series
+from itermap import asymptotics, cli, exact, montecarlo, series
+from itermap.mapping import CeilingError, InvariantError, MappingError
 
 ANALYZE_2E5_SHA256 = "15a3ad673a98ea9da4406212f6742645b0fe901f740cddf466d804f416f63d88"
 
@@ -127,6 +128,11 @@ class TestExact:
         assert code == cli.EXIT_CEILING
         assert "too large" in err
 
+    @pytest.mark.parametrize("orders", [(), ("--orders",)])
+    def test_nonpositive_n(self, capsys, orders):
+        code, out, err = run(capsys, "exact", "--n", "0", *orders)
+        assert (code, out, err) == (cli.EXIT_CEILING, "", "error: n must be positive\n")
+
 
 class TestSeries:
     def test_eval(self, capsys):
@@ -149,6 +155,10 @@ class TestSeries:
         lines = out.strip().splitlines()
         assert lines[0] == "d,U_d,kappa_num,kappa_den,Q_d,c_d"
         assert lines[3].startswith("3,17,27,17,")
+
+    def test_renyi_table_nonpositive_degree(self, capsys):
+        code, out, err = run(capsys, "series", "--degree", "0", "--renyi-table")
+        assert (code, out, err) == (cli.EXIT_CEILING, "", "error: degree must be positive\n")
 
     def test_renyi_table_precision(self, capsys):
         code, out, _ = run(capsys, "series", "--degree", "3", "--renyi-table", "--precision", "64")
@@ -199,6 +209,14 @@ class TestSeries:
         monkeypatch.setattr(series, "saddle_point", broken)
         with pytest.raises(NotImplementedError):
             run(capsys, "series", "--degree", "100", "--eval-n", "100")
+
+        # a ValueError outside EXIT_CODES is not caught for its base class
+        def unmapped(*args, **kwargs):
+            raise ValueError("unmapped")
+
+        monkeypatch.setattr(montecarlo, "run_experiment", unmapped)
+        with pytest.raises(ValueError, match="unmapped"):
+            run(capsys, "simulate", "--n", "100", "--samples", "10")
 
 
 class TestConstants:
@@ -293,6 +311,48 @@ class TestSimulate:
     def test_too_large(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "100000000", "--samples", "1")
         assert code == cli.EXIT_CEILING
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "INPUT"),
+        ("exact", "--n", "3"),
+        ("series", "--degree", "5", "--renyi-table"),
+        ("asymptotics", "--n", "1000"),
+        ("constants",),
+        ("simulate", "--n", "100", "--samples", "10"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out(capsys, tmp_path, argv):
+    src = tmp_path / "f.txt"
+    src.write_text("3 2 3 1\n")
+    path = tmp_path / "missing" / "out"
+    argv = [str(src) if a == "INPUT" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert (code, out) == (cli.EXIT_IO, "")
+    assert errors == [f"error: [Errno 2] No such file or directory: '{path}'"]
+    assert err.endswith(errors[0] + "\n")
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (MappingError, cli.EXIT_PARSE),
+        (cli.UsageError, cli.EXIT_PARSE),
+        (OSError, cli.EXIT_IO),
+        (CeilingError, cli.EXIT_CEILING),
+        (InvariantError, cli.EXIT_INVARIANT),
+    ],
+)
+def test_exit_code_map(capsys, monkeypatch, exc, code):
+    def failing(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_constants", failing)
+    assert run(capsys, "constants") == (code, "", "error: boom\n")
 
 
 def test_byte_identical_reruns(capsys):

@@ -44,7 +44,7 @@ def test_chunk_boundaries():
 
 def test_packed_word_guard(monkeypatch):
     monkeypatch.setattr(exact, "BRUTE_FORCE_MAX_N", 9)
-    with pytest.raises(exact.CeilingError, match="n <= 8"):
+    with pytest.raises(mapping.CeilingError, match="n <= 8"):
         exact.enumerate_summary(9)
 
 
@@ -67,7 +67,7 @@ class TestBruteForce:
         )
 
     def test_ceiling(self):
-        with pytest.raises(exact.CeilingError, match="enumeration too large"):
+        with pytest.raises(mapping.CeilingError, match="enumeration too large"):
             exact.brute_force_expectations(9)
 
 
@@ -134,7 +134,7 @@ class TestPermutationMeans:
         assert exact_reference.partition_count(10) == 42
 
     def test_ceiling(self):
-        with pytest.raises(exact.CeilingError, match="order-count table too large"):
+        with pytest.raises(mapping.CeilingError, match="order-count table too large"):
             exact.perm_order_mean(61)
 
     def test_cycle_type_counts_sum_to_factorial(self):

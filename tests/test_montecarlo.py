@@ -80,9 +80,9 @@ class TestInvariants:
             montecarlo.run_experiment(n, 8, seed=seed)
 
     def test_resource_errors(self):
-        with pytest.raises(montecarlo.ResourceError, match="experiment too large"):
+        with pytest.raises(mapping.CeilingError, match="experiment too large"):
             montecarlo.run_experiment(montecarlo.MAX_N + 1, 1, seed=0)
-        with pytest.raises(montecarlo.ResourceError):
+        with pytest.raises(mapping.CeilingError):
             montecarlo.run_experiment(10, 0, seed=0)
 
 
@@ -208,7 +208,7 @@ class TestGof:
         assert p < 1e-6
 
     def test_insufficient_data(self):
-        with pytest.raises(montecarlo.ResourceError, match="insufficient data"):
+        with pytest.raises(mapping.CeilingError, match="insufficient data"):
             montecarlo.z_gof(np.array([0, 3, 1]), np.array([0.5, 0.5]))
 
     def test_hist_edges(self):

@@ -7,7 +7,7 @@ import pytest
 
 import series_reference
 from itermap import exact, renyi, series
-from itermap.mapping import InvariantError
+from itermap.mapping import CeilingError, InvariantError
 
 
 class TestExpSeries:
@@ -26,7 +26,7 @@ class TestExpSeries:
             assert math.isclose(e[m], float(exact.perm_B_mean(m)), rel_tol=1e-12)
 
     def test_negative_rejected(self):
-        with pytest.raises(series.SeriesError, match="invalid series"):
+        with pytest.raises(CeilingError, match="invalid series"):
             series.exp_series(np.array([1.0, -0.5]))
 
     def test_exact_recurrence(self):
@@ -61,7 +61,7 @@ class TestMuTable:
         assert np.allclose(te.e, tf.e, rtol=1e-9)
 
     def test_exact_ceiling(self):
-        with pytest.raises(series.SeriesError, match="exact mode too large"):
+        with pytest.raises(CeilingError, match="exact mode too large"):
             series.mu_table(series.EXACT_SERIES_CEILING + 1, "exact")
 
 
@@ -97,7 +97,7 @@ class TestExpectedB:
 
 class TestGEval:
     def test_domain_error(self):
-        with pytest.raises(series.SeriesError, match="domain error"):
+        with pytest.raises(CeilingError, match="domain error"):
             series.g_eval(0.0)
 
     def test_signs(self):

@@ -7,7 +7,7 @@ The upper-bound route maximizes G(x) = log [n!/((n-x)! n^{x-1})
 e^{beta_eps sqrt(x/log x)}] over real x by bisection on G', whose
 psi(n+1-x) term is scipy's digamma; the lower bound plugs the
 near-optimal integer m0* into P_n(Z=m) M_m.  Also owns the Harris CLT
-normalization (a_n, b_n).
+normalization (a_n, b_n); digamma is imported on use, so they need no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma
 
 from .mapping import CeilingError, InvariantError
 
@@ -147,6 +146,8 @@ def _G(n: int, beta: float, x: float) -> float:
 
 
 def _G_prime(n: int, beta: float, x: float) -> float:
+    from scipy.special import digamma  # here, so that simulate starts without scipy
+
     lx = math.log(x)
     return (
         digamma(n + 1 - x)

@@ -8,15 +8,20 @@ straight-line code; main alone maps a failure to its exit code
 3 I/O failure (OSError), 4 a size or parameter outside the supported
 domain (CeilingError), 5 internal invariant violation (InvariantError).
 Any other exception propagates.  `exact` also exits 5, after writing
-its table, when a brute-force cross-check fails.
+its table, when a brute-force cross-check fails.  Every output file is
+opened before any text is written, so an unwritable path leaves stdout
+empty.  Each cmd_* imports the modules it needs; analyze, exact,
+constants and simulate load no scipy.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -62,11 +67,14 @@ def _default_precision() -> int | None:
     return _check_precision(bits, PRECISION_ENV)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
+def _write_text(*outputs: tuple[str | None, str]) -> None:
+    """Write each (path, text) in turn after opening every file; None or "-" is stdout."""
+    with contextlib.ExitStack() as stack:
+        handles = [
+            sys.stdout if path in (None, "-") else stack.enter_context(open(path, "w"))
+            for path, _ in outputs
+        ]
+        for fh, (_, text) in zip(handles, outputs):
             fh.write(text)
 
 
@@ -82,7 +90,7 @@ def cmd_analyze(args) -> int:
     f = mapping.parse_mapping(text)
     cs = mapping.analyze(f)
     ps = mapping.period_stats(cs)
-    _write_text(args.out, _json_dumps(mapping.stats_to_json_dict(f, cs, ps)))
+    _write_text((args.out, _json_dumps(mapping.stats_to_json_dict(f, cs, ps))))
     return EXIT_OK
 
 
@@ -113,7 +121,7 @@ def cmd_exact(args) -> int:
             match = exact.brute_force_expectations(k) == (et, eb)
             print(f"n={k} brute-force cross-check: {'PASS' if match else 'FAIL'}", file=sys.stderr)
             ok = ok and match
-    _write_text(args.out, buf.getvalue())
+    _write_text((args.out, buf.getvalue()))
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -140,7 +148,7 @@ def cmd_series(args) -> int:
                 u, knum, kden = "", "", ""
             q = renyi.q_factor(d, bits) if bits else float(tab.Q[d - 1])
             writer.writerow([d, u, knum, kden, repr(q), repr(float(tab.c[d - 1]))])
-        _write_text(args.out, buf.getvalue())
+        _write_text((args.out, buf.getvalue()))
         return EXIT_OK
     table = series.mu_table(args.degree, args.mode)
     if args.coefficients:
@@ -161,7 +169,7 @@ def cmd_series(args) -> int:
                 repr(rep.A_n),
             ]
             writer.writerow(row)
-    _write_text(args.out, buf.getvalue())
+    _write_text((args.out, buf.getvalue()))
     return EXIT_OK
 
 
@@ -177,7 +185,7 @@ def cmd_asymptotics(args) -> int:
             [n]
             + [repr(v) for v in (est.leading, est.lower_log, est.upper_log, est.x_star, est.m_star)]
         )
-    _write_text(args.out, buf.getvalue())
+    _write_text((args.out, buf.getvalue()))
     return EXIT_OK
 
 
@@ -193,13 +201,11 @@ def cmd_constants(args) -> int:
         "k0": c.k0,
         "quadrature_error": c.quadrature_error,
     }
-    _write_text(args.out, _json_dumps(payload))
+    _write_text((args.out, _json_dumps(payload)))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    from scipy.special import ndtr
-
     from . import montecarlo
 
     summary = montecarlo.run_experiment(args.n, args.samples, args.seed, blocks=args.blocks)
@@ -221,21 +227,21 @@ def cmd_simulate(args) -> int:
             repr(summary.frac_norm_nonpos),
         ]
     )
-    _write_text(args.out, buf.getvalue())
+    outputs = [(args.out, buf.getvalue())]
     if args.histogram:
         edges = montecarlo.hist_bin_edges()
+        xs = edges.tolist()
+        cdf = [0.5 * math.erfc(-x / math.sqrt(2)) for x in xs]  # standard normal cdf
         hbuf = io.StringIO()
         hw = csv.writer(hbuf)
         hw.writerow(["bin_low", "bin_high", "count", "phi_delta"])
         hw.writerow(["-inf", repr(edges[0]), int(summary.hist[0]), ""])
-        total = summary.samples
-        cdf = ndtr(edges).tolist()
-        for i in range(len(edges) - 1):
-            lo, hi = float(edges[i]), float(edges[i + 1])
-            expected = (cdf[i + 1] - cdf[i]) * total
-            hw.writerow([repr(lo), repr(hi), int(summary.hist[1 + i]), repr(int(summary.hist[1 + i]) - expected)])
+        for i, count in enumerate(summary.hist[1:-1].tolist()):
+            expected = (cdf[i + 1] - cdf[i]) * summary.samples
+            hw.writerow([repr(xs[i]), repr(xs[i + 1]), count, repr(count - expected)])
         hw.writerow([repr(edges[-1]), "inf", int(summary.hist[-1]), ""])
-        _write_text(args.histogram, hbuf.getvalue())
+        outputs.append((args.histogram, hbuf.getvalue()))
+    _write_text(*outputs)
     return EXIT_OK
 
 

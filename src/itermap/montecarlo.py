@@ -19,6 +19,9 @@ drawing rows in stream order; results are accumulated in that same
 order, so the output does not depend on the number of threads.  Below
 it, the GIL held by the cycle walk costs more than the threads save,
 and the same ordered loop runs inline.
+
+Only numpy is needed, so `simulate` starts without scipy; the tests'
+chi-square of the Z counts is in tests/montecarlo_reference.py.
 """
 
 from __future__ import annotations
@@ -30,10 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import asymptotics, mapping
-from .exact import ZDistribution
 
 HIST_BINS = 41          # over [-4, 4], plus two overflow bins; fixed forever
 HIST_LO, HIST_HI = -4.0, 4.0
@@ -42,7 +43,6 @@ PARALLEL_N_MIN = 2**15  # run the per-row kernel on worker threads from this n
 MAX_WORKERS = 4         # beyond this the serial draw bounds the rate
 MAX_N = 10**7
 DEFAULT_BLOCK = 256
-GOF_MIN_EXPECTED = 5.0  # least expected count of a pooled chi-square bin
 
 
 @dataclass
@@ -231,49 +231,6 @@ def run_experiment(
         hist=acc.hist,
         z_counts=acc.z_counts,
     )
-
-
-def z_gof(z_counts: np.ndarray, pmf: ZDistribution | np.ndarray) -> tuple[float, float]:
-    """Pearson chi-square of observed Z counts against the exact pmf.
-
-    Consecutive m are pooled (ascending, remainder merged into the last
-    bin) until every retained bin expects at least GOF_MIN_EXPECTED counts.
-    Returns (chi2, p-value from the regularized upper incomplete gamma).
-    """
-    counts = np.asarray(z_counts[1:], dtype=np.float64)  # m = 1..n
-    n = counts.size
-    samples = counts.sum()
-    if isinstance(pmf, ZDistribution):
-        probs = np.array([float(p) for p in pmf.pmf])
-    else:
-        probs = np.asarray(pmf, dtype=np.float64)
-    expected = probs * samples
-
-    obs_bins: list[float] = []
-    exp_bins: list[float] = []
-    co = ce = 0.0
-    for m in range(n):
-        co += counts[m]
-        ce += expected[m]
-        if ce >= GOF_MIN_EXPECTED:
-            obs_bins.append(co)
-            exp_bins.append(ce)
-            co = ce = 0.0
-    if ce > 0 or co > 0:
-        if exp_bins:
-            obs_bins[-1] += co
-            exp_bins[-1] += ce
-        else:
-            obs_bins.append(co)
-            exp_bins.append(ce)
-    if len(exp_bins) < 2:
-        raise mapping.CeilingError("insufficient data")
-    obs = np.array(obs_bins)
-    exp = np.array(exp_bins)
-    chi2 = float(np.sum((obs - exp) ** 2 / exp))
-    df = len(exp) - 1
-    pvalue = float(gammaincc(df / 2.0, chi2 / 2.0))
-    return chi2, pvalue
 
 
 def hist_bin_edges() -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import itermap
 import mapping_faults
@@ -299,6 +301,46 @@ class TestSimulate:
             "29.986466195893883,3.4574558134627744,5.055241888350855,0.8333333333333334"
         )
 
+    def test_sim_large_pinned_and_histogram_cdf(self, capsys, tmp_path):
+        # the benchmark's sim-large configuration; the CSV line is the one
+        # printed when the histogram took its normal cdf from scipy's ndtr
+        hpath = tmp_path / "hist.csv"
+        code, out, _ = run(
+            capsys, "simulate", "--n", "100000", "--samples", "128", "--seed", "0",
+            "--histogram", str(hpath),
+        )
+        assert code == 0
+        assert out == (
+            "n,samples,seed,blocks,mean_log_T,var_log_T,mean_log_B,var_log_B,"
+            "mean_diff,var_diff,frac_norm_nonpos\r\n"
+            "100000,128,0,1,12.458471105638058,15.689205121162615,16.919299177073786,"
+            "34.86120790164034,4.460828071435719,12.112039775521183,0.8515625\r\n"
+        )
+        # the standard library's cdf against scipy's ndtr at every edge
+        edges = montecarlo.hist_bin_edges()
+        cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2)) for x in edges.tolist()])
+        assert len(edges) == 42
+        assert np.max(np.abs(cdf - ndtr(edges))) <= 2.3e-16
+        # each phi_delta is count - 128 (Phi(hi) - Phi(lo)) with Phi = ndtr,
+        # up to the two cdf errors scaled by 128 and a few ulp of the difference
+        rows = list(csv.reader(hpath.read_text().splitlines()))
+        assert rows[1][:2] == ["-inf", "np.float64(-4.0)"]
+        assert rows[-1][:2] == ["np.float64(4.0)", "inf"]
+        for lo, hi, count, delta in rows[2:-1]:
+            phi = ndtr(np.array([float(lo), float(hi)]))
+            ref = int(count) - (phi[1] - phi[0]) * 128
+            assert abs(float(delta) - ref) <= 2 * 2.3e-16 * 128 + 4 * math.ulp(abs(ref))
+
+    def test_unwritable_histogram(self, capsys, tmp_path):
+        # the histogram path is opened before the summary CSV is written
+        path = tmp_path / "missing" / "x"
+        code, out, err = run(
+            capsys, "simulate", "--n", "50", "--samples", "3", "--histogram", str(path)
+        )
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert (code, out) == (cli.EXIT_IO, "")
+        assert errors == [f"error: [Errno 2] No such file or directory: '{path}'"]
+
     # the first row of seed 0 at n = 100 has a fixed point, so fixed_points_cleared trips
     @pytest.mark.parametrize(
         "fault", ["tail_vertex_added", "cyclic_vertex_missing", "fixed_points_cleared"]
@@ -353,6 +395,36 @@ def test_exit_code_map(capsys, monkeypatch, exc, code):
 
     monkeypatch.setattr(cli, "cmd_constants", failing)
     assert run(capsys, "constants") == (code, "", "error: boom\n")
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter, so no other test has imported scipy yet
+    src = tmp_path / "f.txt"
+    src.write_text("3 2 3 1\n")
+    out = str(tmp_path / "out")
+    argvs = [
+        ["simulate", "--n", "2000", "--samples", "4", "--histogram", str(tmp_path / "h.csv")],
+        ["simulate", "--n", "2000", "--samples", "4"],
+        ["analyze", str(src), "--out", out],
+        ["exact", "--n", "5", "--out", out],
+        ["constants", "--out", out],
+    ]
+    script = (
+        "import json, sys; "
+        "from itermap import asymptotics, cli, exact, mapping, montecarlo; "
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+    )
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(itermap.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    codes, scipy_modules = json.loads(r.stdout.splitlines()[-1])
+    assert codes == [cli.EXIT_OK] * len(argvs)
+    assert scipy_modules == []
 
 
 def test_byte_identical_reruns(capsys):

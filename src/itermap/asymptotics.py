@@ -116,9 +116,6 @@ def constants(tolerance: float = 1e-10) -> Constants:
 # The upper-bound profile G and its maximizer
 
 
-BRACKET_DELTA = 0.25  # bracket_ok tests G' at (1 -/+ BRACKET_DELTA) m_star
-
-
 @dataclass(frozen=True)
 class GProfile:
     n: int
@@ -127,13 +124,6 @@ class GProfile:
     x_star: float
     G_at_x_star: float
     m_star: float
-    bracket_ok: bool
-
-
-def k_eps_closed_form(beta: float) -> float:
-    """k_eps = -a^2/2 + beta*sqrt(3a/2) with a = beta^(2/3) (3/8)^(1/3)."""
-    a = beta ** (2.0 / 3.0) * (3.0 / 8.0) ** (1.0 / 3.0)
-    return -0.5 * a * a + beta * math.sqrt(1.5 * a)
 
 
 def _G(n: int, beta: float, x: float) -> float:
@@ -176,10 +166,6 @@ def g_profile(n: int, eps: float) -> GProfile:
             break
     x_star = 0.5 * (lo + hi)
     m_star = beta ** (2.0 / 3.0) * (3.0 / 8.0) ** (1.0 / 3.0) * n ** (2.0 / 3.0) / math.log(n) ** (1.0 / 3.0)
-    bracket_ok = (
-        _G_prime(n, beta, (1 - BRACKET_DELTA) * m_star) > 0
-        and _G_prime(n, beta, (1 + BRACKET_DELTA) * m_star) < 0
-    )
     return GProfile(
         n=n,
         eps=eps,
@@ -187,7 +173,6 @@ def g_profile(n: int, eps: float) -> GProfile:
         x_star=x_star,
         G_at_x_star=_G(n, beta, x_star),
         m_star=m_star,
-        bracket_ok=bracket_ok,
     )
 
 

@@ -150,7 +150,7 @@ def cmd_series(args) -> int:
             writer.writerow([d, u, knum, kden, repr(q), repr(float(tab.c[d - 1]))])
         _write_text((args.out, buf.getvalue()))
         return EXIT_OK
-    table = series.mu_table(args.degree, args.mode)
+    table = series.mu_table(args.degree)
     if args.coefficients:
         writer.writerow(["m", "e_coeff", "mu"])
         for m in range(args.degree + 1):
@@ -159,7 +159,7 @@ def cmd_series(args) -> int:
         writer.writerow(["n", "log_E_B", "rankin_log_bound", "s_star", "A_n"])
         for n in args.eval_n or [args.degree]:
             if n > args.degree:
-                raise CeilingError("degree above configured cap")
+                raise CeilingError(f"--eval-n {n} is above --degree {args.degree}")
             rep = series.saddle_point(n)
             row = [
                 n,
@@ -265,15 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="generating-function route to E_n(B)")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "float"], default="float")
     p.add_argument("--precision", type=int, default=None,
                    help=f"mpmath bits (>= 60) for the Q_d column of --renyi-table (default ${PRECISION_ENV})")
-    p.add_argument("--coefficients", action="store_true", help="emit (m, e_coeff, mu) table")
-    p.add_argument("--renyi-table", action="store_true",
-                   help="emit the (d, U_d, kappa, Q_d, c_d) connected-mapping table")
     p.add_argument("--exact-ceiling", type=int, default=200,
                    help="largest d carried exactly in the renyi table")
-    p.add_argument("--eval-n", dest="eval_n", type=int, nargs="*", default=None)
+    emit = p.add_mutually_exclusive_group()
+    emit.add_argument("--coefficients", action="store_true", help="emit (m, e_coeff, mu) table")
+    emit.add_argument("--renyi-table", action="store_true",
+                      help="emit the (d, U_d, kappa, Q_d, c_d) connected-mapping table")
+    emit.add_argument("--eval-n", dest="eval_n", type=int, nargs="*", default=None,
+                      help="emit (n, log_E_B, rankin_log_bound, s_star, A_n) rows (default n = degree)")
     p.add_argument("--out", default=None)
     # ITERMAP_PRECISION_BITS is checked whatever the subcommand; only --renyi-table reads it
     p.set_defaults(func=cmd_series, env_precision=_default_precision())

@@ -134,16 +134,6 @@ def z_pmf(n: int) -> ZDistribution:
     return ZDistribution(n=n, pmf=tuple(probs))
 
 
-def z_pmf_sums_to_one(n: int) -> bool:
-    """Integer-only normalization check: sum_m m * n!/(n-m)! * n^(n-m) == n^(n+1)."""
-    acc = 0
-    falling = 1
-    for m in range(1, n + 1):
-        falling *= n - m + 1
-        acc += m * falling * n ** (n - m)
-    return acc == n ** (n + 1)
-
-
 # ---------------------------------------------------------------------------
 # Permutation averages
 

@@ -12,11 +12,12 @@ the weighted cycle-length sum telescopes to exactly d, so
 
     kappa_d = d / R_d,   Q(d) = h_d * R_d,   c_d = h_d - Q(d)/d,
 
-with h_d = d^d/(d! e^d).  Each quantity has one route: |U_d|, kappa_d
-and gamma_d = c_d e^d are exact (connected_count, kappa_exact,
-gamma_exact); Q(d) is the regularized upper incomplete gamma
-Gamma(d, d)/Gamma(d), from scipy's gammaincc in float64 (c_table,
-renyi_table) or from mpmath at a chosen precision (q_factor).
+with h_d = d^d/(d! e^d).  Each quantity has one route: |U_d| and
+kappa_d are exact (connected_count, kappa_exact); Q(d) is the
+regularized upper incomplete gamma Gamma(d, d)/Gamma(d), from scipy's
+gammaincc in float64 (c_table, renyi_table) or from mpmath at a chosen
+precision (q_factor); c_d is float64 (c_table).  The exact
+gamma_d = c_d e^d is a test oracle in tests/series_reference.py.
 """
 
 from __future__ import annotations
@@ -74,12 +75,6 @@ def q_factor(d: int, prec: int) -> float:
 
     with mpmath.workprec(prec):
         return float(mpmath.gammainc(d, d, mpmath.inf, regularized=True))
-
-
-def gamma_exact(d: int) -> Fraction:
-    """gamma_d = c_d e^d = (d - R_d) d^(d-1)/d!, exact."""
-    r = _ramanujan_r_exact(d)
-    return (d - r) * d ** (d - 1) / Fraction(math.factorial(d))
 
 
 def _q_and_c(N: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -1,22 +1,22 @@
 """Coefficient machinery for the cycle-product expectation E_n(B).
 
 The deconditioned identity reads E_n(B) as a convolution of the
-coefficients of exp(sum_d c_d z^d) with h_m = m^m/(m! e^m).  mu(m)
-denotes the prefix sums (the coefficients after an extra 1/(1-z)
-factor); mu feeds the Rankin bound and the saddle-point analysis of
-g(s) = sum_d c_d e^{-ds}, while the convolution itself uses the bare
+coefficients of exp(sum_d c_d z^d) with h_m = m^m/(m! e^m), evaluated
+in float64 (log_expected_B): the one library route to E_n(B) at large
+n.  mu(m) denotes the prefix sums (the coefficients after an extra
+1/(1-z) factor), bounded above by the Rankin bound exp(n s + g(s)) with
+g(s) = sum_d c_d e^{-ds}; the convolution itself uses the bare
 exponential coefficients, the variant that matches the brute-force
 oracle (putting mu into the convolution gives 1 + e instead of 1 at
 n = 1).  The saddle point of n s + g(s) is the root of g'(s) + n, found
-by Newton's method alone.
+by Newton's method alone.  The exact-rational series and the Rankin
+check are test oracles in tests/series_reference.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 from scipy.special import gammaln
@@ -24,7 +24,6 @@ from scipy.special import gammaln
 from . import renyi
 from .mapping import CeilingError, InvariantError
 
-EXACT_SERIES_CEILING = 500
 DEGREE_CAP_DEFAULT = 200_000
 
 
@@ -50,20 +49,6 @@ def exp_series(inner: np.ndarray) -> np.ndarray:
     return e
 
 
-def exp_series_exact(gamma: list[Fraction]) -> list[Fraction]:
-    """Exact carrier r_m with e_m = r_m e^{-m}, from gamma_d = c_d e^d."""
-    N = len(gamma)
-    r = [Fraction(1)] + [Fraction(0)] * N
-    for m in range(1, N + 1):
-        acc = Fraction(0)
-        for d in range(1, m + 1):
-            g = gamma[d - 1]
-            if g:
-                acc += d * g * r[m - d]
-        r[m] = acc / m
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Series tables
 
@@ -73,16 +58,13 @@ class SeriesTable:
     """Immutable coefficient table to truncation degree N.
 
     e[m] = [z^m] exp(sum c_d z^d); mu = prefix sums of e; h[m] =
-    m^m/(m! e^m).  In exact mode r[m] carries e[m] = r[m] e^{-m} as a
-    rational.
+    m^m/(m! e^m).
     """
 
     N: int
-    mode: Literal["exact", "float"]
     e: np.ndarray
     mu: np.ndarray
     h: np.ndarray
-    r: tuple[Fraction, ...] | None = None
 
 
 def _h_array(N: int) -> np.ndarray:
@@ -93,58 +75,26 @@ def _h_array(N: int) -> np.ndarray:
     return h
 
 
-def mu_table(N: int, mode: Literal["exact", "float"] = "float") -> SeriesTable:
-    """Build e, mu and h to degree N; exact mode also carries rationals."""
+def mu_table(N: int) -> SeriesTable:
+    """Build e, mu and h to degree N."""
     if N < 0:
         raise CeilingError("degree must be nonnegative")
-    if mode == "exact":
-        if N > EXACT_SERIES_CEILING:
-            raise CeilingError("exact mode too large")
-        r = exp_series_exact([renyi.gamma_exact(d) for d in range(1, N + 1)])
-        e = np.array([float(ri) * math.exp(-m) for m, ri in enumerate(r)])
-        return SeriesTable(N=N, mode="exact", e=e, mu=np.cumsum(e), h=_h_array(N), r=tuple(r))
     if N > DEGREE_CAP_DEFAULT:
         raise CeilingError("degree above configured cap")
     e = exp_series(renyi.c_table(N) if N else np.empty(0))
-    return SeriesTable(N=N, mode="float", e=e, mu=np.cumsum(e), h=_h_array(N))
+    return SeriesTable(N=N, e=e, mu=np.cumsum(e), h=_h_array(N))
 
 
 # ---------------------------------------------------------------------------
 # E_n(B)
 
 
-def expected_B(
-    n: int,
-    mode: Literal["exact", "float"] = "float",
-    table: SeriesTable | None = None,
-) -> Fraction | float:
-    """E_n(B) = (n! e^n/n^n) sum_m e_m h_{n-m}, bare exponential coefficients.
-
-    Exact mode returns the rational (n!/n^n) sum_m r_m (n-m)^{n-m}/(n-m)!
-    (every e^{-m} cancels); float mode evaluates the prefactor in log
-    space.
-    """
-    if n < 1:
-        raise CeilingError("n must be positive")
-    if mode == "exact":
-        if n > EXACT_SERIES_CEILING:
-            raise CeilingError("exact mode too large")
-        if table is None or table.mode != "exact" or table.N < n:
-            table = mu_table(n, "exact")
-        if table.r is None:
-            raise InvariantError("exact-mode table without rational coefficients")
-        acc = Fraction(0)
-        for m in range(n + 1):
-            k = n - m
-            acc += table.r[m] * Fraction(k**k if k else 1, math.factorial(k))
-        return Fraction(math.factorial(n), n**n) * acc
-    return math.exp(log_expected_B(n, table))
-
-
 def log_expected_B(n: int, table: SeriesTable | None = None) -> float:
-    """log E_n(B), float route; builds a degree-n table when none is given."""
+    """log E_n(B) from E_n(B) = (n! e^n/n^n) sum_m e_m h_{n-m}, bare exponential
+    coefficients, prefactor in log space; builds a degree-n table when none is given.
+    """
     if table is None or table.N < n:
-        table = mu_table(n, "float")
+        table = mu_table(n)
     s = float(np.dot(table.e[: n + 1], table.h[n::-1]))
     logpref = math.lgamma(n + 1) + n - n * math.log(n)
     return logpref + math.log(s)
@@ -164,7 +114,12 @@ def _c_upto(N: int) -> np.ndarray:
 
 
 def _g_sums(s: float, orders) -> tuple[float, ...]:
-    """g^(j)(s) for each j in orders, from one array of c_d e^{-ds}."""
+    """g^(j)(s) = sum_d (-d)^j c_d e^{-ds} for each j in orders, from one array.
+
+    The sum is truncated at D(s) = ceil(40/s): the geometric envelope
+    c_d <= 1/sqrt(2 pi d) makes the tail beyond D(s) smaller than 1e-15
+    of the total for j <= 3.
+    """
     D = math.ceil(40.0 / s)
     d = np.arange(1, D + 1, dtype=np.float64)
     terms = _c_upto(D) * np.exp(-d * s)
@@ -180,29 +135,6 @@ def _neg_power(d: np.ndarray, j: int) -> np.ndarray:
     return -(d * d) * d if j == 3 else (-d) ** j
 
 
-def g_eval(s: float, j: int = 0) -> float:
-    """g^(j)(s) = sum_d (-d)^j c_d e^{-ds}, truncated at D(s) = ceil(40/s).
-
-    The geometric envelope c_d <= 1/sqrt(2 pi d) makes the tail beyond
-    D(s) smaller than 1e-15 of the total for j <= 3.
-    """
-    if s <= 0:
-        raise CeilingError("domain error")
-    if j not in (0, 1, 2, 3):
-        raise CeilingError("derivative order must be 0..3")
-    return _g_sums(s, (j,))[0]
-
-
-def rankin_bound(n: int, s: float, table: SeriesTable) -> float:
-    """exp(n s + g(s)); asserts mu(n) <= bound."""
-    if s <= 0:
-        raise CeilingError("domain error")
-    bound = math.exp(n * s + g_eval(s))
-    if table.N >= n and not table.mu[n] <= bound:
-        raise InvariantError(f"Rankin bound violated at n={n}")
-    return bound
-
-
 @dataclass(frozen=True)
 class SaddleReport:
     n: int
@@ -213,10 +145,6 @@ class SaddleReport:
     g3: float
     A_n: float
     rankin_log_value: float  # n*s_star + g(s_star)
-    s_ratio: float           # s_star * 2 n^(2/3)
-    A_ratio: float           # A_n / (3 n^(5/3))
-    g3_ratio: float          # |g3| / (15 n^(7/3))
-    odlyzko_ok: bool
 
 
 NEWTON_MAX_STEPS = 50
@@ -260,8 +188,4 @@ def saddle_point(n: int) -> SaddleReport:
         g3=g3,
         A_n=g2,
         rankin_log_value=n * s_star + g0,
-        s_ratio=s_star * 2 * n ** (2.0 / 3.0),
-        A_ratio=g2 / (3 * n ** (5.0 / 3.0)),
-        g3_ratio=abs(g3) / (15 * n ** (7.0 / 3.0)),
-        odlyzko_ok=abs(g3) <= g2**1.5,
     )

@@ -4,7 +4,7 @@ Partition enumeration for small m, independent of the order-count
 recurrence in exact: every cycle type of m is enumerated, weighted by
 the number of permutations that have it.  For b_m up to m = 500, the
 O(m^2) exp-of-series convolution that exact's three-term recurrence
-replaced.
+replaced.  The integer-only check that P_n(Z=m) sums to one.
 """
 
 import math
@@ -85,3 +85,13 @@ def perm_B_mean(m: int) -> Fraction:
     if m == 0:
         return Fraction(1)
     return Fraction(_partition_sums(m)[1], math.factorial(m))
+
+
+def z_pmf_sums_to_one(n: int) -> bool:
+    """Integer-only normalization check: sum_m m * n!/(n-m)! * n^(n-m) == n^(n+1)."""
+    acc = 0
+    falling = 1
+    for m in range(1, n + 1):
+        falling *= n - m + 1
+        acc += m * falling * n ** (n - m)
+    return acc == n ** (n + 1)

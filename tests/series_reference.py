@@ -1,10 +1,53 @@
-"""Plain bisection for the saddle point, the test oracle for series.saddle_point.
+"""Test oracles for series: the exact-rational route to E_n(B), g(s), the
+Rankin bound, and plain bisection for the saddle point.
 
-Evaluates g'(s) + n at every bracket and bisection point, with no root
-located first, and g0..g3 by one g_eval call each.
+The exact route shares no code with the float64 one: gamma_d = c_d e^d
+comes from renyi_reference.s_exact, and the exponential coefficients
+e_m = r_m e^{-m} from the same recurrence in rationals, so every e^{-m}
+cancels in E_n(B).  The bisection evaluates g'(s) + n at every bracket
+and bisection point, with no root located first, and g0..g3 by one
+g_eval call each.
 """
 
-from itermap.series import SaddleReport, g_eval
+import math
+from fractions import Fraction
+
+import renyi_reference
+from itermap.mapping import InvariantError
+from itermap.series import SaddleReport, SeriesTable, _g_sums
+
+
+def gamma_exact(d: int) -> Fraction:
+    """gamma_d = c_d e^d = d^d/d! - S_d/d, exact."""
+    return Fraction(d**d, math.factorial(d)) - renyi_reference.s_exact(d) / d
+
+
+def exp_series_exact(gamma: list[Fraction]) -> list[Fraction]:
+    """Exact carrier r_m with e_m = r_m e^{-m}, from gamma_d = c_d e^d."""
+    r = [Fraction(1)]
+    for m in range(1, len(gamma) + 1):
+        r.append(sum((d * gamma[d - 1] * r[m - d] for d in range(1, m + 1)), Fraction(0)) / m)
+    return r
+
+
+def expected_B_exact(n: int) -> Fraction:
+    """E_n(B) = (n!/n^n) sum_m r_m (n-m)^(n-m)/(n-m)!, exact."""
+    r = exp_series_exact([gamma_exact(d) for d in range(1, n + 1)])
+    acc = sum(r[m] * Fraction((n - m) ** (n - m), math.factorial(n - m)) for m in range(n + 1))
+    return Fraction(math.factorial(n), n**n) * acc
+
+
+def g_eval(s: float, j: int = 0) -> float:
+    """g^(j)(s) alone, from series._g_sums."""
+    return _g_sums(s, (j,))[0]
+
+
+def rankin_bound(n: int, s: float, table: SeriesTable) -> float:
+    """exp(n s + g(s)); raises InvariantError unless mu(n) <= bound."""
+    bound = math.exp(n * s + g_eval(s))
+    if table.N >= n and not table.mu[n] <= bound:
+        raise InvariantError(f"Rankin bound violated at n={n}")
+    return bound
 
 
 def saddle_point(n: int, rel_tol: float = 1e-10) -> SaddleReport:
@@ -45,8 +88,4 @@ def saddle_point(n: int, rel_tol: float = 1e-10) -> SaddleReport:
         g3=g3,
         A_n=g2,
         rankin_log_value=n * s_star + g0,
-        s_ratio=s_star * 2 * n ** (2.0 / 3.0),
-        A_ratio=g2 / (3 * n ** (5.0 / 3.0)),
-        g3_ratio=abs(g3) / (15 * n ** (7.0 / 3.0)),
-        odlyzko_ok=abs(g3) <= g2**1.5,
     )

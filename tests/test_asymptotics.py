@@ -8,6 +8,12 @@ import scipy.integrate
 from itermap import asymptotics, mapping
 
 
+def k_eps_closed_form(beta: float) -> float:
+    """k_eps = -a^2/2 + beta*sqrt(3a/2) with a = beta^(2/3) (3/8)^(1/3)."""
+    a = beta ** (2.0 / 3.0) * (3.0 / 8.0) ** (1.0 / 3.0)
+    return -0.5 * a * a + beta * math.sqrt(1.5 * a)
+
+
 class TestQuadrature:
     def test_polynomial_exact(self):
         val, err = asymptotics.adaptive_quad(lambda x: x**3, 0.0, 2.0, 1e-12)
@@ -59,7 +65,8 @@ class TestGProfile:
     def test_maximizer_scaling(self):
         # x* ~ m* = beta^(2/3) (3/8)^(1/3) n^(2/3) / log^(1/3) n
         prof = asymptotics.g_profile(10**6, 0.01)
-        assert prof.bracket_ok
+        assert asymptotics._G_prime(10**6, prof.beta_eps, 0.75 * prof.m_star) > 0
+        assert asymptotics._G_prime(10**6, prof.beta_eps, 1.25 * prof.m_star) < 0
         assert 0.8 < prof.x_star / prof.m_star < 1.2
 
     def test_stationary_point(self):
@@ -91,11 +98,11 @@ class TestGProfile:
     def test_k_eps_closure(self):
         # k_eps at beta0 equals k0: same stationary algebra
         c = asymptotics.constants()
-        assert math.isclose(asymptotics.k_eps_closed_form(c.beta0), c.k0, rel_tol=1e-12)
+        assert math.isclose(k_eps_closed_form(c.beta0), c.k0, rel_tol=1e-12)
 
     def test_k_eps_monotone(self):
         b0 = asymptotics.constants().beta0
-        vals = [asymptotics.k_eps_closed_form(b0 + e) for e in (0.0, 0.01, 0.1, 1.0)]
+        vals = [k_eps_closed_form(b0 + e) for e in (0.0, 0.01, 0.1, 1.0)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
     def test_domain(self):

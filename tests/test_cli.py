@@ -17,6 +17,13 @@ from itermap import asymptotics, cli, exact, montecarlo, series
 from itermap.mapping import CeilingError, InvariantError, MappingError
 
 ANALYZE_2E5_SHA256 = "15a3ad673a98ea9da4406212f6742645b0fe901f740cddf466d804f416f63d88"
+# sha256 of series stdout, recorded while the exact-rational --mode was still an option
+SERIES_SHA256 = {
+    ("--degree", "300", "--coefficients"):
+        "3760ef17b97b60c1729d7d748541cdfd73e0669d1d465ef5a590df4695fb78a4",
+    ("--degree", "2000", "--eval-n", "1", "2", "7", "100", "999", "2000"):
+        "31d2d3b746897eca1a8b8c8528fbe17c421b184cef097748691a9a01f141c5f5",
+}
 
 
 def run(capsys, *argv):
@@ -181,9 +188,33 @@ class TestSeries:
         assert err == f"error: --precision must be at least 60 bits, got {bits}\n"
 
     def test_eval_above_degree(self, capsys):
-        code, _, err = run(capsys, "series", "--degree", "10", "--eval-n", "50")
-        assert code == cli.EXIT_CEILING
-        assert "degree above configured cap" in err
+        code, out, err = run(capsys, "series", "--degree", "10", "--eval-n", "50")
+        assert (code, out, err) == (cli.EXIT_CEILING, "", "error: --eval-n 50 is above --degree 10\n")
+
+    @pytest.mark.parametrize("argv", sorted(SERIES_SHA256), ids=lambda argv: argv[2])
+    def test_output_pinned(self, capsys, argv):
+        code, out, _ = run(capsys, "series", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SERIES_SHA256[argv]
+
+    # each pair of table options, and the removed exact-rational mode
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ("--coefficients", "--eval-n", "3"),
+            ("--coefficients", "--renyi-table"),
+            ("--renyi-table", "--eval-n", "3"),
+            ("--eval-n", "--coefficients"),
+            ("--mode", "exact"),
+        ],
+        ids=lambda options: " ".join(options),
+    )
+    def test_rejected_options(self, capsys, options):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["series", "--degree", "5", *options])
+        out = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_PARSE
+        assert out.out == "" and ": error: " in out.err
 
     def test_invariant_violation(self, capsys, monkeypatch):
         real = series._g_sums

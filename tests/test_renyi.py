@@ -6,6 +6,7 @@ import pytest
 from scipy.special import gammaincc
 
 import renyi_reference
+import series_reference
 from itermap import exact, renyi
 
 
@@ -98,11 +99,11 @@ class TestQFactor:
 class TestCCoeff:
     def test_c1_zero(self):
         assert renyi.c_table(1)[0] == 0.0
-        assert renyi.gamma_exact(1) == 0
+        assert series_reference.gamma_exact(1) == 0
 
     def test_c2(self):
         assert math.isclose(renyi.c_table(2)[1], math.exp(-2) / 2, rel_tol=1e-13)
-        assert renyi.gamma_exact(2) == Fraction(1, 2)
+        assert series_reference.gamma_exact(2) == Fraction(1, 2)
 
     def test_large_d_envelope(self):
         d = 10**4

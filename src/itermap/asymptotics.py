@@ -118,9 +118,6 @@ def constants(tolerance: float = 1e-10) -> Constants:
 
 @dataclass(frozen=True)
 class GProfile:
-    n: int
-    eps: float
-    beta_eps: float
     x_star: float
     G_at_x_star: float
     m_star: float
@@ -167,9 +164,6 @@ def g_profile(n: int, eps: float) -> GProfile:
     x_star = 0.5 * (lo + hi)
     m_star = beta ** (2.0 / 3.0) * (3.0 / 8.0) ** (1.0 / 3.0) * n ** (2.0 / 3.0) / math.log(n) ** (1.0 / 3.0)
     return GProfile(
-        n=n,
-        eps=eps,
-        beta_eps=beta,
         x_star=x_star,
         G_at_x_star=_G(n, beta, x_star),
         m_star=m_star,
@@ -189,7 +183,6 @@ def stong_logM(m: int) -> float:
 
 @dataclass(frozen=True)
 class EnTEstimate:
-    n: int
     leading: float
     lower_log: float
     upper_log: float
@@ -197,11 +190,14 @@ class EnTEstimate:
     m_star: float
 
 
-def en_T_estimate(n: int, eps: float = 0.01) -> EnTEstimate:
+EPS = 0.01  # the eps of beta0 + eps in the upper bound's profile G
+
+
+def en_T_estimate(n: int) -> EnTEstimate:
     """Bracket log E_n(T) and its leading-order value k0 (n/log^2 n)^(1/3).
 
     lower_log = log P_n(Z=m0*) + beta0 sqrt(m0*/log m0*) at the nearest
-    integer m0* to a0 (n^2/log n)^(1/3); upper_log = G(x*) at small eps.
+    integer m0* to a0 (n^2/log n)^(1/3); upper_log = G(x*) at eps = EPS.
     The stated error terms O(m0^3/n^2) and O(sqrt(m0) loglog m0 / log m0)
     have no explicit constants, so lower_log keeps only the explicit terms.
     """
@@ -218,12 +214,11 @@ def en_T_estimate(n: int, eps: float = 0.01) -> EnTEstimate:
         - (m0 + 1) * math.log(n)
     )
     lower = log_pz + stong_logM(m0)
-    prof = g_profile(n, eps)
+    prof = g_profile(n, EPS)
     upper = prof.G_at_x_star
     if lower > upper:
         raise InvariantError("lower bound exceeded upper bound")
     return EnTEstimate(
-        n=n,
         leading=leading,
         lower_log=lower,
         upper_log=upper,

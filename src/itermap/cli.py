@@ -11,7 +11,9 @@ Any other exception propagates.  `exact` also exits 5, after writing
 its table, when a brute-force cross-check fails.  Every output file is
 opened before any text is written, so an unwritable path leaves stdout
 empty.  Each cmd_* imports the modules it needs; analyze, exact,
-constants and simulate load no scipy.
+constants and simulate load no scipy.  Settings come from options
+alone, never the environment; one with a single value in use is a
+module constant (renyi.EXACT_MAX_D, asymptotics.EPS).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from .mapping import CeilingError, InvariantError, MappingError
@@ -32,8 +33,6 @@ EXIT_PARSE = 2
 EXIT_IO = 3
 EXIT_CEILING = 4
 EXIT_INVARIANT = 5
-
-PRECISION_ENV = "ITERMAP_PRECISION_BITS"
 
 
 class UsageError(ValueError):
@@ -47,24 +46,6 @@ EXIT_CODES = {
     CeilingError: EXIT_CEILING,
     InvariantError: EXIT_INVARIANT,
 }
-
-
-def _check_precision(bits: int, source: str) -> int:
-    # mpmath's Q_d rounds correctly to float64 from 60 bits (checked for d <= 800), not below
-    if bits < 60:
-        raise UsageError(f"{source} must be at least 60 bits, got {bits}")
-    return bits
-
-
-def _default_precision() -> int | None:
-    raw = os.environ.get(PRECISION_ENV)
-    if not raw:
-        return None
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise UsageError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
-    return _check_precision(bits, PRECISION_ENV)
 
 
 def _write_text(*outputs: tuple[str | None, str]) -> None:
@@ -104,8 +85,6 @@ def cmd_exact(args) -> int:
     writer = csv.writer(buf)
     ok = True
     if args.orders:
-        if n > exact.M_MAX_DEFAULT:
-            raise CeilingError("order-count table too large")
         writer.writerow(["m", "M_num", "M_den", "b_num", "b_den"])
         for m in range(1, n + 1):
             M = exact.perm_order_mean(m)
@@ -128,26 +107,28 @@ def cmd_exact(args) -> int:
 def cmd_series(args) -> int:
     from . import renyi, series
 
-    if args.precision is not None:
+    bits = args.precision
+    if bits is not None:
         if not args.renyi_table:
             raise UsageError("--precision applies only to --renyi-table")
-        _check_precision(args.precision, "--precision")
-    bits = args.env_precision if args.precision is None else args.precision
+        # mpmath's Q_d rounds correctly to float64 from 60 bits (checked for d <= 800), not below
+        if bits < 60:
+            raise UsageError(f"--precision must be at least 60 bits, got {bits}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     if args.renyi_table:
         if args.degree < 1:
             raise CeilingError("degree must be positive")
         writer.writerow(["d", "U_d", "kappa_num", "kappa_den", "Q_d", "c_d"])
-        tab = renyi.renyi_table(args.degree, exact_upto=min(args.degree, args.exact_ceiling))
+        Q, c = renyi.q_and_c(args.degree)
         for d in range(1, args.degree + 1):
-            if d <= tab.exact_upto:
-                kap = tab.kappa_exact[d - 1]
-                u, knum, kden = tab.U[d - 1], kap.numerator, kap.denominator
+            if d <= renyi.EXACT_MAX_D:
+                kap = renyi.kappa_exact(d)
+                u, knum, kden = renyi.connected_count(d), kap.numerator, kap.denominator
             else:
                 u, knum, kden = "", "", ""
-            q = renyi.q_factor(d, bits) if bits else float(tab.Q[d - 1])
-            writer.writerow([d, u, knum, kden, repr(q), repr(float(tab.c[d - 1]))])
+            q = renyi.q_factor(d, bits) if bits else float(Q[d - 1])
+            writer.writerow([d, u, knum, kden, repr(q), repr(float(c[d - 1]))])
         _write_text((args.out, buf.getvalue()))
         return EXIT_OK
     table = series.mu_table(args.degree)
@@ -180,7 +161,7 @@ def cmd_asymptotics(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(["n", "leading", "lower_log", "upper_log", "x_star", "m_star"])
     for n in args.n:
-        est = asymptotics.en_T_estimate(n, eps=args.eps)
+        est = asymptotics.en_T_estimate(n)
         writer.writerow(
             [n]
             + [repr(v) for v in (est.leading, est.lower_log, est.upper_log, est.x_star, est.m_star)]
@@ -266,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="generating-function route to E_n(B)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--precision", type=int, default=None,
-                   help=f"mpmath bits (>= 60) for the Q_d column of --renyi-table (default ${PRECISION_ENV})")
-    p.add_argument("--exact-ceiling", type=int, default=200,
-                   help="largest d carried exactly in the renyi table")
+                   help="mpmath bits (>= 60) for the Q_d column of --renyi-table (default: scipy float64)")
     emit = p.add_mutually_exclusive_group()
     emit.add_argument("--coefficients", action="store_true", help="emit (m, e_coeff, mu) table")
     emit.add_argument("--renyi-table", action="store_true",
@@ -276,12 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--eval-n", dest="eval_n", type=int, nargs="*", default=None,
                       help="emit (n, log_E_B, rankin_log_bound, s_star, A_n) rows (default n = degree)")
     p.add_argument("--out", default=None)
-    # ITERMAP_PRECISION_BITS is checked whatever the subcommand; only --renyi-table reads it
-    p.set_defaults(func=cmd_series, env_precision=_default_precision())
+    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("asymptotics", help="asymptotic bracket for log E_n(T)")
     p.add_argument("--n", type=int, nargs="+", required=True)
-    p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_asymptotics)
 

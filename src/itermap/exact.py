@@ -201,8 +201,6 @@ def perm_B_mean(m: int) -> Fraction:
 
 def exact_E_T(n: int) -> Fraction:
     """E_n(T) = sum_m P_n(Z=m) * M_m, exact."""
-    if n > M_MAX_DEFAULT:
-        raise CeilingError("order-count table too large")
     dist = z_pmf(n)
     return sum(
         (p * perm_order_mean(m) for m, p in enumerate(dist.pmf, start=1)),

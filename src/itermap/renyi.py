@@ -15,19 +15,20 @@ the weighted cycle-length sum telescopes to exactly d, so
 with h_d = d^d/(d! e^d).  Each quantity has one route: |U_d| and
 kappa_d are exact (connected_count, kappa_exact); Q(d) is the
 regularized upper incomplete gamma Gamma(d, d)/Gamma(d), from scipy's
-gammaincc in float64 (c_table, renyi_table) or from mpmath at a chosen
-precision (q_factor); c_d is float64 (c_table).  The exact
+gammaincc in float64 (q_and_c) or from mpmath at a chosen
+precision (q_factor); c_d is float64 (q_and_c, c_table).  The exact
 gamma_d = c_d e^d is a test oracle in tests/series_reference.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
+
+EXACT_MAX_D = 200  # largest d whose exact |U_d| and kappa_d the CLI table prints
 
 
 def connected_count(d: int) -> int:
@@ -77,7 +78,7 @@ def q_factor(d: int, prec: int) -> float:
         return float(mpmath.gammainc(d, d, mpmath.inf, regularized=True))
 
 
-def _q_and_c(N: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def q_and_c(N: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Q(d) = gammaincc(d, d) and c_d for d = start..N as float arrays (index d-start).
 
     The regularized upper incomplete gamma equals the Poisson cdf factor
@@ -94,32 +95,5 @@ def _q_and_c(N: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 
 def c_table(N: int, start: int = 1) -> np.ndarray:
-    """c_start..c_N as a float array (index d-start), fully vectorized; see _q_and_c."""
-    return _q_and_c(N, start)[1]
-
-
-@dataclass(frozen=True)
-class RenyiTable:
-    """Immutable per-d table up to degree N; exact columns only below the ceiling."""
-
-    N: int
-    exact_upto: int
-    U: tuple[int, ...]            # |U_d| for d <= exact_upto
-    kappa_exact: tuple[Fraction, ...]
-    Q: np.ndarray                 # float, all d
-    c: np.ndarray                 # float, all d
-
-
-def renyi_table(N: int, exact_upto: int = 0) -> RenyiTable:
-    """Build the table to degree N; exact columns computed for d <= exact_upto."""
-    exact_upto = min(exact_upto, N)
-    exact_d = range(1, exact_upto + 1)
-    q, c = _q_and_c(N)
-    return RenyiTable(
-        N=N,
-        exact_upto=exact_upto,
-        U=tuple(connected_count(k) for k in exact_d),
-        kappa_exact=tuple(kappa_exact(k) for k in exact_d),
-        Q=q,
-        c=c,
-    )
+    """c_start..c_N as a float array (index d-start), fully vectorized; see q_and_c."""
+    return q_and_c(N, start)[1]

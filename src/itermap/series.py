@@ -75,13 +75,24 @@ def _h_array(N: int) -> np.ndarray:
     return h
 
 
+_c_cache = np.empty(0)
+
+
+def _c_upto(N: int) -> np.ndarray:
+    """c_1..c_N, grown on demand; the one source of c_d for the table and g(s)."""
+    global _c_cache
+    if _c_cache.size < N:
+        _c_cache = np.concatenate([_c_cache, renyi.c_table(N, start=_c_cache.size + 1)])
+    return _c_cache[:N]
+
+
 def mu_table(N: int) -> SeriesTable:
     """Build e, mu and h to degree N."""
     if N < 0:
         raise CeilingError("degree must be nonnegative")
     if N > DEGREE_CAP_DEFAULT:
         raise CeilingError("degree above configured cap")
-    e = exp_series(renyi.c_table(N) if N else np.empty(0))
+    e = exp_series(_c_upto(N))
     return SeriesTable(N=N, e=e, mu=np.cumsum(e), h=_h_array(N))
 
 
@@ -89,12 +100,12 @@ def mu_table(N: int) -> SeriesTable:
 # E_n(B)
 
 
-def log_expected_B(n: int, table: SeriesTable | None = None) -> float:
+def log_expected_B(n: int, table: SeriesTable) -> float:
     """log E_n(B) from E_n(B) = (n! e^n/n^n) sum_m e_m h_{n-m}, bare exponential
-    coefficients, prefactor in log space; builds a degree-n table when none is given.
+    coefficients, prefactor in log space; table must reach degree n.
     """
-    if table is None or table.N < n:
-        table = mu_table(n)
+    if table.N < n:
+        raise CeilingError(f"n = {n} is above the table's degree {table.N}")
     s = float(np.dot(table.e[: n + 1], table.h[n::-1]))
     logpref = math.lgamma(n + 1) + n - n * math.log(n)
     return logpref + math.log(s)
@@ -102,16 +113,6 @@ def log_expected_B(n: int, table: SeriesTable | None = None) -> float:
 
 # ---------------------------------------------------------------------------
 # g(s) and the saddle point
-
-_c_cache = np.empty(0)
-
-
-def _c_upto(N: int) -> np.ndarray:
-    global _c_cache
-    if _c_cache.size < N:
-        _c_cache = np.concatenate([_c_cache, renyi.c_table(N, start=_c_cache.size + 1)])
-    return _c_cache[:N]
-
 
 def _g_sums(s: float, orders) -> tuple[float, ...]:
     """g^(j)(s) = sum_d (-d)^j c_d e^{-ds} for each j in orders, from one array.

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -23,6 +24,21 @@ SERIES_SHA256 = {
         "3760ef17b97b60c1729d7d748541cdfd73e0669d1d465ef5a590df4695fb78a4",
     ("--degree", "2000", "--eval-n", "1", "2", "7", "100", "999", "2000"):
         "31d2d3b746897eca1a8b8c8528fbe17c421b184cef097748691a9a01f141c5f5",
+    # recorded while RenyiTable carried the table; rows 201-205 have empty exact columns
+    ("--degree", "205", "--renyi-table"):
+        "4fc86ca4d4bc6c93cb04f62a93bbb54a999b848f5a67d99c07aeaf16ddbcfa24",
+}
+# sha256 of asymptotics stdout, recorded while --eps was still an option
+ASYMPTOTICS_SHA256 = "c51c21bf8ace4985314c93579e488efaaa95c2b1bd6f7b39f5e08d18764462f2"
+# every option string of each subcommand; an option no caller sets belongs in a constant
+OPTIONS = {
+    "analyze": ["--help", "--out", "-h", "input"],
+    "exact": ["--help", "--n", "--orders", "--out", "-h"],
+    "series": ["--coefficients", "--degree", "--eval-n", "--help", "--out", "--precision",
+               "--renyi-table", "-h"],
+    "asymptotics": ["--help", "--n", "--out", "-h"],
+    "constants": ["--help", "--out", "--tolerance", "-h"],
+    "simulate": ["--blocks", "--help", "--histogram", "--n", "--out", "--samples", "--seed", "-h"],
 }
 
 
@@ -197,7 +213,8 @@ class TestSeries:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SERIES_SHA256[argv]
 
-    # each pair of table options, and the removed exact-rational mode
+    # each pair of table options, and the removed options: the exact-rational
+    # mode, the exact-column ceiling of --renyi-table and the eps of asymptotics
     @pytest.mark.parametrize(
         "options",
         [
@@ -206,12 +223,15 @@ class TestSeries:
             ("--renyi-table", "--eval-n", "3"),
             ("--eval-n", "--coefficients"),
             ("--mode", "exact"),
+            ("--exact-ceiling", "5"),
+            ("asymptotics", "--n", "1000", "--eps", "0.1"),
         ],
         ids=lambda options: " ".join(options),
     )
     def test_rejected_options(self, capsys, options):
+        argv = list(options) if options[0] == "asymptotics" else ["series", "--degree", "5", *options]
         with pytest.raises(SystemExit) as exc:
-            cli.main(["series", "--degree", "5", *options])
+            cli.main(argv)
         out = capsys.readouterr()
         assert exc.value.code == cli.EXIT_PARSE
         assert out.out == "" and ": error: " in out.err
@@ -284,8 +304,13 @@ class TestAsymptotics:
         assert code == cli.EXIT_INVARIANT
         assert out == "" and err == "error: lower bound exceeded upper bound\n"
 
+    def test_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "asymptotics", "--n", "100", "1000", "100000", "1000000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ASYMPTOTICS_SHA256
+
     def test_other_errors_propagate(self, capsys, monkeypatch):
-        def broken(n, eps):
+        def broken(n):
             raise RecursionError
 
         monkeypatch.setattr(asymptotics, "en_T_estimate", broken)
@@ -476,30 +501,26 @@ def test_byte_identical_reruns(capsys):
     assert outs[0] == outs[1]
 
 
+def test_option_inventory():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: sorted(s for a in p._actions for s in a.option_strings or [a.dest])
+        for name, p in sub.choices.items()
+    }
+    assert found == OPTIONS
+
+
+# --precision alone sets the Q_d precision; no setting comes from the environment
 class TestEnvironment:
     def test_bad_precision_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.PRECISION_ENV, "high")
+        monkeypatch.setenv("ITERMAP_PRECISION_BITS", "high")
         code, out, err = run(capsys, "exact", "--n", "3")
-        assert code == cli.EXIT_PARSE
-        assert out == ""
-        assert err == "error: ITERMAP_PRECISION_BITS must be an integer, got 'high'\n"
+        assert code == cli.EXIT_OK
+        assert out.startswith("n,E_T_num") and "error" not in err
 
     def test_precision_env_ignored_without_renyi_table(self, capsys, monkeypatch):
         argv = ("series", "--degree", "100", "--eval-n", "50")
         code, plain, _ = run(capsys, *argv)
-        monkeypatch.setenv(cli.PRECISION_ENV, "80")
+        monkeypatch.setenv("ITERMAP_PRECISION_BITS", "80")
         assert run(capsys, *argv) == (code, plain, "") and code == 0
-
-    def test_precision_env_sets_table_default(self, capsys, monkeypatch):
-        argv = ("series", "--degree", "3", "--renyi-table")
-        explicit = run(capsys, *argv, "--precision", "64")
-        monkeypatch.setenv(cli.PRECISION_ENV, "64")
-        assert run(capsys, *argv) == explicit
-
-    @pytest.mark.parametrize("bits", ["59", "53", "-5"])
-    def test_low_precision_env(self, capsys, monkeypatch, bits):
-        monkeypatch.setenv(cli.PRECISION_ENV, bits)
-        code, out, err = run(capsys, "series", "--degree", "3", "--renyi-table")
-        assert code == cli.EXIT_PARSE
-        assert out == ""
-        assert err == f"error: ITERMAP_PRECISION_BITS must be at least 60 bits, got {bits}\n"

@@ -72,10 +72,10 @@ class TestQFactor:
             assert 0 < renyi.q_factor(d, 64) < 1
 
     def test_high_precision_agrees(self):
-        # the mpmath route agrees with the float64 column of the table
-        tab = renyi.renyi_table(400)
+        # the mpmath route agrees with the float64 Q column
+        Q, _ = renyi.q_and_c(400)
         for d in (3, 50, 400):
-            assert math.isclose(renyi.q_factor(d, prec=100), tab.Q[d - 1], rel_tol=1e-12)
+            assert math.isclose(renyi.q_factor(d, prec=100), Q[d - 1], rel_tol=1e-12)
 
     def test_exact_S(self):
         assert renyi_reference.s_exact(2) == 3
@@ -122,13 +122,10 @@ class TestCCoeff:
         assert ct[0] == 0.0
 
 
-def test_renyi_table_build():
-    tab = renyi.renyi_table(50, exact_upto=10)
-    assert tab.N == 50 and tab.exact_upto == 10
-    assert len(tab.U) == len(tab.kappa_exact) == 10
-    assert tab.U[2] == 17 and tab.U[4] == 1569
-    assert tab.kappa_exact[1] == Fraction(4, 3)
-    assert tab.kappa_exact[9] == renyi.kappa_exact(10)
-    assert len(tab.Q) == len(tab.c) == 50
-    assert tab.Q[29] == gammaincc(30, 30)
-    assert (tab.c == renyi.c_table(50)).all()
+def test_q_and_c():
+    Q, c = renyi.q_and_c(50)
+    assert len(Q) == len(c) == 50
+    assert Q[29] == gammaincc(30, 30)
+    assert (c == renyi.c_table(50)).all()
+    assert renyi.connected_count(5) == 1569
+    assert renyi.kappa_exact(2) == Fraction(4, 3)

@@ -54,6 +54,10 @@ class TestMuTable:
         assert np.all(h > 1 / np.sqrt(8 * np.pi * m) - 1e-12)
         assert np.all(h < 1 / np.sqrt(2 * np.pi * m) + 1e-12)
 
+    def test_degree_zero(self):
+        t = series.mu_table(0)
+        assert t.e.tolist() == t.mu.tolist() == t.h.tolist() == [1.0]
+
     def test_exact_mode_matches_float(self):
         r = series_reference.exp_series_exact([series_reference.gamma_exact(d) for d in range(1, 26)])
         e = [float(rm) * math.exp(-m) for m, rm in enumerate(r)]
@@ -83,6 +87,12 @@ class TestExpectedB:
     def test_n1_float(self):
         tab = series.mu_table(5)
         assert math.isclose(math.exp(series.log_expected_B(1, tab)), 1.0, rel_tol=1e-12)
+
+    def test_short_table_rejected(self):
+        # a table below degree n is an error, not a silent O(n^2) rebuild
+        tab = series.mu_table(5)
+        with pytest.raises(CeilingError, match=r"^n = 6 is above the table's degree 5$"):
+            series.log_expected_B(6, tab)
 
 
 class TestGEval:

@@ -25,6 +25,14 @@ def _names(node: ast.AST) -> set[str]:
     return found
 
 
+def _modules():
+    """(file name, syntax tree) of each module of the package."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def unreferenced_public_defs() -> set[str]:
     """Public top-level functions and classes that no live code in src/ reaches.
 
@@ -34,11 +42,7 @@ def unreferenced_public_defs() -> set[str]:
     """
     roots: list[set[str]] = []
     defs: dict[str, set[str]] = {}
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _modules():
         for stmt in tree.body:
             defines = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             if defines and not stmt.name.startswith("_"):
@@ -62,3 +66,17 @@ def unreferenced_public_defs() -> set[str]:
 def test_no_test_only_routes_in_src():
     # a route that only tests call belongs in tests/*_reference.py
     assert unreferenced_public_defs() == set()
+
+
+def test_no_environment_reads():
+    # every setting is an option or a constant, so no module reads the environment
+    readers = set()
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "os" and node.attr in ("environ", "getenv"):
+                    readers.add(name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                if {a.name for a in node.names} & {"environ", "getenv"}:
+                    readers.add(name)
+    assert readers == set()

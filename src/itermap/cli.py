@@ -81,6 +81,7 @@ def cmd_exact(args) -> int:
     n = args.n
     if n < 1:
         raise CeilingError("n must be positive")
+    exact.perm_order_mean(n)  # both tables need M_1..M_n: fail before building any row
     buf = io.StringIO()
     writer = csv.writer(buf)
     ok = True

@@ -7,16 +7,24 @@ of the cycle lengths; B(f) is their product with multiplicity; O(f), the
 number of distinct iterates, equals T plus the largest tail height less
 one and always satisfies |O - T| < n.  `analyze` keeps only what these
 need: the cycle lengths, the number of cyclic vertices and the largest
-tail height.  `period_logs` takes T from `math.lcm` of the lengths, for
-`analyze` and the sampler alike.
+tail height, in O(n) work on a random mapping.  `period_logs` takes T
+from `math.lcm` of the lengths, for `analyze` and the sampler alike.
+
+A mapping file is 'n t1 ... tn': tokens [+-]?[0-9]+ separated by ASCII
+whitespace, targets 1-based.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
+
+_TOKEN = re.compile(rb"[+-]?[0-9]+")
+_TOKEN_BYTES = b" \t\n\r\x0b\x0c+-0123456789"  # the grammar's bytes: ASCII whitespace, signs, digits
+_INT64 = np.iinfo(np.int64)
 
 
 class MappingError(ValueError):
@@ -82,15 +90,43 @@ class PeriodStats:
     log_B: float
 
 
+def _bad_token(data: bytes) -> bytes | None:
+    """The first token of data outside [+-]?[0-9]+ or the int64 range, if any."""
+    for tok in data.split():
+        if not _TOKEN.fullmatch(tok) or not _INT64.min <= int(tok) <= _INT64.max:
+            return tok
+    return None
+
+
+def _signs_open_tokens(data: bytes) -> bool:
+    """Whether every + and - in data starts a token and is followed by a digit."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    at = np.flatnonzero((b == ord("+")) | (b == ord("-")))
+    before = b[at[at > 0] - 1].tobytes()
+    after = b[np.minimum(at + 1, len(b) - 1)].tobytes()  # a final sign reads itself
+    return (not before or before.isspace()) and (not after or after.isdigit())
+
+
 def parse_mapping(text: str | bytes) -> Mapping:
-    """Parse 'n t1 ... tn' (whitespace separated, 1-based targets)."""
-    tokens = text.split()
-    if not tokens:
+    """Parse 'n t1 ... tn' (see the module docstring) into a Mapping.
+
+    np.fromstring reads the numbers in C but is looser than the grammar:
+    it reads "+ 2" as 2 and a lone sign as 0, and clamps values beyond
+    int64.  So the bytes are checked first (only the grammar's bytes, and
+    every sign opens a token before a digit), and a value at an int64
+    bound sends the tokens through the exact `_bad_token`.  A str is read
+    as its UTF-8 bytes, so non-ASCII digits and whitespace are invalid.
+    """
+    data = text.encode("utf-8", "replace") if isinstance(text, str) else text
+    if not data or data.isspace():
         raise MappingError("empty domain")
-    try:
-        values = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise MappingError(f"invalid token: {exc}") from None
+    if data.translate(None, _TOKEN_BYTES) or not _signs_open_tokens(data):
+        raise MappingError(f"invalid token: {_bad_token(data)!r}")
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if values.max() == _INT64.max or values.min() == _INT64.min:
+        bad = _bad_token(data)
+        if bad is not None:
+            raise MappingError(f"invalid token: {bad!r}")
     n = int(values[0])
     if n < 1:
         raise MappingError("empty domain")
@@ -99,19 +135,52 @@ def parse_mapping(text: str | bytes) -> Mapping:
     return Mapping(n, values[1:])
 
 
-def _doubling(f: np.ndarray) -> np.ndarray:
-    """Cyclic mask of f by pointer doubling along the last axis.
+def _images(f: np.ndarray):
+    """Yield the image sets S_j = f^(2^j - 1)(V), j = 0, 1, ..., ending at the cyclic set.
 
-    f holds 0-based targets, one row (1-D) or a block of rows (2-D).  A
-    tail is shorter than n, so f^(2^K) with 2^K >= n maps every vertex
-    onto its cycle and its image is the cyclic set.  Only the current
-    table is kept.
+    f holds 0-based targets, one row (1-D) or a block of rows (2-D, run
+    as one graph with row offsets); each S_j is an ascending array of
+    flat vertex indices.  g = f^(2^j) is kept on S_j only, relabelled
+    0..|S_j|-1: S_{j+1} = g(S_j), and g maps S_{j+1} into itself, so
+    f^(2^(j+1)) on S_{j+1} is g o g there.  The loop stops
+    at the first S_{j+1} = S_j, which is then the cyclic set, or at S_J
+    with 2^J >= n, past every tail.  The sets shrink about geometrically
+    on random mappings (|f^k(V)| is about 2n/k), so the work is O(n);
+    where they barely shrink, as on a long chain, it is O(n log n).
     """
-    g = f
-    for _ in range(max(1, (f.shape[-1] - 1).bit_length())):
-        g = np.take_along_axis(g, g, axis=-1)
+    n = f.shape[-1]
+    g = (f + np.arange(0, f.size, n)[:, None]).ravel() if f.ndim > 1 else f
+    S = None  # S_0, every vertex, is made for the caller only
+    yield np.arange(g.size)
+    for _ in range((n - 1).bit_length()):
+        mark = np.zeros(g.size, dtype=bool)
+        mark[g] = True
+        keep = np.flatnonzero(mark)
+        del mark
+        if len(keep) == len(g):
+            return
+        S = keep if S is None else S.take(keep)
+        yield S
+        g = _relabel(g.take(g.take(keep)), keep, len(g))
+
+
+def _relabel(x: np.ndarray, keep: np.ndarray, m: int) -> np.ndarray:
+    """Positions in keep (ascending labels below m) of the values x, all in keep.
+
+    int32 while the labels fit, which keeps the largest round of
+    `_images` near two rows of 8 bytes per vertex.
+    """
+    label = np.empty(m, dtype=np.int32 if m < 2**31 else np.int64)
+    label[keep] = np.arange(len(keep), dtype=label.dtype)
+    return label.take(x)
+
+
+def _doubling(f: np.ndarray) -> np.ndarray:
+    """Cyclic mask of f (one row or a block of rows): the last set of `_images`."""
+    for cyclic in _images(f):
+        pass
     mask = np.zeros(f.shape, dtype=bool)
-    np.put_along_axis(mask, g, True, axis=-1)
+    np.put(mask, cyclic, True)
     return mask
 
 
@@ -142,26 +211,37 @@ def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
 def _max_tail_height(f: np.ndarray, mask: np.ndarray) -> int:
     """Largest distance from a vertex of one row f to its cyclic mask.
 
-    Tail heights by pointer jumping, with the masked vertices made fixed
-    points.  Raises InvariantError unless every vertex reaches the mask,
-    so a mask that lost a whole cycle is caught.
+    `_images` runs until a set S_j lies in the mask, so the height is at
+    least 2^(j-1) and below 2^j.  The vertices of S_(j-1) are 2^(j-1) - 1
+    steps in, so the same loop runs again on f restricted to S_(j-1),
+    which f maps into itself, until j <= 1.  Each restart takes the
+    leading bit off the height left, on an ever smaller set.
+
+    Raises InvariantError when no set lies in the mask: the mask misses
+    part of the last set, the cyclic set.  Once `_cycles` has checked
+    that f permutes the mask, that means a whole cycle is lost, and its
+    vertices never reach the mask.
     """
-    n = f.shape[-1]
-    nxt = np.where(mask, np.arange(n), f)
-    height = (~mask).astype(np.int64)
-    for _ in range(max(1, (n - 1).bit_length())):
-        height += height[nxt]
-        nxt = nxt[nxt]
-    if not mask[nxt].all():
-        raise InvariantError("a vertex does not reach the cyclic mask")
-    return int(height.max())
+    height = 0
+    while True:
+        for j, S in enumerate(_images(f)):
+            if mask[S].all():
+                break
+            start = S
+        else:
+            raise InvariantError("a vertex does not reach the cyclic mask")
+        if j <= 1:
+            return height + j
+        height += 2 ** (j - 1) - 1
+        f, mask = _relabel(f.take(start), start, len(f)), mask[start]
 
 
 def analyze(f: Mapping) -> CycleStructure:
-    """Decompose the functional graph of f in O(n log n) time and O(n) space.
+    """Decompose the functional graph of f in O(n) space and, on a random mapping, O(n) work.
 
     The cyclic mask is checked to be exactly the cyclic set: f must
-    permute it (checked by `_cycles`), and every vertex must reach it
+    permute it, so it lies in the cyclic set (checked by `_cycles`), and
+    it must hold the whole cyclic set, so every vertex reaches it
     (checked by `_max_tail_height`).
     """
     t = f.targets - 1

@@ -6,12 +6,13 @@ bit-identical for a given (n, samples, seed, blocks) no matter how the
 blocks would be scheduled.  Up to BATCH_N_MAX a block is drawn and
 analysed as one matrix; above it, row by row from the same stream, so
 memory stays O(n) per sample.  Per sample the cyclic set is found by
-pointer doubling (mapping._doubling, O(n) memory per sample), the cycle
-lengths by a walk over the cyclic vertices only, which raises
+the image-shrinking loop (mapping._doubling, O(n) memory per sample),
+the cycle lengths by a walk over the cyclic vertices only, which raises
 mapping.InvariantError unless f permutes the cyclic set, and log T and
-log B by mapping.period_logs, the route `analyze` takes.  The first
-sample of every block also runs mapping._max_tail_height, which raises
-unless every vertex reaches the cyclic set.
+log B by mapping.period_logs, the route `analyze` takes.  After its
+walk, the first sample of every block also runs
+mapping._max_tail_height, which raises unless the mask holds the whole
+cyclic set, so that every vertex reaches it.
 
 From PARALLEL_N_MIN on, the per-sample kernel runs on a few worker
 threads (numpy's gathers release the GIL) while the main thread keeps
@@ -93,11 +94,12 @@ def _sample(f_row, mask_row) -> tuple[int, float, float]:
 
 
 def _row_sample(f_row, first_in_block: bool) -> tuple[int, float, float]:
-    """_sample of one row from its own mask, after the reach check on a block's first row."""
+    """_sample of one row from its own mask, then the reach check on a block's first row."""
     mask = mapping._doubling(f_row)
+    sample = _sample(f_row, mask)
     if first_in_block:
         mapping._max_tail_height(f_row, mask)
-    return _sample(f_row, mask)
+    return sample
 
 
 def _consume_sample(acc: _Accum, z, log_T, log_B, a_n, b_n):
@@ -176,10 +178,14 @@ def run_experiment(
     kernel and the output is that of the serial loop.  Memory is then
     bounded in rows of 8n bytes: at most w + 1 drawn rows are alive
     (w running, one queued or being drawn), and each running worker
-    holds two more while it doubles (three in a block's reach check).
-    That is about 3w + 1 rows, some 1 GB at MAX_N with 4 workers.  A
-    worker's InvariantError is raised here unchanged, after the pool
-    has shut down.
+    holds about two more in the first, largest round of
+    mapping._images: the image S_1 and f o f on it (each about 0.63 of
+    a row, as about 1 - 1/e of the vertices have a preimage) and an
+    int32 relabelling table (half a row).  Later rounds, and the
+    restarts of a block's reach check, work on smaller sets.  That is
+    about 3w + 1 rows, some 1 GB at MAX_N with 4 workers.  A worker's
+    InvariantError is raised here unchanged, after the pool has shut
+    down.
     """
     if n < 1 or n > MAX_N:
         raise mapping.CeilingError("experiment too large")
@@ -199,9 +205,9 @@ def run_experiment(
         for b, bs in enumerate(sizes):
             fmat = block_rng(seed, b).integers(0, n, size=(bs, n), dtype=np.int64)
             mask = mapping._doubling(fmat)
-            mapping._max_tail_height(fmat[0], mask[0])
             for row, mask_row in zip(fmat, mask):
                 _consume_sample(acc, *_sample(row, mask_row), a_n, b_n)
+            mapping._max_tail_height(fmat[0], mask[0])
     else:
         workers = _workers()
         pool = ThreadPoolExecutor(workers) if n >= PARALLEL_N_MIN else None

@@ -45,6 +45,15 @@ FAULTS = {
     # every fixed point leaves the mask, so 1 -> 1, 3 -> 3 and 2 -> 1 reach none of it;
     # f still permutes what is left, here nothing, so only the reach check sees it
     "fixed_points_cleared": ("3 1 1 3", "_doubling", _fixed_points_cleared, REACH),
+    # n = 64: the 2-cycle 1 <-> 2 below the tail 64 -> 63 -> ... -> 6 -> 1, and the 3-cycle
+    # 3 -> 4 -> 5 -> 3, which leaves the mask; f permutes what is left, so only the reach
+    # check sees it: every image set keeps the 3-cycle, through all six rounds of the loop
+    "cycle_missing_behind_tail": (
+        " ".join(map(str, [64, 2, 1, 4, 5, 3, 1, *range(6, 64)])),
+        "_doubling",
+        _mask_with([2, 3, 4], False),
+        REACH,
+    ),
 }
 
 

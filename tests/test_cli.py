@@ -69,8 +69,14 @@ class TestAnalyze:
         assert code == cli.EXIT_IO
         assert "error" in err
 
-    # a non-ASCII byte, and a target too large for int64
-    @pytest.mark.parametrize("data", [b"2 2 \xc3\xa9", b"2 2 99999999999999999999\n"])
+    # a non-ASCII byte, a target too large for int64, and signs apart from their digits
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"2 2 \xc3\xa9", b"2 2 99999999999999999999\n",
+            b"2 1 + 2", b"+ 2 1 2", b"2 1 2 -", b"2 1-2", b"2 1 \x002", b"2 1 \xff", b"2 1 1_0",
+        ],
+    )
     def test_bad_token(self, capsys, tmp_path, data):
         p = tmp_path / "f.txt"
         p.write_bytes(data)
@@ -148,10 +154,15 @@ class TestExact:
         assert lines[0] == "m,M_num,M_den,b_num,b_den"
         assert lines[4] == "4,67,24,73,24"
 
-    def test_ceiling(self, capsys):
-        code, _, err = run(capsys, "exact", "--n", "100", "--orders")
-        assert code == cli.EXIT_CEILING
-        assert "too large" in err
+    def test_ceiling(self, capsys, monkeypatch):
+        # the ceiling is exact's own, and it is checked before any row is built
+        real = exact.perm_order_mean
+        for argv in (("--n", "100", "--orders"), ("--n", "61")):
+            calls = []
+            monkeypatch.setattr(exact, "perm_order_mean", lambda m: calls.append(m) or real(m))
+            code, out, err = run(capsys, "exact", *argv)
+            assert (code, out, err) == (cli.EXIT_CEILING, "", "error: order-count table too large\n")
+            assert calls == [int(argv[1])]
 
     @pytest.mark.parametrize("orders", [(), ("--orders",)])
     def test_nonpositive_n(self, capsys, orders):

@@ -40,15 +40,102 @@ class TestParse:
         assert mapping.parse_mapping(b"2 2 1").targets.tolist() == [2, 1]
 
     @pytest.mark.parametrize(
-        "text", [b"2 2 \xc3\xa9", b"2 2 1.5", b"2 2 0x1", "2 2 x", "2 2 99999999999999999999"]
+        "text",
+        [
+            b"2 2 \xc3\xa9", b"2 2 1.5", b"2 2 0x1", "2 2 x", "2 2 99999999999999999999",
+            # np.fromstring alone would read a sign apart from its digits, or a lone sign as 0
+            b"2 1 + 2", b"+ 2 1 2", b"2 1 2 -", b"2 1-2", b"2 1 --2",
+            b"2 1 \x00", b"2 1 \xff", b"2 1 -99999999999999999999",
+            # accepted before through int(): a digit separator, non-ASCII digits and whitespace
+            b"2 1 1_0", "2 1 \uff11", "2\xa01 1", "2\x1c1 1",
+        ],
     )
     def test_bad_token(self, text):
-        with pytest.raises(mapping.MappingError, match="invalid token"):
+        with pytest.raises(mapping.MappingError, match="^invalid token: "):
             mapping.parse_mapping(text)
+
+    @pytest.mark.parametrize("text", [b"", b"   ", " \t\n\r\x0b\x0c", b"0", b"-3 1"])
+    def test_empty(self, text):
+        with pytest.raises(mapping.MappingError, match="^empty domain$"):
+            mapping.parse_mapping(text)
+
+    @pytest.mark.parametrize(
+        "text, targets",
+        [
+            (b"\x0b2\x0c2\t\r1\n", [2, 1]),
+            (b"+2 +01 002", [1, 2]),
+            (b"1 -0 ", None),  # 0 is out of range
+            (b"2 9223372036854775807 1", None),  # the int64 bound itself is a valid token
+        ],
+    )
+    def test_grammar_edges(self, text, targets):
+        if targets is None:
+            with pytest.raises(mapping.MappingError, match="^invalid target$"):
+                mapping.parse_mapping(text)
+        else:
+            assert mapping.parse_mapping(text).targets.tolist() == targets
 
     def test_target_beyond_n(self):
         with pytest.raises(mapping.MappingError, match="invalid target"):
             mapping.parse_mapping("2 2 3")
+
+
+def old_route(data: bytes):
+    """parse_mapping's outcome by the route it replaced: bytes.split, then numpy's int() per token."""
+    tokens = data.split()
+    if not tokens:
+        return "empty domain"
+    try:
+        values = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return "invalid token"
+    n, targets = int(values[0]), values[1:]
+    if n < 1:
+        return "empty domain"
+    if len(targets) != n:
+        return "length mismatch"
+    if targets.min() < 1 or targets.max() > n:
+        return "invalid target"
+    return targets.tolist()
+
+
+def parse_outcome(data: bytes):
+    try:
+        return mapping.parse_mapping(data).targets.tolist()
+    except mapping.MappingError as exc:
+        return str(exc).split(":")[0]
+
+
+SPACE = b" \t\n\r\x0b\x0c"
+_soup = st.lists(st.sampled_from([bytes([c]) for c in b"0123456789+-" + SPACE]), max_size=8)
+_gap = st.lists(st.sampled_from([bytes([c]) for c in SPACE]), min_size=1, max_size=3).map(b"".join)
+
+
+def _number(values, signs=(b"", b"", b"+")):
+    """Decimal tokens of the values, with an optional sign and leading zeros."""
+    return st.builds(
+        lambda sign, zeros, v: (sign if v >= 0 else b"") + b"0" * zeros + str(v).encode(),
+        st.sampled_from(signs), st.integers(0, 2), values,
+    )
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_old_route(data):
+    # token soups of digits, signs and every ASCII whitespace byte, mostly shaped like a mapping
+    n = data.draw(st.integers(1, 4))
+    odd = st.one_of(
+        _number(st.integers(-2, 6) | st.integers(2**63 - 2, 2**63 + 1), (b"", b"+", b"-")),
+        _soup.map(b"".join),
+    )
+
+    def token(good):
+        return data.draw(odd if data.draw(st.integers(0, 5)) == 0 else good)
+
+    count = n + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+    tokens = [token(st.just(str(n).encode()))] + [token(_number(st.integers(1, n))) for _ in range(count)]
+    text = data.draw(_gap | st.just(b"")) + b"".join(t + data.draw(_gap) for t in tokens)
+    assert parse_outcome(text) == old_route(text)
 
 
 class TestMapping:
@@ -106,6 +193,55 @@ class TestInvariantErrors:
 
     def test_mask_missing_cycle_checked(self, monkeypatch):
         self._raises(monkeypatch, "fixed_point_missing")
+
+    def test_mask_missing_cycle_behind_tail_checked(self, monkeypatch):
+        self._raises(monkeypatch, "cycle_missing_behind_tail")
+
+
+def _rho(n, tail, cycle):
+    """0-based row: the cycle 0 -> 1 -> ... -> 0 of the given length, a tail of that
+    height into vertex 0, and fixed points for the rest."""
+    f = np.arange(n)
+    f[:cycle] = np.roll(np.arange(cycle), -1)
+    t = np.arange(cycle, cycle + tail)
+    f[t] = t - 1
+    f[t[:1]] = 0
+    return f
+
+
+def kernel_sets(f):
+    """The image sets of one 0-based row, after checking its mask and height against the reference."""
+    ref = mapping_reference.analyze(mapping.Mapping(len(f), f + 1))
+    mask = mapping._doubling(f)
+    assert set((np.flatnonzero(mask) + 1).tolist()) == ref.cyclic_vertices
+    assert mapping._max_tail_height(f, mask) == ref.max_tail_height
+    return list(mapping._images(f))
+
+
+class TestKernel:
+    """`_images` and the two kernels on it, at the edges of its round count."""
+
+    # the chain n-1 -> ... -> 1 -> 0 -> 0 has tail n - 1, so S_j = {0, ..., n - 2^j} until
+    # the round cap J = (n-1).bit_length(): the loop ends there, never by a repeated set
+    @pytest.mark.parametrize("n", [2**k + extra for k in range(1, 8) for extra in (0, 1)])
+    def test_longest_tail_ends_at_round_cap(self, n):
+        sets = kernel_sets(_rho(n, n - 1, 1))
+        assert [len(S) for S in sets] == [max(n + 1 - 2**j, 1) for j in range((n - 1).bit_length() + 1)]
+
+    def test_permutation_stops_after_one_round(self):
+        f = np.random.default_rng(3).permutation(1000)
+        assert len(kernel_sets(f)) == 1
+
+    def test_single_vertex(self):
+        assert [S.tolist() for S in kernel_sets(np.zeros(1, dtype=np.int64))] == [[0]]
+
+    def test_block_rows_stabilise_in_different_rounds(self):
+        # tail heights 0, 1, 3, 10 and 63 reach the cyclic set after 0, 1, 2, 4 and 6 rounds
+        n = 64
+        block = np.stack([_rho(n, h, c) for h, c in [(0, 5), (1, 2), (3, 7), (10, 3), (63, 1)]])
+        assert [len(kernel_sets(row)) for row in block] == [1, 2, 3, 5, 7]
+        assert len(list(mapping._images(block))) == 7
+        assert (mapping._doubling(block) == np.stack([mapping._doubling(row) for row in block])).all()
 
 
 class TestPeriodStats:

@@ -143,13 +143,14 @@ def _G_prime(n: int, beta: float, x: float) -> float:
     )
 
 
-def g_profile(n: int, eps: float) -> GProfile:
-    """Maximize G over [6, n-1] by bisection on the strictly decreasing G'."""
+EPS = 0.01  # the eps of beta0 + eps in the upper bound's profile G
+
+
+def g_profile(n: int) -> GProfile:
+    """Maximize G at beta0 + EPS over [6, n-1] by bisection on the strictly decreasing G'."""
     if n < 100:
         raise CeilingError("n must be at least 100")
-    if not 0 < eps <= 1:
-        raise CeilingError("eps must lie in (0, 1]")
-    beta = constants().beta0 + eps
+    beta = constants().beta0 + EPS
     lo, hi = 6.0, n - 1.0
     if _G_prime(n, beta, lo) <= 0 or _G_prime(n, beta, hi) >= 0:
         raise CeilingError("maximizer bracket failure")
@@ -190,9 +191,6 @@ class EnTEstimate:
     m_star: float
 
 
-EPS = 0.01  # the eps of beta0 + eps in the upper bound's profile G
-
-
 def en_T_estimate(n: int) -> EnTEstimate:
     """Bracket log E_n(T) and its leading-order value k0 (n/log^2 n)^(1/3).
 
@@ -214,7 +212,7 @@ def en_T_estimate(n: int) -> EnTEstimate:
         - (m0 + 1) * math.log(n)
     )
     lower = log_pz + stong_logM(m0)
-    prof = g_profile(n, EPS)
+    prof = g_profile(n)
     upper = prof.G_at_x_star
     if lower > upper:
         raise InvariantError("lower bound exceeded upper bound")

@@ -10,10 +10,12 @@ domain (CeilingError), 5 internal invariant violation (InvariantError).
 Any other exception propagates.  `exact` also exits 5, after writing
 its table, when a brute-force cross-check fails.  Every output file is
 opened before any text is written, so an unwritable path leaves stdout
-empty.  Each cmd_* imports the modules it needs; analyze, exact,
-constants and simulate load no scipy.  Settings come from options
-alone, never the environment; one with a single value in use is a
-module constant (renyi.EXACT_MAX_D, asymptotics.EPS).
+empty.  `series --eval-n` builds no coefficient table (--degree only
+sets its default n) and checks every n against series.DEGREE_CAP_DEFAULT
+before computing any row.  Each cmd_* imports the modules it needs;
+analyze, exact, constants and simulate load no scipy.  Settings come
+from options alone, never the environment; one with a single value in
+use is a module constant (renyi.EXACT_MAX_D, asymptotics.EPS).
 """
 
 from __future__ import annotations
@@ -132,20 +134,22 @@ def cmd_series(args) -> int:
             writer.writerow([d, u, knum, kden, repr(q), repr(float(c[d - 1]))])
         _write_text((args.out, buf.getvalue()))
         return EXIT_OK
-    table = series.mu_table(args.degree)
     if args.coefficients:
+        table = series.mu_table(args.degree)
         writer.writerow(["m", "e_coeff", "mu"])
         for m in range(args.degree + 1):
             writer.writerow([m, repr(float(table.e[m])), repr(float(table.mu[m]))])
     else:
+        ns = args.eval_n or [args.degree]
+        # log_expected_B allocates O(n) floats and saddle_point O(n^(2/3)): check every n first
+        if max(ns) > series.DEGREE_CAP_DEFAULT:
+            raise CeilingError(f"n = {max(ns)} is above the cap {series.DEGREE_CAP_DEFAULT}")
         writer.writerow(["n", "log_E_B", "rankin_log_bound", "s_star", "A_n"])
-        for n in args.eval_n or [args.degree]:
-            if n > args.degree:
-                raise CeilingError(f"--eval-n {n} is above --degree {args.degree}")
+        for n in ns:
             rep = series.saddle_point(n)
             row = [
                 n,
-                repr(series.log_expected_B(n, table)),
+                repr(series.log_expected_B(n)),
                 repr(rep.rankin_log_value),
                 repr(rep.s_star),
                 repr(rep.A_n),

@@ -8,12 +8,14 @@ sum_{k<d} d^k/k! the Poisson-mean factor, and
 
 the coefficient sequence driving the cycle-product generating function.
 Writing R_d = sum_{k=1}^{d} d!/((d-k)! d^k) (Ramanujan's Q-function),
-the weighted cycle-length sum telescopes to exactly d, so
+|U_d| = d^(d-1) R_d and the weighted cycle-length sum telescopes to
+exactly d, so
 
-    kappa_d = d / R_d,   Q(d) = h_d * R_d,   c_d = h_d - Q(d)/d,
+    kappa_d = d / R_d = d^d / |U_d|,   Q(d) = h_d * R_d,   c_d = h_d - Q(d)/d,
 
-with h_d = d^d/(d! e^d).  Each quantity has one route: |U_d| and
-kappa_d are exact (connected_count, kappa_exact); Q(d) is the
+with h_d = d^d/(d! e^d).  Each quantity has one route: |U_d| is an
+exact sum (connected_count) and kappa_d = d^d/|U_d| reads it
+(kappa_exact); Q(d) is the
 regularized upper incomplete gamma Gamma(d, d)/Gamma(d), from scipy's
 gammaincc in float64 (q_and_c) or from mpmath at a chosen
 precision (q_factor); c_d is float64 (q_and_c, c_table).  The exact
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
@@ -31,8 +34,9 @@ from scipy.special import gammaincc, gammaln
 EXACT_MAX_D = 200  # largest d whose exact |U_d| and kappa_d the CLI table prints
 
 
+@lru_cache(maxsize=None)
 def connected_count(d: int) -> int:
-    """|U_d| = sum_k binom(d,k) (k-1)! k d^(d-1-k), exact big integer."""
+    """|U_d| = sum_k binom(d,k) (k-1)! k d^(d-1-k), exact big integer; kept once computed."""
     if d < 1:
         raise ValueError("d must be positive")
     # binom(d,k)(k-1)!k = d!/(d-k)!; accumulate the falling factorial.
@@ -45,22 +49,9 @@ def connected_count(d: int) -> int:
     return total
 
 
-def _ramanujan_r_exact(d: int) -> Fraction:
-    """R_d = sum_{k=1}^{d} d!/((d-k)! d^k) as an exact rational."""
-    acc = 0
-    falling = 1
-    for k in range(1, d + 1):
-        falling *= d - k + 1
-        acc += falling * d ** (d - k)
-    return Fraction(acc, d**d)
-
-
 def kappa_exact(d: int) -> Fraction:
-    """kappa_d = d^(d+1) / sum_k d!/(d-k)! d^(d-k), exact."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    r = _ramanujan_r_exact(d)
-    return Fraction(d) / r
+    """kappa_d = d^d / |U_d|, exact."""
+    return Fraction(d**d, connected_count(d))
 
 
 def q_factor(d: int, prec: int) -> float:

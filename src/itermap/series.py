@@ -1,15 +1,13 @@
-"""Coefficient machinery for the cycle-product expectation E_n(B).
+"""Float64 routes to the cycle-product expectation E_n(B) and its saddle point.
 
-The deconditioned identity reads E_n(B) as a convolution of the
-coefficients of exp(sum_d c_d z^d) with h_m = m^m/(m! e^m), evaluated
-in float64 (log_expected_B): the one library route to E_n(B) at large
-n.  mu(m) denotes the prefix sums (the coefficients after an extra
-1/(1-z) factor), bounded above by the Rankin bound exp(n s + g(s)) with
-g(s) = sum_d c_d e^{-ds}; the convolution itself uses the bare
-exponential coefficients, the variant that matches the brute-force
-oracle (putting mu into the convolution gives 1 + e instead of 1 at
-n = 1).  The saddle point of n s + g(s) is the root of g'(s) + n, found
-by Newton's method alone.  The exact-rational series and the Rankin
+log_expected_B sums E_n(B) = sum_m P_n(Z=m) b_m, the cyclic part of a
+uniform mapping with Z = m cyclic vertices being a uniform permutation
+of [m] with mean cycle product b_m: the one library route to E_n(B).
+mu_table builds the coefficients e_m of exp(sum_d c_d z^d) and their
+prefix sums mu(m), bounded above by the Rankin bound exp(n s + g(s))
+with g(s) = sum_d c_d e^{-ds}.  The saddle point of n s + g(s) is the
+root of g'(s) + n, found by Newton's method alone.  The convolution of
+e_m with h_m = m^m/(m! e^m), the exact-rational series and the Rankin
 check are test oracles in tests/series_reference.py.
 """
 
@@ -19,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import logsumexp
 
 from . import renyi
 from .mapping import CeilingError, InvariantError
@@ -57,22 +55,12 @@ def exp_series(inner: np.ndarray) -> np.ndarray:
 class SeriesTable:
     """Immutable coefficient table to truncation degree N.
 
-    e[m] = [z^m] exp(sum c_d z^d); mu = prefix sums of e; h[m] =
-    m^m/(m! e^m).
+    e[m] = [z^m] exp(sum c_d z^d); mu = prefix sums of e.
     """
 
     N: int
     e: np.ndarray
     mu: np.ndarray
-    h: np.ndarray
-
-
-def _h_array(N: int) -> np.ndarray:
-    m = np.arange(1, N + 1, dtype=np.float64)
-    h = np.empty(N + 1)
-    h[0] = 1.0  # 0^0 = 1
-    h[1:] = np.exp(m * np.log(m) - gammaln(m + 1) - m)
-    return h
 
 
 _c_cache = np.empty(0)
@@ -87,28 +75,34 @@ def _c_upto(N: int) -> np.ndarray:
 
 
 def mu_table(N: int) -> SeriesTable:
-    """Build e, mu and h to degree N."""
+    """Build e and mu to degree N."""
     if N < 0:
         raise CeilingError("degree must be nonnegative")
     if N > DEGREE_CAP_DEFAULT:
         raise CeilingError("degree above configured cap")
     e = exp_series(_c_upto(N))
-    return SeriesTable(N=N, e=e, mu=np.cumsum(e), h=_h_array(N))
+    return SeriesTable(N=N, e=e, mu=np.cumsum(e))
 
 
 # ---------------------------------------------------------------------------
 # E_n(B)
 
 
-def log_expected_B(n: int, table: SeriesTable) -> float:
-    """log E_n(B) from E_n(B) = (n! e^n/n^n) sum_m e_m h_{n-m}, bare exponential
-    coefficients, prefactor in log space; table must reach degree n.
+def log_expected_B(n: int) -> float:
+    """log E_n(B) = log sum_m P_n(Z=m) b_m for m = 1..n, in float64.
+
+    log P_n(Z=m) = log(m/n) + sum_{i<m} log1p(-i/n), one cumsum.  The
+    ratios r_m = b_m/b_{m-1} solve m r_m = (2m-1) - (m-2)/r_{m-1} with
+    r_1 = 1, the recurrence of exact._perm_B_numerators divided by m!.
     """
-    if table.N < n:
-        raise CeilingError(f"n = {n} is above the table's degree {table.N}")
-    s = float(np.dot(table.e[: n + 1], table.h[n::-1]))
-    logpref = math.lgamma(n + 1) + n - n * math.log(n)
-    return logpref + math.log(s)
+    if n < 1:
+        raise CeilingError("n must be positive")
+    r = [1.0]
+    for k in range(2, n + 1):
+        r.append((2 * k - 1 - (k - 2) / r[-1]) / k)
+    m = np.arange(1, n + 1, dtype=np.float64)
+    log_p = np.log(m / n) + np.cumsum(np.log1p(-(m - 1) / n))
+    return float(logsumexp(log_p + np.cumsum(np.log(r))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Float and exact routes to the connected-mapping quantities, the test oracles for renyi.
 
 Independent of the incomplete gamma that renyi uses for Q(d): R_d by its
-term-ratio recurrence, kappa_d = d / R_d, c_d = h_d - h_d R_d / d, and
-S_d = e^d Q(d) as an exact rational.
+term-ratio recurrence and as an exact rational, kappa_d = d / R_d,
+c_d = h_d - h_d R_d / d, and S_d = e^d Q(d) as an exact rational.
 """
 
 import math
@@ -21,6 +21,16 @@ def ramanujan_r_float(d: int) -> float:
     ratios = 1.0 - np.arange(1, kmax, dtype=np.float64) / d
     terms = np.cumprod(ratios)
     return 1.0 + float(terms.sum())
+
+
+def ramanujan_r_exact(d: int) -> Fraction:
+    """R_d = sum_{k=1}^{d} d!/((d-k)! d^k) as an exact rational."""
+    acc = 0
+    falling = 1
+    for k in range(1, d + 1):
+        falling *= d - k + 1
+        acc += falling * d ** (d - k)
+    return Fraction(acc, d**d)
 
 
 def kappa_float(d: int) -> float:

@@ -1,5 +1,10 @@
-"""Test oracles for series: the exact-rational route to E_n(B), g(s), the
-Rankin bound, and plain bisection for the saddle point.
+"""Test oracles for series: the convolution and the exact-rational routes
+to E_n(B), g(s), the Rankin bound, and plain bisection for the saddle point.
+
+The convolution reads the deconditioned identity E_n(B) = (n! e^n/n^n)
+sum_m e_m h_{n-m}, with the bare exponential coefficients e_m of a
+series.mu_table and h_m = m^m/(m! e^m), in float64 (putting mu into the
+convolution gives 1 + e instead of 1 at n = 1).
 
 The exact route shares no code with the float64 one: gamma_d = c_d e^d
 comes from renyi_reference.s_exact, and the exponential coefficients
@@ -12,9 +17,32 @@ g_eval call each.
 import math
 from fractions import Fraction
 
+import numpy as np
+from scipy.special import gammaln
+
 import renyi_reference
-from itermap.mapping import InvariantError
+from itermap.mapping import CeilingError, InvariantError
 from itermap.series import SaddleReport, SeriesTable, _g_sums
+
+
+def h_array(N: int) -> np.ndarray:
+    """h_0..h_N with h_m = m^m/(m! e^m)."""
+    m = np.arange(1, N + 1, dtype=np.float64)
+    h = np.empty(N + 1)
+    h[0] = 1.0  # 0^0 = 1
+    h[1:] = np.exp(m * np.log(m) - gammaln(m + 1) - m)
+    return h
+
+
+def log_expected_B_convolution(n: int, table: SeriesTable) -> float:
+    """log E_n(B) from E_n(B) = (n! e^n/n^n) sum_m e_m h_{n-m}, bare exponential
+    coefficients, prefactor in log space; table must reach degree n.
+    """
+    if table.N < n:
+        raise CeilingError(f"n = {n} is above the table's degree {table.N}")
+    s = float(np.dot(table.e[: n + 1], h_array(n)[::-1]))
+    logpref = math.lgamma(n + 1) + n - n * math.log(n)
+    return logpref + math.log(s)
 
 
 def gamma_exact(d: int) -> Fraction:

@@ -46,9 +46,8 @@ def test_03_constants():
 
 
 def test_04_log_E_B_leading_order():
-    tab = series.mu_table(20000)
-    r1 = series.log_expected_B(10000, tab) / (1.5 * 10000 ** (1 / 3))
-    r2 = series.log_expected_B(20000, tab) / (1.5 * 20000 ** (1 / 3))
+    r1 = series.log_expected_B(10000) / (1.5 * 10000 ** (1 / 3))
+    r2 = series.log_expected_B(20000) / (1.5 * 20000 ** (1 / 3))
     ok = 0.7 <= r1 <= 1.3 and 0.75 <= r2 <= 1.25
     assert report(4, ok, f"log E_B ratio to (3/2) n^(1/3): {r1:.4f} at n=1e4, {r2:.4f} at n=2e4")
 

@@ -64,15 +64,15 @@ class TestConstants:
 class TestGProfile:
     def test_maximizer_scaling(self):
         # x* ~ m* = beta^(2/3) (3/8)^(1/3) n^(2/3) / log^(1/3) n
-        prof = asymptotics.g_profile(10**6, 0.01)
-        beta = asymptotics.constants().beta0 + 0.01
+        prof = asymptotics.g_profile(10**6)
+        beta = asymptotics.constants().beta0 + asymptotics.EPS
         assert asymptotics._G_prime(10**6, beta, 0.75 * prof.m_star) > 0
         assert asymptotics._G_prime(10**6, beta, 1.25 * prof.m_star) < 0
         assert 0.8 < prof.x_star / prof.m_star < 1.2
 
     def test_stationary_point(self):
-        prof = asymptotics.g_profile(10**5, 0.05)
-        beta = asymptotics.constants().beta0 + 0.05
+        prof = asymptotics.g_profile(10**5)
+        beta = asymptotics.constants().beta0 + asymptotics.EPS
         assert abs(asymptotics._G_prime(10**5, beta, prof.x_star)) < 1e-6
 
     def test_G_prime_is_derivative_of_G(self):
@@ -93,8 +93,8 @@ class TestGProfile:
 
     def test_maximum_beats_neighbors(self):
         n = 10**4
-        prof = asymptotics.g_profile(n, 0.1)
-        beta = asymptotics.constants().beta0 + 0.1
+        prof = asymptotics.g_profile(n)
+        beta = asymptotics.constants().beta0 + asymptotics.EPS
         for x in (prof.x_star * 0.9, prof.x_star * 1.1, 10.0, n / 2):
             assert asymptotics._G(n, beta, x) <= prof.G_at_x_star + 1e-12
 
@@ -110,9 +110,7 @@ class TestGProfile:
 
     def test_domain(self):
         with pytest.raises(mapping.CeilingError):
-            asymptotics.g_profile(50, 0.01)
-        with pytest.raises(mapping.CeilingError):
-            asymptotics.g_profile(10**4, 0.0)
+            asymptotics.g_profile(50)
 
 
 class TestEnTEstimate:

@@ -23,7 +23,7 @@ class TestConnectedCount:
     def test_count_factors_through_ramanujan_r(self):
         # |U_d| = d^(d-1) R_d exactly; R_d is the quantity behind kappa_d
         for d in (2, 3, 7, 20):
-            r = renyi._ramanujan_r_exact(d)
+            r = renyi_reference.ramanujan_r_exact(d)
             assert renyi.connected_count(d) == d ** (d - 1) * r
 
     def test_asymptotic(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import series_reference
-from itermap import exact, renyi, series
+from itermap import cli, exact, renyi, series
 from itermap.mapping import CeilingError, InvariantError
 
 
@@ -56,7 +56,7 @@ class TestMuTable:
 
     def test_degree_zero(self):
         t = series.mu_table(0)
-        assert t.e.tolist() == t.mu.tolist() == t.h.tolist() == [1.0]
+        assert t.e.tolist() == t.mu.tolist() == series_reference.h_array(0).tolist() == [1.0]
 
     def test_exact_mode_matches_float(self):
         r = series_reference.exp_series_exact([series_reference.gamma_exact(d) for d in range(1, 26)])
@@ -78,21 +78,39 @@ class TestExpectedB:
         assert series_reference.expected_B_exact(n) == exact.exact_E_B_conditional(n)
 
     def test_float_matches_exact(self):
-        tab = series.mu_table(30)
         for n in range(1, 31):
-            f = math.exp(series.log_expected_B(n, tab))
+            f = math.exp(series.log_expected_B(n))
             e = float(series_reference.expected_B_exact(n))
             assert abs(f - e) <= 1e-9 * e
 
     def test_n1_float(self):
-        tab = series.mu_table(5)
-        assert math.isclose(math.exp(series.log_expected_B(1, tab)), 1.0, rel_tol=1e-12)
+        assert series.log_expected_B(1) == 0.0
 
-    def test_short_table_rejected(self):
-        # a table below degree n is an error, not a silent O(n^2) rebuild
-        tab = series.mu_table(5)
-        with pytest.raises(CeilingError, match=r"^n = 6 is above the table's degree 5$"):
-            series.log_expected_B(6, tab)
+    def test_nonpositive_n_rejected(self):
+        with pytest.raises(CeilingError, match="^n must be positive$"):
+            series.log_expected_B(0)
+
+    @pytest.mark.parametrize("n", list(range(1, 61)) + [100, 200, 500])
+    def test_log_matches_conditional(self, n):
+        # float(E) is correctly rounded, so the reference log is good to about 1e-16
+        ref = math.log(exact.exact_E_B_conditional(n))
+        assert math.isclose(series.log_expected_B(n), ref, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("n", [5000, 10_000, 20_000])
+    def test_log_matches_convolution(self, n):
+        # the paper's deconditioned identity, a route that shares no code with the sum
+        tab = series.mu_table(n)
+        ref = series_reference.log_expected_B_convolution(n, tab)
+        assert math.isclose(series.log_expected_B(n), ref, rel_tol=1e-12)
+
+    def test_eval_builds_no_table(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("series --eval-n built a coefficient table")
+
+        monkeypatch.setattr(series, "mu_table", refuse)
+        monkeypatch.setattr(series, "exp_series", refuse)
+        assert cli.main(["series", "--degree", "20000", "--eval-n", "5000", "10000", "20000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 class TestGEval:

@@ -7,8 +7,8 @@ of the cycle lengths; B(f) is their product with multiplicity; O(f), the
 number of distinct iterates, equals T plus the largest tail height less
 one and always satisfies |O - T| < n.  `analyze` keeps only what these
 need: the cycle lengths, the number of cyclic vertices and the largest
-tail height, in O(n) work on a random mapping.  `period_logs` takes T
-from `math.lcm` of the lengths, for `analyze` and the sampler alike.
+tail height, from one image-shrinking run, O(n) work on a random
+mapping.  T is `math.lcm` of the lengths, for `analyze` and the sampler.
 
 A mapping file is 'n t1 ... tn': tokens [+-]?[0-9]+ separated by ASCII
 whitespace, targets 1-based.
@@ -120,7 +120,8 @@ def parse_mapping(text: str | bytes) -> Mapping:
     data = text.encode("utf-8", "replace") if isinstance(text, str) else text
     if not data or data.isspace():
         raise MappingError("empty domain")
-    if data.translate(None, _TOKEN_BYTES) or not _signs_open_tokens(data):
+    signed = b"+" in data or b"-" in data  # no sign, no scan: the usual input
+    if data.translate(None, _TOKEN_BYTES) or signed and not _signs_open_tokens(data):
         raise MappingError(f"invalid token: {_bad_token(data)!r}")
     values = np.fromstring(data, dtype=np.int64, sep=" ")
     if values.max() == _INT64.max or values.min() == _INT64.min:
@@ -175,13 +176,21 @@ def _relabel(x: np.ndarray, keep: np.ndarray, m: int) -> np.ndarray:
     return label.take(x)
 
 
-def _doubling(f: np.ndarray) -> np.ndarray:
-    """Cyclic mask of f (one row or a block of rows): the last set of `_images`."""
-    for cyclic in _images(f):
-        pass
+def _last_sets(f: np.ndarray, keep_prev: bool):
+    """(J, S_(J-1), S_J) of one `_images` run; S_(J-1) only if keep_prev and J > 1 (a restart)."""
+    prev = last = None
+    for J, S in enumerate(_images(f)):
+        prev, last = (last if keep_prev and J > 1 else None), S
+    return J, prev, last
+
+
+def _cyclic_sets(f: np.ndarray, keep_prev: bool = False):
+    """(mask, J, S_(J-1), S_J): the cyclic mask of f (a row or a block) from its last set S_J.
+    Only `analyze` keeps S_(J-1), for its height; kept, f(V) outlives the second round."""
+    J, prev, cyclic = _last_sets(f, keep_prev)
     mask = np.zeros(f.shape, dtype=bool)
     np.put(mask, cyclic, True)
-    return mask
+    return mask, J, prev, cyclic
 
 
 def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
@@ -208,50 +217,45 @@ def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
     return lengths
 
 
-def _max_tail_height(f: np.ndarray, mask: np.ndarray) -> int:
-    """Largest distance from a vertex of one row f to its cyclic mask.
+def _check_reach(mask: np.ndarray, cyclic: np.ndarray) -> None:
+    """Raise InvariantError unless mask holds all of S_J (flat indices) from `_cyclic_sets`."""
+    if not np.take(mask, cyclic).all():
+        raise InvariantError("a vertex does not reach the cyclic mask")
 
-    `_images` runs until a set S_j lies in the mask, so the height is at
-    least 2^(j-1) and below 2^j.  The vertices of S_(j-1) are 2^(j-1) - 1
-    steps in, so the same loop runs again on f restricted to S_(j-1),
-    which f maps into itself, until j <= 1.  Each restart takes the
-    leading bit off the height left, on an ever smaller set.
 
-    Raises InvariantError when no set lies in the mask: the mask misses
-    part of the last set, the cyclic set.  Once `_cycles` has checked
-    that f permutes the mask, that means a whole cycle is lost, and its
-    vertices never reach the mask.
+def _max_tail_height(f: np.ndarray, J: int, prev: np.ndarray | None) -> int:
+    """Largest distance from a vertex of one row f to its cyclic set, from `_last_sets(f, True)`.
+
+    Each set before S_J strictly holds the cyclic set, so the height lies
+    in [2^(J-1), 2^J).  S_(J-1) is 2^(J-1) - 1 steps in and f maps it into
+    itself, so the loop restarts on f restricted to it until J <= 1, each
+    restart taking the leading bit off the height left.
     """
     height = 0
-    while True:
-        for j, S in enumerate(_images(f)):
-            if mask[S].all():
-                break
-            start = S
-        else:
-            raise InvariantError("a vertex does not reach the cyclic mask")
-        if j <= 1:
-            return height + j
-        height += 2 ** (j - 1) - 1
-        f, mask = _relabel(f.take(start), start, len(f)), mask[start]
+    while J > 1:
+        height += 2 ** (J - 1) - 1
+        f = _relabel(f.take(prev), prev, len(f))
+        J, prev, _ = _last_sets(f, True)
+    return height + J
 
 
 def analyze(f: Mapping) -> CycleStructure:
     """Decompose the functional graph of f in O(n) space and, on a random mapping, O(n) work.
 
-    The cyclic mask is checked to be exactly the cyclic set: f must
-    permute it, so it lies in the cyclic set (checked by `_cycles`), and
-    it must hold the whole cyclic set, so every vertex reaches it
-    (checked by `_max_tail_height`).
+    `_images` runs once.  The mask is checked to be exactly its last set
+    S_J, the cyclic set: f must permute the mask (`_cycles` walks every
+    mask vertex, as S_J cannot show one beyond it), so it lies in S_J, and
+    it must hold S_J (`_check_reach`), so every vertex reaches it.
     """
     t = f.targets - 1
-    mask = _doubling(t)
+    mask, J, prev, last = _cyclic_sets(t, keep_prev=True)
     cyclic = np.flatnonzero(mask)
     lengths = _cycles(t, cyclic)
+    _check_reach(mask, last)
     return CycleStructure(
         cycle_lengths=tuple(sorted(lengths)),
         num_cyclic=len(cyclic),
-        max_tail_height=_max_tail_height(t, mask),
+        max_tail_height=_max_tail_height(t, J, prev),
     )
 
 

@@ -5,14 +5,13 @@ PCG64(SeedSequence(entropy=seed, spawn_key=(b,))), so results are
 bit-identical for a given (n, samples, seed, blocks) no matter how the
 blocks would be scheduled.  Up to BATCH_N_MAX a block is drawn and
 analysed as one matrix; above it, row by row from the same stream, so
-memory stays O(n) per sample.  Per sample the cyclic set is found by
-the image-shrinking loop (mapping._doubling, O(n) memory per sample),
-the cycle lengths by a walk over the cyclic vertices only, which raises
-mapping.InvariantError unless f permutes the cyclic set, and log T and
-log B by mapping.period_logs, the route `analyze` takes.  After its
-walk, the first sample of every block also runs
-mapping._max_tail_height, which raises unless the mask holds the whole
-cyclic set, so that every vertex reaches it.
+memory stays O(n) per sample.  Per sample the cyclic mask comes from
+one image-shrinking run (mapping._cyclic_sets, O(n) memory), the cycle
+lengths from a walk over its vertices, which raises
+mapping.InvariantError unless f permutes the mask, and log T and log B
+from mapping.period_logs, the route `analyze` takes.  Then one gather,
+mapping._check_reach, raises unless the mask holds the last set of that
+run, the cyclic set, so that every vertex reaches it.
 
 From PARALLEL_N_MIN on, the per-sample kernel runs on a few worker
 threads (numpy's gathers release the GIL) while the main thread keeps
@@ -93,12 +92,11 @@ def _sample(f_row, mask_row) -> tuple[int, float, float]:
     return len(cyclic), log_T, log_B
 
 
-def _row_sample(f_row, first_in_block: bool) -> tuple[int, float, float]:
-    """_sample of one row from its own mask, then the reach check on a block's first row."""
-    mask = mapping._doubling(f_row)
+def _row_sample(f_row) -> tuple[int, float, float]:
+    """_sample of one row from its own mask, then the check that the mask holds its cyclic set."""
+    mask, _, _, cyclic = mapping._cyclic_sets(f_row)
     sample = _sample(f_row, mask)
-    if first_in_block:
-        mapping._max_tail_height(f_row, mask)
+    mapping._check_reach(mask, cyclic)
     return sample
 
 
@@ -134,11 +132,11 @@ def _workers() -> int:
 
 
 def _rows(n: int, seed: int, sizes: list[int]):
-    """(row, first_in_block) for every sample, drawn one row at a time in stream order."""
+    """Every sample's row, drawn one row at a time in stream order."""
     for b, bs in enumerate(sizes):
         rng = block_rng(seed, b)
-        for i in range(bs):
-            yield rng.integers(0, n, size=n, dtype=np.int64), i == 0
+        for _ in range(bs):
+            yield rng.integers(0, n, size=n, dtype=np.int64)
 
 
 def _in_order(rows, pool: ThreadPoolExecutor | None, workers: int):
@@ -149,12 +147,11 @@ def _in_order(rows, pool: ThreadPoolExecutor | None, workers: int):
     queued), so rows are drawn only as fast as they are analysed.
     """
     if pool is None:
-        for row in rows:
-            yield _row_sample(*row)
+        yield from map(_row_sample, rows)
         return
     pending: deque = deque()
     for row in rows:
-        pending.append(pool.submit(_row_sample, *row))
+        pending.append(pool.submit(_row_sample, row))
         if len(pending) == workers + 1:
             yield pending.popleft().result()
     while pending:
@@ -171,8 +168,8 @@ def run_experiment(
 
     Deterministic for fixed (n, samples, seed, blocks); blocks defaults
     to ceil(samples / 256).  Raises mapping.InvariantError if a sample's
-    cyclic mask fails its check, or if a vertex of a block's first
-    sample does not reach it.
+    cyclic mask fails its checks: f must permute it, and it must hold the
+    sample's cyclic set.
 
     From PARALLEL_N_MIN on, w = _workers() threads run the per-row
     kernel and the output is that of the serial loop.  Memory is then
@@ -181,11 +178,10 @@ def run_experiment(
     holds about two more in the first, largest round of
     mapping._images: the image S_1 and f o f on it (each about 0.63 of
     a row, as about 1 - 1/e of the vertices have a preimage) and an
-    int32 relabelling table (half a row).  Later rounds, and the
-    restarts of a block's reach check, work on smaller sets.  That is
-    about 3w + 1 rows, some 1 GB at MAX_N with 4 workers.  A worker's
-    InvariantError is raised here unchanged, after the pool has shut
-    down.
+    int32 relabelling table (half a row).  Later rounds work on smaller
+    sets.  That is about 3w + 1 rows, some 1 GB at MAX_N with 4 workers.
+    A worker's InvariantError is raised here unchanged, after the pool
+    has shut down.
     """
     if n < 1 or n > MAX_N:
         raise mapping.CeilingError("experiment too large")
@@ -204,10 +200,10 @@ def run_experiment(
     if n <= BATCH_N_MAX:
         for b, bs in enumerate(sizes):
             fmat = block_rng(seed, b).integers(0, n, size=(bs, n), dtype=np.int64)
-            mask = mapping._doubling(fmat)
+            mask, _, _, cyclic = mapping._cyclic_sets(fmat)
             for row, mask_row in zip(fmat, mask):
                 _consume_sample(acc, *_sample(row, mask_row), a_n, b_n)
-            mapping._max_tail_height(fmat[0], mask[0])
+            mapping._check_reach(mask, cyclic)
     else:
         workers = _workers()
         pool = ThreadPoolExecutor(workers) if n >= PARALLEL_N_MIN else None

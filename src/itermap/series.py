@@ -64,6 +64,7 @@ class SeriesTable:
 
 
 _c_cache = np.empty(0)
+_r_cache = [1.0]  # r_m = b_m/b_(m-1), m = 1, 2, ..., grown by log_expected_B
 
 
 def _c_upto(N: int) -> np.ndarray:
@@ -92,17 +93,16 @@ def log_expected_B(n: int) -> float:
     """log E_n(B) = log sum_m P_n(Z=m) b_m for m = 1..n, in float64.
 
     log P_n(Z=m) = log(m/n) + sum_{i<m} log1p(-i/n), one cumsum.  The
-    ratios r_m = b_m/b_{m-1} solve m r_m = (2m-1) - (m-2)/r_{m-1} with
-    r_1 = 1, the recurrence of exact._perm_B_numerators divided by m!.
+    ratios r_m (`_r_cache`, grown on demand) solve m r_m = (2m-1) -
+    (m-2)/r_{m-1}, r_1 = 1: the recurrence of exact._perm_B_numerators / m!.
     """
     if n < 1:
         raise CeilingError("n must be positive")
-    r = [1.0]
-    for k in range(2, n + 1):
-        r.append((2 * k - 1 - (k - 2) / r[-1]) / k)
+    for k in range(len(_r_cache) + 1, n + 1):
+        _r_cache.append((2 * k - 1 - (k - 2) / _r_cache[-1]) / k)
     m = np.arange(1, n + 1, dtype=np.float64)
     log_p = np.log(m / n) + np.cumsum(np.log1p(-(m - 1) / n))
-    return float(logsumexp(log_p + np.cumsum(np.log(r))))
+    return float(logsumexp(log_p + np.cumsum(np.log(_r_cache[:n]))))
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,17 @@ class TestParse:
         with pytest.raises(mapping.MappingError, match="^invalid token: "):
             mapping.parse_mapping(text)
 
+    def test_sign_scan_only_with_signs(self, monkeypatch):
+        calls = []
+        real = mapping._signs_open_tokens
+        monkeypatch.setattr(
+            mapping, "_signs_open_tokens", lambda data: calls.append(data) or real(data)
+        )
+        assert mapping.parse_mapping(b"3 1 2 3").targets.tolist() == [1, 2, 3]
+        assert calls == []
+        assert mapping.parse_mapping(b"3 +1 2 3").targets.tolist() == [1, 2, 3]
+        assert calls == [b"3 +1 2 3"]
+
     @pytest.mark.parametrize("text", [b"", b"   ", " \t\n\r\x0b\x0c", b"0", b"-3 1"])
     def test_empty(self, text):
         with pytest.raises(mapping.MappingError, match="^empty domain$"):
@@ -212,14 +223,20 @@ def _rho(n, tail, cycle):
 def kernel_sets(f):
     """The image sets of one 0-based row, after checking its mask and height against the reference."""
     ref = mapping_reference.analyze(mapping.Mapping(len(f), f + 1))
-    mask = mapping._doubling(f)
+    mask, J, prev, cyclic = mapping._cyclic_sets(f, keep_prev=True)
     assert set((np.flatnonzero(mask) + 1).tolist()) == ref.cyclic_vertices
-    assert mapping._max_tail_height(f, mask) == ref.max_tail_height
-    return list(mapping._images(f))
+    assert mapping._cyclic_sets(f)[2] is None  # the sampler's call keeps no S_(J-1)
+    mapping._check_reach(mask, cyclic)
+    assert mapping._max_tail_height(f, J, prev) == ref.max_tail_height
+    sets = list(mapping._images(f))
+    # _cyclic_sets hands over the index and the last two sets of the same run
+    assert J == len(sets) - 1 and np.array_equal(cyclic, sets[-1])
+    assert prev is None if J <= 1 else np.array_equal(prev, sets[-2])
+    return sets
 
 
 class TestKernel:
-    """`_images` and the two kernels on it, at the edges of its round count."""
+    """`_images` and the kernels on it, at the edges of its round count."""
 
     # the chain n-1 -> ... -> 1 -> 0 -> 0 has tail n - 1, so S_j = {0, ..., n - 2^j} until
     # the round cap J = (n-1).bit_length(): the loop ends there, never by a repeated set
@@ -241,7 +258,32 @@ class TestKernel:
         block = np.stack([_rho(n, h, c) for h, c in [(0, 5), (1, 2), (3, 7), (10, 3), (63, 1)]])
         assert [len(kernel_sets(row)) for row in block] == [1, 2, 3, 5, 7]
         assert len(list(mapping._images(block))) == 7
-        assert (mapping._doubling(block) == np.stack([mapping._doubling(row) for row in block])).all()
+        mask = mapping._cyclic_sets(block)[0]
+        assert (mask == np.stack([mapping._cyclic_sets(row)[0] for row in block])).all()
+
+
+class TestSinglePass:
+    """`analyze` runs `_images` over the full row once; the height restarts run on smaller sets."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [np.random.default_rng(8).integers(0, 10**4, size=10**4), _rho(2**10, 2**10 - 1, 1)],
+        ids=["random-1e4", "chain-2^10"],
+    )
+    def test_one_pass_on_the_full_row(self, monkeypatch, f):
+        real = mapping._images
+        sizes = []
+
+        def counted(g):
+            sizes.append(g.size)
+            return real(g)
+
+        monkeypatch.setattr(mapping, "_images", counted)
+        n = len(f)
+        ref = mapping_reference.analyze(mapping.Mapping(n, f + 1))
+        assert mapping.analyze(mapping.Mapping(n, f + 1)).max_tail_height == ref.max_tail_height
+        assert sizes[0] == n and all(size < n for size in sizes[1:])
+        assert len(sizes) > 1  # both rows need at least one restart
 
 
 class TestPeriodStats:

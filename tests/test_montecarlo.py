@@ -11,7 +11,7 @@ import mapping_faults
 import mapping_reference
 import montecarlo_reference
 from itermap import asymptotics, exact, mapping, montecarlo
-from itermap.mapping import _cycles, _doubling
+from itermap.mapping import _cycles, _cyclic_sets
 
 
 class TestDeterminism:
@@ -92,9 +92,9 @@ class TestKernelPaths:
     @pytest.mark.parametrize("n, rows", [(montecarlo.BATCH_N_MAX, 16), (2000, 1)])
     def test_1d_and_2d_agree_row_by_row(self, n, rows):
         fmat = montecarlo.block_rng(4, 0).integers(0, n, size=(rows, n), dtype=np.int64)
-        mask2 = _doubling(fmat)
+        mask2 = _cyclic_sets(fmat)[0]
         for row, mask_row in zip(fmat, mask2):
-            mask1 = _doubling(row)
+            mask1 = _cyclic_sets(row)[0]
             assert np.array_equal(mask1, mask_row)
             lengths = _cycles(row, np.flatnonzero(mask1))
             assert lengths == _cycles(row, np.flatnonzero(mask_row))
@@ -102,11 +102,25 @@ class TestKernelPaths:
             assert tuple(sorted(lengths)) == ref.cycle_lengths
             assert set((np.flatnonzero(mask1) + 1).tolist()) == ref.cyclic_vertices
 
+    def test_one_image_pass_per_row(self, monkeypatch):
+        # one `_images` run per row on the per-row path and per block when batched:
+        # the check that the mask holds the cyclic set reuses the run's last set
+        real = mapping._images
+        shapes = []
+
+        def counted(g):
+            shapes.append(g.shape)
+            return real(g)
+
+        monkeypatch.setattr(mapping, "_images", counted)
+        montecarlo.run_experiment(2000, 6, seed=0, blocks=2)
+        montecarlo.run_experiment(100, 6, seed=0, blocks=2)
+        assert shapes == [(2000,)] * 6 + [(3, 100)] * 2
 
     def test_cycles_in_order_of_smallest_vertex(self):
         # the sampler's float sums run over the lengths in this order
         f = np.array([4, 3, 1, 2, 0, 5], dtype=np.int64)  # cycles (0 4), (1 3 2), (5)
-        assert _cycles(f, np.flatnonzero(_doubling(f))) == [2, 3, 1]
+        assert _cycles(f, np.flatnonzero(_cyclic_sets(f)[0])) == [2, 3, 1]
 
 
 def _serial_summary(n, seed, sizes):
@@ -120,7 +134,7 @@ def _serial_summary(n, seed, sizes):
         rng = montecarlo.block_rng(seed, b)
         for _ in range(bs):
             row = rng.integers(0, n, size=n, dtype=np.int64)
-            cyclic = np.flatnonzero(_doubling(row))
+            cyclic = np.flatnonzero(_cyclic_sets(row)[0])
             _, log_T, log_B = mapping.period_logs(_cycles(row, cyclic))
             for i, x in enumerate((log_T, log_B, log_B - log_T)):
                 sums[2 * i] += x
@@ -148,18 +162,20 @@ def _serial_summary(n, seed, sizes):
 
 class TestThreadedPath:
     def test_equals_serial_loop(self, monkeypatch):
-        # the first row of every block also runs the reach check; slowed down, it
-        # finishes after the rows drawn behind it, so with three workers (on any
+        # the kernel is slowed down on the first row of every block, so that row
+        # finishes after the rows drawn behind it, and with three workers (on any
         # host) completion order is not draw order
-        real = mapping._max_tail_height
-
-        def slow(f, mask):
-            time.sleep(0.05)
-            return real(f, mask)
-
-        monkeypatch.setattr(mapping, "_max_tail_height", slow)
-        monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
         n, seed = montecarlo.PARALLEL_N_MIN, 6
+        firsts = [montecarlo.block_rng(seed, b).integers(0, n, size=n) for b in range(3)]
+        real = mapping._cyclic_sets
+
+        def slow(f):
+            if any(np.array_equal(f, first) for first in firsts):
+                time.sleep(0.05)
+            return real(f)
+
+        monkeypatch.setattr(mapping, "_cyclic_sets", slow)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
         s = montecarlo.run_experiment(n, 13, seed, blocks=3)
         ref = _serial_summary(n, seed, (5, 4, 4))
         for f in dataclasses.fields(montecarlo.StatSummary):

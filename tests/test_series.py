@@ -103,6 +103,14 @@ class TestExpectedB:
         ref = series_reference.log_expected_B_convolution(n, tab)
         assert math.isclose(series.log_expected_B(n), ref, rel_tol=1e-12)
 
+    def test_ratio_table_grown_in_any_order(self, monkeypatch):
+        # the cached ratios give the same bits whether a larger n came first or not
+        monkeypatch.setattr(series, "_r_cache", [1.0])
+        small_first = [series.log_expected_B(n) for n in (1, 500, 5000, 20_000)]
+        monkeypatch.setattr(series, "_r_cache", [1.0])
+        large_first = [series.log_expected_B(n) for n in (20_000, 5000, 500, 1)]
+        assert small_first == large_first[::-1]
+
     def test_eval_builds_no_table(self, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("series --eval-n built a coefficient table")

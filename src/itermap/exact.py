@@ -114,16 +114,8 @@ def brute_force_expectations(n: int) -> tuple[Fraction, Fraction]:
 # Distribution of the number of cyclic vertices (Rubin-Sitgreaves formula)
 
 
-@dataclass(frozen=True)
-class ZDistribution:
-    """Exact pmf of Z, the number of cyclic vertices, for one n."""
-
-    n: int
-    pmf: tuple[Fraction, ...]  # pmf[m-1] = P_n(Z = m), m = 1..n
-
-
-def z_pmf(n: int) -> ZDistribution:
-    """P_n(Z=m) = n! m / ((n-m)! n^(m+1)) as exact rationals."""
+def z_pmf(n: int) -> tuple[Fraction, ...]:
+    """(P_n(Z=1), ..., P_n(Z=n)), P_n(Z=m) = n! m / ((n-m)! n^(m+1)), as exact rationals."""
     if n < 1:
         raise ValueError("n must be positive")
     probs = []
@@ -131,7 +123,7 @@ def z_pmf(n: int) -> ZDistribution:
     for m in range(1, n + 1):
         falling *= n - m + 1
         probs.append(Fraction(falling * m, n ** (m + 1)))
-    return ZDistribution(n=n, pmf=tuple(probs))
+    return tuple(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +163,18 @@ def perm_order_mean(m: int) -> Fraction:
     return Fraction(_ORDER_TOTALS[m], math.factorial(m))
 
 
-@lru_cache(maxsize=None)
-def _perm_B_numerators(upto: int) -> tuple[int, ...]:
+_BETA: list[int] = [1, 1]  # _BETA[m] = beta_m = m! b_m, grown on demand
+
+
+def _perm_B_numerators(upto: int) -> list[int]:
     """beta_0..beta_upto, with b_m = beta_m / m!.
 
     b(x) = exp(x/(1-x)) solves (1-x)^2 b' = b, which in beta reads
     beta_m = (2m-1) beta_{m-1} - (m-1)(m-2) beta_{m-2}.
     """
-    beta = [1, 1]
-    for m in range(2, upto + 1):
-        beta.append((2 * m - 1) * beta[m - 1] - (m - 1) * (m - 2) * beta[m - 2])
-    return tuple(beta[: upto + 1])
+    for m in range(len(_BETA), upto + 1):
+        _BETA.append((2 * m - 1) * _BETA[m - 1] - (m - 1) * (m - 2) * _BETA[m - 2])
+    return _BETA[: upto + 1]
 
 
 def perm_B_mean(m: int) -> Fraction:
@@ -201,9 +194,8 @@ def perm_B_mean(m: int) -> Fraction:
 
 def exact_E_T(n: int) -> Fraction:
     """E_n(T) = sum_m P_n(Z=m) * M_m, exact."""
-    dist = z_pmf(n)
     return sum(
-        (p * perm_order_mean(m) for m, p in enumerate(dist.pmf, start=1)),
+        (p * perm_order_mean(m) for m, p in enumerate(z_pmf(n), start=1)),
         Fraction(0),
     )
 
@@ -211,10 +203,9 @@ def exact_E_T(n: int) -> Fraction:
 def exact_E_B_conditional(n: int) -> Fraction:
     """E_n(B) = sum_m P_n(Z=m) * b_m, exact; independent of the series engine."""
     if n > CONDITIONAL_MAX_N:
-        raise CeilingError("enumeration too large")
-    dist = z_pmf(n)
+        raise CeilingError("conditional sum too large")
     beta = _perm_B_numerators(n)
     return sum(
-        (p * Fraction(beta[m], math.factorial(m)) for m, p in enumerate(dist.pmf, start=1)),
+        (p * Fraction(beta[m], math.factorial(m)) for m, p in enumerate(z_pmf(n), start=1)),
         Fraction(0),
     )

@@ -217,10 +217,22 @@ def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
     return lengths
 
 
-def _check_reach(mask: np.ndarray, cyclic: np.ndarray) -> None:
-    """Raise InvariantError unless mask holds all of S_J (flat indices) from `_cyclic_sets`."""
-    if not np.take(mask, cyclic).all():
+def _cycle_rows(f: np.ndarray, keep_prev: bool = False):
+    """(each row's cycle lengths, J, S_(J-1)) of f, a row or a block: the one cycle kernel.
+
+    `_images` runs once, and the mask is checked to be exactly its last
+    set S_J, the cyclic set: f must permute it (`_cycles` walks every
+    mask vertex, as S_J cannot show one beyond it), so it lies in S_J,
+    and it must hold S_J (one gather), so every vertex reaches it.
+    S_(J-1) is kept only if keep_prev, for `_max_tail_height`.
+    """
+    mask, J, prev, last = _cyclic_sets(f, keep_prev=keep_prev)
+    n = f.shape[-1]
+    rows = zip(f.reshape(-1, n), mask.reshape(-1, n))
+    lengths = [_cycles(row, np.flatnonzero(m)) for row, m in rows]
+    if not np.take(mask, last).all():
         raise InvariantError("a vertex does not reach the cyclic mask")
+    return lengths, J, prev
 
 
 def _max_tail_height(f: np.ndarray, J: int, prev: np.ndarray | None) -> int:
@@ -242,19 +254,14 @@ def _max_tail_height(f: np.ndarray, J: int, prev: np.ndarray | None) -> int:
 def analyze(f: Mapping) -> CycleStructure:
     """Decompose the functional graph of f in O(n) space and, on a random mapping, O(n) work.
 
-    `_images` runs once.  The mask is checked to be exactly its last set
-    S_J, the cyclic set: f must permute the mask (`_cycles` walks every
-    mask vertex, as S_J cannot show one beyond it), so it lies in S_J, and
-    it must hold S_J (`_check_reach`), so every vertex reaches it.
+    One `_cycle_rows` call gives the checked cycle lengths and the sets
+    where `_max_tail_height` restarts.
     """
     t = f.targets - 1
-    mask, J, prev, last = _cyclic_sets(t, keep_prev=True)
-    cyclic = np.flatnonzero(mask)
-    lengths = _cycles(t, cyclic)
-    _check_reach(mask, last)
+    [lengths], J, prev = _cycle_rows(t, keep_prev=True)
     return CycleStructure(
         cycle_lengths=tuple(sorted(lengths)),
-        num_cyclic=len(cyclic),
+        num_cyclic=sum(lengths),
         max_tail_height=_max_tail_height(t, J, prev),
     )
 

@@ -3,22 +3,21 @@
 Samples are drawn in fixed-size blocks; block b uses the generator
 PCG64(SeedSequence(entropy=seed, spawn_key=(b,))), so results are
 bit-identical for a given (n, samples, seed, blocks) no matter how the
-blocks would be scheduled.  Up to BATCH_N_MAX a block is drawn and
-analysed as one matrix; above it, row by row from the same stream, so
-memory stays O(n) per sample.  Per sample the cyclic mask comes from
-one image-shrinking run (mapping._cyclic_sets, O(n) memory), the cycle
-lengths from a walk over its vertices, which raises
-mapping.InvariantError unless f permutes the mask, and log T and log B
-from mapping.period_logs, the route `analyze` takes.  Then one gather,
-mapping._check_reach, raises unless the mask holds the last set of that
-run, the cyclic set, so that every vertex reaches it.
+blocks would be scheduled.  Up to BATCH_N_MAX a block is drawn as one
+matrix; above it, row by row from the same stream, so memory stays O(n)
+per sample.  Each draw goes through one call of mapping._cycle_rows,
+the cycle kernel of `analyze`: one image-shrinking run, the cycle walk,
+which raises mapping.InvariantError unless f permutes the cyclic mask,
+and one gather, which raises unless the mask holds the cyclic set, so
+that every vertex reaches it.  log T and log B come from
+mapping.period_logs, as in `analyze`.
 
-From PARALLEL_N_MIN on, the per-sample kernel runs on a few worker
-threads (numpy's gathers release the GIL) while the main thread keeps
-drawing rows in stream order; results are accumulated in that same
-order, so the output does not depend on the number of threads.  Below
-it, the GIL held by the cycle walk costs more than the threads save,
-and the same ordered loop runs inline.
+From PARALLEL_N_MIN on, the kernel runs on a few worker threads
+(numpy's gathers release the GIL) while the main thread keeps drawing
+rows in stream order; results are accumulated in that same order, so
+the output does not depend on the number of threads.  Below it, the GIL
+held by the cycle walk costs more than the threads save, and the same
+ordered loop runs inline.
 
 Only numpy is needed, so `simulate` starts without scipy; the tests'
 chi-square of the Z counts is in tests/montecarlo_reference.py.
@@ -85,19 +84,10 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
     )
 
 
-def _sample(f_row, mask_row) -> tuple[int, float, float]:
-    """(Z, log T, log B) of one row from its cyclic mask."""
-    cyclic = np.flatnonzero(mask_row)
-    _, log_T, log_B = mapping.period_logs(mapping._cycles(f_row, cyclic))
-    return len(cyclic), log_T, log_B
-
-
-def _row_sample(f_row) -> tuple[int, float, float]:
-    """_sample of one row from its own mask, then the check that the mask holds its cyclic set."""
-    mask, _, _, cyclic = mapping._cyclic_sets(f_row)
-    sample = _sample(f_row, mask)
-    mapping._check_reach(mask, cyclic)
-    return sample
+def _samples(f) -> list[tuple[int, float, float]]:
+    """(Z, log T, log B) of each row of f, one row or a block of rows."""
+    rows, _, _ = mapping._cycle_rows(f)
+    return [(sum(lengths), *mapping.period_logs(lengths)[1:]) for lengths in rows]
 
 
 def _consume_sample(acc: _Accum, z, log_T, log_B, a_n, b_n):
@@ -131,27 +121,30 @@ def _workers() -> int:
     return min(MAX_WORKERS, cpus)
 
 
-def _rows(n: int, seed: int, sizes: list[int]):
-    """Every sample's row, drawn one row at a time in stream order."""
+def _draws(n: int, seed: int, sizes: list[int]):
+    """Each sample's row in stream order: a matrix per block up to BATCH_N_MAX, else one by one."""
     for b, bs in enumerate(sizes):
         rng = block_rng(seed, b)
-        for _ in range(bs):
-            yield rng.integers(0, n, size=n, dtype=np.int64)
+        if n <= BATCH_N_MAX:
+            yield rng.integers(0, n, size=(bs, n), dtype=np.int64)
+        else:
+            for _ in range(bs):
+                yield rng.integers(0, n, size=n, dtype=np.int64)
 
 
-def _in_order(rows, pool: ThreadPoolExecutor | None, workers: int):
-    """_row_sample of every row, yielded in draw order.
+def _in_order(draws, pool: ThreadPoolExecutor | None, workers: int):
+    """_samples of every draw, yielded in draw order.
 
-    Inline when pool is None.  Otherwise at most workers + 1 rows are
+    Inline when pool is None.  Otherwise at most workers + 1 draws are
     submitted and not yet yielded (one running per worker and one
     queued), so rows are drawn only as fast as they are analysed.
     """
     if pool is None:
-        yield from map(_row_sample, rows)
+        yield from map(_samples, draws)
         return
     pending: deque = deque()
-    for row in rows:
-        pending.append(pool.submit(_row_sample, row))
+    for f in draws:
+        pending.append(pool.submit(_samples, f))
         if len(pending) == workers + 1:
             yield pending.popleft().result()
     while pending:
@@ -167,12 +160,15 @@ def run_experiment(
     """Sample `samples` uniform mappings of [n] and accumulate StatSummary.
 
     Deterministic for fixed (n, samples, seed, blocks); blocks defaults
-    to ceil(samples / 256).  Raises mapping.InvariantError if a sample's
-    cyclic mask fails its checks: f must permute it, and it must hold the
-    sample's cyclic set.
+    to ceil(samples / 256).  One ordered loop serves every n: `_draws`
+    yields block matrices or single rows (it alone reads BATCH_N_MAX),
+    `_samples` runs the cycle kernel on each, and the samples are
+    accumulated in draw order.  Raises mapping.InvariantError if a
+    sample's cyclic mask fails its checks: f must permute it, and it
+    must hold the sample's cyclic set.
 
-    From PARALLEL_N_MIN on, w = _workers() threads run the per-row
-    kernel and the output is that of the serial loop.  Memory is then
+    From PARALLEL_N_MIN on, w = _workers() threads run the kernel on
+    single rows and the output is that of the inline loop.  Memory is then
     bounded in rows of 8n bytes: at most w + 1 drawn rows are alive
     (w running, one queued or being drawn), and each running worker
     holds about two more in the first, largest round of
@@ -197,22 +193,15 @@ def run_experiment(
     base = samples // blocks
     extra = samples % blocks
     sizes = [base + (1 if b < extra else 0) for b in range(blocks)]
-    if n <= BATCH_N_MAX:
-        for b, bs in enumerate(sizes):
-            fmat = block_rng(seed, b).integers(0, n, size=(bs, n), dtype=np.int64)
-            mask, _, _, cyclic = mapping._cyclic_sets(fmat)
-            for row, mask_row in zip(fmat, mask):
-                _consume_sample(acc, *_sample(row, mask_row), a_n, b_n)
-            mapping._check_reach(mask, cyclic)
-    else:
-        workers = _workers()
-        pool = ThreadPoolExecutor(workers) if n >= PARALLEL_N_MIN else None
-        try:
-            for result in _in_order(_rows(n, seed, sizes), pool, workers):
+    workers = _workers()
+    pool = ThreadPoolExecutor(workers) if n >= PARALLEL_N_MIN else None
+    try:
+        for results in _in_order(_draws(n, seed, sizes), pool, workers):
+            for result in results:
                 _consume_sample(acc, *result, a_n, b_n)
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     cnt = acc.count
     mean_T = acc.s_logT / cnt

@@ -14,6 +14,7 @@ check are test oracles in tests/series_reference.py.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ class SeriesTable:
 
 
 _c_cache = np.empty(0)
-_r_cache = [1.0]  # r_m = b_m/b_(m-1), m = 1, 2, ..., grown by log_expected_B
+_r_cache = array("d", [1.0])  # r_m = b_m/b_(m-1), m = 1, 2, ..., grown by log_expected_B
 
 
 def _c_upto(N: int) -> np.ndarray:

@@ -8,14 +8,13 @@ sampler itself needs no scipy.
 import numpy as np
 from scipy.special import gammaincc
 
-from itermap.exact import ZDistribution
 from itermap.mapping import CeilingError
 
 GOF_MIN_EXPECTED = 5.0  # least expected count of a pooled chi-square bin
 
 
-def z_gof(z_counts: np.ndarray, pmf: ZDistribution | np.ndarray) -> tuple[float, float]:
-    """Pearson chi-square of observed Z counts against the exact pmf.
+def z_gof(z_counts: np.ndarray, pmf) -> tuple[float, float]:
+    """Pearson chi-square of observed Z counts against the pmf of m = 1..n.
 
     Consecutive m are pooled (ascending, remainder merged into the last
     bin) until every retained bin expects at least GOF_MIN_EXPECTED counts.
@@ -24,11 +23,7 @@ def z_gof(z_counts: np.ndarray, pmf: ZDistribution | np.ndarray) -> tuple[float,
     counts = np.asarray(z_counts[1:], dtype=np.float64)  # m = 1..n
     n = counts.size
     samples = counts.sum()
-    if isinstance(pmf, ZDistribution):
-        probs = np.array([float(p) for p in pmf.pmf])
-    else:
-        probs = np.asarray(pmf, dtype=np.float64)
-    expected = probs * samples
+    expected = np.array([float(p) for p in pmf]) * samples
 
     obs_bins: list[float] = []
     exp_bins: list[float] = []

@@ -73,25 +73,25 @@ class TestBruteForce:
 
 class TestZDistribution:
     def test_n1(self):
-        assert exact.z_pmf(1).pmf == (Fraction(1),)
+        assert exact.z_pmf(1) == (Fraction(1),)
 
     def test_n2(self):
-        assert exact.z_pmf(2).pmf == (Fraction(1, 2), Fraction(1, 2))
+        assert exact.z_pmf(2) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_sums_to_one(self):
         for n in (1, 2, 3, 10, 100):
-            assert sum(exact.z_pmf(n).pmf) == 1
+            assert sum(exact.z_pmf(n)) == 1
             assert exact_reference.z_pmf_sums_to_one(n)
 
     def test_matches_enumeration(self):
         for n in (2, 3, 4, 5):
             s = exact.enumerate_summary(n)
-            pmf = exact.z_pmf(n).pmf
+            pmf = exact.z_pmf(n)
             for m in range(1, n + 1):
                 assert pmf[m - 1] == Fraction(s.z_counts[m], n**n)
 
     def test_nonnegative(self):
-        assert all(p >= 0 for p in exact.z_pmf(30).pmf)
+        assert all(p >= 0 for p in exact.z_pmf(30))
 
 
 class TestPermutationMeans:
@@ -112,6 +112,14 @@ class TestPermutationMeans:
     def test_b_numerators_match_convolution(self):
         # the three-term recurrence against the O(m^2) convolution it replaced
         assert list(exact._perm_B_numerators(500)) == exact_reference.perm_B_numerators(500)
+
+    def test_b_numerators_grown_once(self, monkeypatch):
+        # one table grown on demand: a call below its length reads a prefix and adds nothing
+        monkeypatch.setattr(exact, "_BETA", [1, 1])
+        small = exact._perm_B_numerators(7)
+        assert exact._perm_B_numerators(40)[:8] == small
+        assert len(exact._BETA) == 41
+        assert exact._perm_B_numerators(3) == small[:4] and len(exact._BETA) == 41
 
     def test_M_matches_partition_route(self):
         for m in range(1, 26):
@@ -159,3 +167,8 @@ class TestConditionalExpectations:
     def test_n1(self):
         assert exact.exact_E_T(1) == 1
         assert exact.exact_E_B_conditional(1) == 1
+
+    def test_conditional_ceiling(self):
+        # the sum enumerates no mapping, so its ceiling has a message of its own
+        with pytest.raises(mapping.CeilingError, match="^conditional sum too large$"):
+            exact.exact_E_B_conditional(exact.CONDITIONAL_MAX_N + 1)

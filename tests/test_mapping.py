@@ -221,12 +221,16 @@ def _rho(n, tail, cycle):
 
 
 def kernel_sets(f):
-    """The image sets of one 0-based row, after checking its mask and height against the reference."""
+    """The image sets of one 0-based row, after checking the kernel's results against the reference."""
     ref = mapping_reference.analyze(mapping.Mapping(len(f), f + 1))
     mask, J, prev, cyclic = mapping._cyclic_sets(f, keep_prev=True)
     assert set((np.flatnonzero(mask) + 1).tolist()) == ref.cyclic_vertices
     assert mapping._cyclic_sets(f)[2] is None  # the sampler's call keeps no S_(J-1)
-    mapping._check_reach(mask, cyclic)
+    assert mask[cyclic].all()  # the mask holds the last set
+    [lengths], J_rows, prev_rows = mapping._cycle_rows(f, keep_prev=True)
+    assert tuple(sorted(lengths)) == ref.cycle_lengths and J_rows == J
+    assert prev_rows is None if prev is None else np.array_equal(prev_rows, prev)
+    assert mapping._cycle_rows(f)[2] is None
     assert mapping._max_tail_height(f, J, prev) == ref.max_tail_height
     sets = list(mapping._images(f))
     # _cyclic_sets hands over the index and the last two sets of the same run

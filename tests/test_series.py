@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -105,9 +106,9 @@ class TestExpectedB:
 
     def test_ratio_table_grown_in_any_order(self, monkeypatch):
         # the cached ratios give the same bits whether a larger n came first or not
-        monkeypatch.setattr(series, "_r_cache", [1.0])
+        monkeypatch.setattr(series, "_r_cache", array("d", [1.0]))
         small_first = [series.log_expected_B(n) for n in (1, 500, 5000, 20_000)]
-        monkeypatch.setattr(series, "_r_cache", [1.0])
+        monkeypatch.setattr(series, "_r_cache", array("d", [1.0]))
         large_first = [series.log_expected_B(n) for n in (20_000, 5000, 500, 1)]
         assert small_first == large_first[::-1]
 

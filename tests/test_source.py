@@ -80,3 +80,18 @@ def test_no_environment_reads():
                 if {a.name for a in node.names} & {"environ", "getenv"}:
                     readers.add(name)
     assert readers == set()
+
+
+def test_sampler_calls_the_cycle_kernel_whole():
+    # the mask, the cycle walk and the reach check stay in mapping, behind one call
+    private = set()
+    for name, tree in _modules():
+        if name != "montecarlo.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "mapping" and node.attr.startswith("_"):
+                    private.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("mapping"):
+                private |= {a.name for a in node.names if a.name.startswith("_")}
+    assert private == {"_cycle_rows"}

@@ -15,7 +15,8 @@ sets its default n) and checks every n against series.DEGREE_CAP_DEFAULT
 before computing any row.  Each cmd_* imports the modules it needs;
 analyze, exact, constants and simulate load no scipy.  Settings come
 from options alone, never the environment; one with a single value in
-use is a module constant (renyi.EXACT_MAX_D, asymptotics.EPS).
+use is a module constant (renyi.EXACT_MAX_D, asymptotics.EPS).  The
+`simulate` CSV names each StatSummary field it writes once.
 """
 
 from __future__ import annotations
@@ -197,22 +198,13 @@ def cmd_simulate(args) -> int:
     summary = montecarlo.run_experiment(args.n, args.samples, args.seed, blocks=args.blocks)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "n", "samples", "seed", "blocks",
-            "mean_log_T", "var_log_T", "mean_log_B", "var_log_B",
-            "mean_diff", "var_diff", "frac_norm_nonpos",
-        ]
+    columns = (
+        "n", "samples", "seed", "blocks",
+        "mean_log_T", "var_log_T", "mean_log_B", "var_log_B",
+        "mean_diff", "var_diff", "frac_norm_nonpos",
     )
-    writer.writerow(
-        [
-            summary.n, summary.samples, summary.seed, summary.blocks,
-            repr(summary.mean_log_T), repr(summary.var_log_T),
-            repr(summary.mean_log_B), repr(summary.var_log_B),
-            repr(summary.mean_diff), repr(summary.var_diff),
-            repr(summary.frac_norm_nonpos),
-        ]
-    )
+    writer.writerow(columns)
+    writer.writerow([getattr(summary, c) for c in columns])  # csv writes a float as its repr
     outputs = [(args.out, buf.getvalue())]
     if args.histogram:
         edges = montecarlo.hist_bin_edges()

@@ -128,12 +128,7 @@ def parse_mapping(text: str | bytes) -> Mapping:
         bad = _bad_token(data)
         if bad is not None:
             raise MappingError(f"invalid token: {bad!r}")
-    n = int(values[0])
-    if n < 1:
-        raise MappingError("empty domain")
-    if len(values) != n + 1:
-        raise MappingError("length mismatch")
-    return Mapping(n, values[1:])
+    return Mapping(int(values[0]), values[1:])  # which checks n >= 1 and the token count
 
 
 def _images(f: np.ndarray):

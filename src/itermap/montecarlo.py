@@ -14,10 +14,10 @@ mapping.period_logs, as in `analyze`.
 
 From PARALLEL_N_MIN on, the kernel runs on a few worker threads
 (numpy's gathers release the GIL) while the main thread keeps drawing
-rows in stream order; results are accumulated in that same order, so
-the output does not depend on the number of threads.  Below it, the GIL
-held by the cycle walk costs more than the threads save, and the same
-ordered loop runs inline.
+rows in stream order; each sample is added to running sums in that
+same order, so the output does not depend on the number of threads.
+Below it, the GIL held by the cycle walk costs more than the threads
+save, and the same ordered loop runs inline.
 
 Only numpy is needed, so `simulate` starts without scipy; the tests'
 chi-square of the Z counts is in tests/montecarlo_reference.py.
@@ -29,7 +29,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,20 +63,6 @@ class StatSummary:
     z_counts: np.ndarray     # index m = 0..n
 
 
-@dataclass
-class _Accum:
-    count: int = 0
-    s_logT: float = 0.0
-    s2_logT: float = 0.0
-    s_logB: float = 0.0
-    s2_logB: float = 0.0
-    s_diff: float = 0.0
-    s2_diff: float = 0.0
-    nonpos: int = 0
-    hist: np.ndarray = field(default_factory=lambda: np.zeros(HIST_BINS + 2, dtype=np.int64))
-    z_counts: np.ndarray | None = None
-
-
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """The documented split: PCG64 seeded by SeedSequence(seed, spawn_key=(block,))."""
     return np.random.Generator(
@@ -88,28 +74,6 @@ def _samples(f) -> list[tuple[int, float, float]]:
     """(Z, log T, log B) of each row of f, one row or a block of rows."""
     rows, _, _ = mapping._cycle_rows(f)
     return [(sum(lengths), *mapping.period_logs(lengths)[1:]) for lengths in rows]
-
-
-def _consume_sample(acc: _Accum, z, log_T, log_B, a_n, b_n):
-    diff = log_B - log_T
-    acc.count += 1
-    acc.s_logT += log_T
-    acc.s2_logT += log_T * log_T
-    acc.s_logB += log_B
-    acc.s2_logB += log_B * log_B
-    acc.s_diff += diff
-    acc.s2_diff += diff * diff
-    norm = (log_T - a_n) / b_n
-    if norm <= 0.0:
-        acc.nonpos += 1
-    if norm < HIST_LO:
-        acc.hist[0] += 1
-    elif norm >= HIST_HI:
-        acc.hist[-1] += 1
-    else:
-        b = int((norm - HIST_LO) / (HIST_HI - HIST_LO) * HIST_BINS)
-        acc.hist[1 + b] += 1
-    acc.z_counts[z] += 1
 
 
 def _workers() -> int:
@@ -162,10 +126,12 @@ def run_experiment(
     Deterministic for fixed (n, samples, seed, blocks); blocks defaults
     to ceil(samples / 256).  One ordered loop serves every n: `_draws`
     yields block matrices or single rows (it alone reads BATCH_N_MAX),
-    `_samples` runs the cycle kernel on each, and the samples are
-    accumulated in draw order.  Raises mapping.InvariantError if a
-    sample's cyclic mask fails its checks: f must permute it, and it
-    must hold the sample's cyclic set.
+    `_samples` runs the cycle kernel on each, and each sample goes into
+    running sums in draw order, so memory is O(1) in `samples`.  Raises
+    CeilingError before any draw for n outside [1, MAX_N], samples < 1,
+    seed < 0 or blocks < 1; blocks is clamped to samples.  Raises
+    mapping.InvariantError if a sample's cyclic mask fails its checks:
+    f must permute it, and it must hold the sample's cyclic set.
 
     From PARALLEL_N_MIN on, w = _workers() threads run the kernel on
     single rows and the output is that of the inline loop.  Memory is then
@@ -183,44 +149,61 @@ def run_experiment(
         raise mapping.CeilingError("experiment too large")
     if samples < 1:
         raise mapping.CeilingError("samples must be positive")
+    if seed < 0:
+        raise mapping.CeilingError("seed must be non-negative")
     if blocks is None:
         blocks = math.ceil(samples / DEFAULT_BLOCK)
-    blocks = max(1, min(blocks, samples))
+    elif blocks < 1:
+        raise mapping.CeilingError("blocks must be positive")
+    blocks = min(blocks, samples)
     a_n, b_n = asymptotics.harris_params(max(n, 2))
-    acc = _Accum()
-    acc.z_counts = np.zeros(n + 1, dtype=np.int64)
+    s_T = s2_T = s_B = s2_B = s_d = s2_d = 0.0  # sums of log T, log B, log B - log T, squares
+    nonpos = 0
+    hist = np.zeros(HIST_BINS + 2, dtype=np.int64)
+    z_counts = np.zeros(n + 1, dtype=np.int64)
 
-    base = samples // blocks
-    extra = samples % blocks
+    base, extra = divmod(samples, blocks)
     sizes = [base + (1 if b < extra else 0) for b in range(blocks)]
     workers = _workers()
     pool = ThreadPoolExecutor(workers) if n >= PARALLEL_N_MIN else None
     try:
         for results in _in_order(_draws(n, seed, sizes), pool, workers):
-            for result in results:
-                _consume_sample(acc, *result, a_n, b_n)
+            for z, log_T, log_B in results:
+                diff = log_B - log_T
+                s_T += log_T
+                s2_T += log_T * log_T
+                s_B += log_B
+                s2_B += log_B * log_B
+                s_d += diff
+                s2_d += diff * diff
+                norm = (log_T - a_n) / b_n
+                nonpos += norm <= 0.0
+                if norm < HIST_LO:
+                    hist[0] += 1
+                elif norm >= HIST_HI:
+                    hist[-1] += 1
+                else:
+                    hist[1 + int((norm - HIST_LO) / (HIST_HI - HIST_LO) * HIST_BINS)] += 1
+                z_counts[z] += 1
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    cnt = acc.count
-    mean_T = acc.s_logT / cnt
-    mean_B = acc.s_logB / cnt
-    mean_d = acc.s_diff / cnt
+    mean_T, mean_B, mean_d = s_T / samples, s_B / samples, s_d / samples
     return StatSummary(
         n=n,
-        samples=cnt,
+        samples=samples,
         seed=seed,
         blocks=blocks,
         mean_log_T=mean_T,
-        var_log_T=max(acc.s2_logT / cnt - mean_T**2, 0.0),
+        var_log_T=max(s2_T / samples - mean_T**2, 0.0),
         mean_log_B=mean_B,
-        var_log_B=max(acc.s2_logB / cnt - mean_B**2, 0.0),
+        var_log_B=max(s2_B / samples - mean_B**2, 0.0),
         mean_diff=mean_d,
-        var_diff=max(acc.s2_diff / cnt - mean_d**2, 0.0),
-        frac_norm_nonpos=acc.nonpos / cnt,
-        hist=acc.hist,
-        z_counts=acc.z_counts,
+        var_diff=max(s2_d / samples - mean_d**2, 0.0),
+        frac_norm_nonpos=nonpos / samples,
+        hist=hist,
+        z_counts=z_counts,
     )
 
 

@@ -363,6 +363,18 @@ class TestSimulate:
             "8.787902377998776,1.7482403527071757,3.2537184659738987,0.6"
         )
 
+    def test_batched_path_pinned(self, capsys):
+        # n <= BATCH_N_MAX draws each block as one matrix; the line is the one
+        # printed while the running sums were kept in a separate record
+        code, out, _ = run(
+            capsys, "simulate", "--n", "100", "--samples", "300", "--blocks", "2", "--seed", "4"
+        )
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "100,300,4,2,2.449543962124768,1.3256910478773083,2.9753816018225017,"
+            "1.9440515960310805,0.5258376396977349,0.5852378717175878,0.6133333333333333"
+        )
+
     def test_threaded_path_pinned(self, capsys):
         # n = 40000 >= PARALLEL_N_MIN runs the kernel on worker threads; the CSV
         # line is the one the serial per-row loop gave before threads were added
@@ -427,6 +439,16 @@ class TestSimulate:
     def test_too_large(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "100000000", "--samples", "1")
         assert code == cli.EXIT_CEILING
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [(("--seed", "-1"), "seed must be non-negative"),
+         (("--blocks", "0"), "blocks must be positive"),
+         (("--blocks", "-3"), "blocks must be positive")],
+    )
+    def test_bad_seed_or_blocks(self, capsys, option, message):
+        code, out, err = run(capsys, "simulate", "--n", "100", "--samples", "10", *option)
+        assert (code, out, err) == (cli.EXIT_CEILING, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,20 @@ class TestInvariants:
         with pytest.raises(mapping.CeilingError):
             montecarlo.run_experiment(10, 0, seed=0)
 
+    # rejected before the first draw, as samples < 1 is
+    @pytest.mark.parametrize(
+        "seed, blocks, message",
+        [(-1, None, "seed must be non-negative"), (0, 0, "blocks must be positive"),
+         (0, -3, "blocks must be positive")],
+    )
+    def test_bad_seed_or_blocks(self, monkeypatch, seed, blocks, message):
+        monkeypatch.setattr(montecarlo, "block_rng", None)  # any draw would raise TypeError
+        with pytest.raises(mapping.CeilingError, match=f"^{message}$"):
+            montecarlo.run_experiment(10, 5, seed, blocks=blocks)
+
+    def test_blocks_clamped_to_samples(self):
+        assert montecarlo.run_experiment(10, 5, 0, blocks=50).blocks == 5
+
 
 class TestKernelPaths:
     # one block at the batched path's largest n, one row above it
@@ -160,6 +174,21 @@ def _serial_summary(n, seed, sizes):
     )
 
 
+def _assert_equal_summaries(s, ref):
+    """Every StatSummary field equal bit for bit."""
+    for f in dataclasses.fields(montecarlo.StatSummary):
+        a, b = getattr(s, f.name), getattr(ref, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+class TestSerialLoop:
+    # batched (whole-block matrices) and per row inline; the threaded path is below
+    @pytest.mark.parametrize("n", [100, 2000])
+    def test_equals_serial_loop(self, n):
+        s = montecarlo.run_experiment(n, 40, 4, blocks=3)
+        _assert_equal_summaries(s, _serial_summary(n, 4, (14, 13, 13)))
+
+
 class TestThreadedPath:
     def test_equals_serial_loop(self, monkeypatch):
         # the kernel is slowed down on the first row of every block, so that row
@@ -177,10 +206,7 @@ class TestThreadedPath:
         monkeypatch.setattr(mapping, "_cyclic_sets", slow)
         monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
         s = montecarlo.run_experiment(n, 13, seed, blocks=3)
-        ref = _serial_summary(n, seed, (5, 4, 4))
-        for f in dataclasses.fields(montecarlo.StatSummary):
-            a, b = getattr(s, f.name), getattr(ref, f.name)
-            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+        _assert_equal_summaries(s, _serial_summary(n, seed, (5, 4, 4)))
 
     def test_worker_error_propagates_and_pool_shuts_down(self, monkeypatch):
         _, message = mapping_faults.install("tail_vertex_added", monkeypatch.setattr)

@@ -33,19 +33,19 @@ def _modules():
                 yield name, ast.parse(fh.read(), name)
 
 
-def unreferenced_public_defs() -> set[str]:
-    """Public top-level functions and classes that no live code in src/ reaches.
+def unreferenced_defs(modules) -> set[str]:
+    """Top-level functions and classes, public or private, that no live code reaches.
 
-    Every top-level statement that is not a public def is live.  A public
-    def is live while some other live statement reads its name; drop the
-    defs that none reads, and repeat until nothing more drops.
+    modules yields (file name, syntax tree).  Every top-level statement
+    that is not a def is live.  A def is live while some other live
+    statement reads its name; drop the defs that none reads, and repeat
+    until nothing more drops.
     """
     roots: list[set[str]] = []
     defs: dict[str, set[str]] = {}
-    for name, tree in _modules():
+    for name, tree in modules:
         for stmt in tree.body:
-            defines = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            if defines and not stmt.name.startswith("_"):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defs[f"{name[:-3]}.{stmt.name}"] = _names(stmt)
             else:
                 roots.append(_names(stmt))
@@ -64,8 +64,32 @@ def unreferenced_public_defs() -> set[str]:
 
 
 def test_no_test_only_routes_in_src():
-    # a route that only tests call belongs in tests/*_reference.py
-    assert unreferenced_public_defs() == set()
+    # a route that only tests call belongs in tests/*_reference.py, and a helper
+    # that no src/ statement reads any more belongs nowhere
+    assert unreferenced_defs(_modules()) == set()
+
+
+def test_unreferenced_defs_finds_left_over_helpers():
+    source = """
+def run():
+    return _fold(1)
+
+def _fold(x):
+    return _Summary(x)
+
+class _Summary:
+    pass
+
+class _Accum:
+    pass
+
+def _consume(acc: _Accum):
+    acc.count += 1
+"""
+    dropped = unreferenced_defs([("m.py", ast.parse(source))])
+    assert dropped == {"m.run", "m._fold", "m._Summary", "m._Accum", "m._consume"}
+    dropped = unreferenced_defs([("m.py", ast.parse(source + "\nrun()\n"))])
+    assert dropped == {"m._Accum", "m._consume"}
 
 
 def test_no_environment_reads():

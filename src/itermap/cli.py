@@ -7,16 +7,18 @@ straight-line code; main alone maps a failure to its exit code
 0 success, 2 input parse or usage failure (MappingError, UsageError),
 3 I/O failure (OSError), 4 a size or parameter outside the supported
 domain (CeilingError), 5 internal invariant violation (InvariantError).
-Any other exception propagates.  `exact` also exits 5, after writing
-its table, when a brute-force cross-check fails.  Every output file is
-opened before any text is written, so an unwritable path leaves stdout
-empty.  `series --eval-n` builds no coefficient table (--degree only
-sets its default n) and checks every n against series.DEGREE_CAP_DEFAULT
-before computing any row.  Each cmd_* imports the modules it needs;
-analyze, exact, constants and simulate load no scipy.  Settings come
-from options alone, never the environment; one with a single value in
-use is a module constant (renyi.EXACT_MAX_D, asymptotics.EPS).  The
-`simulate` CSV names each StatSummary field it writes once.
+Any other exception propagates.  `exact` sums each E_n(T) and E_n(B)
+as one integer over n^(n+1) n!, checks n <= 7 against the tally of all
+n^n mappings, and also exits 5, after writing its table, when such a
+cross-check fails.  Every output file is opened before any text is
+written, so an unwritable path leaves stdout empty.  `series --eval-n`
+builds no coefficient table (--degree only sets its default n) and
+checks every n against series.DEGREE_CAP_DEFAULT before computing any
+row.  Each cmd_* imports the modules it needs; analyze, exact,
+constants and simulate load no scipy.  Settings come from options
+alone, never the environment; one with a single value in use is a
+module constant (renyi.EXACT_MAX_D, asymptotics.EPS).  The `simulate`
+CSV names each StatSummary field it writes once.
 """
 
 from __future__ import annotations

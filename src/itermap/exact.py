@@ -1,13 +1,13 @@
 """Ground-truth computations: brute-force enumeration of all n^n mappings,
-the exact distribution of the cyclic-vertex count Z, mean permutation order
-M_m, mean permutation cycle product b_m, and the exact conditional
-expectations E_n(T) and E_n(B).
+the mean order M_m and mean cycle product b_m of a uniform permutation
+of [m], and the exact E_n(T) and E_n(B), each one integer sum over the
+law of the cyclic-vertex count Z.
 
-Everything here is exact rational arithmetic; these routines are the
-oracles every asymptotic route is validated against.  The enumeration
-shares no code with the mapping module or with the z_pmf * M_m route: it
-packs each mapping into one integer word and reads its cycle counts off
-the fixed points of its iterates.
+Everything here is exact arithmetic; these routines are the oracles
+every asymptotic route is validated against.  The enumeration shares no
+code with the mapping module or with the sums over Z: it packs each
+mapping into one integer word and tallies the cycle types read off the
+fixed points of its iterates.
 """
 
 from __future__ import annotations
@@ -49,11 +49,13 @@ def enumerate_summary(n: int, chunk: int = 1 << 16) -> EnumerationSummary:
 
     Each mapping is a word with f(x) in bits 3x..3x+2, so f is evaluated
     elementwise as (w >> 3x) & 7, without a gather.  Following every
-    vertex for n steps gives fix_t = #{v : f^t(v) = v} for t = 1..n.  A
-    vertex on an L-cycle is fixed by f^t iff L | t, so
-    L c_L = fix_L - sum_{d | L, d < L} d c_d gives c_L, the number of
-    L-cycles.  Then Z = sum L c_L, B = prod L^c_L, T is the lcm of the
-    lengths present, and f is connected iff it has one cycle.
+    vertex for n steps gives fix_t = #{v : f^t(v) = v} for t = 1..n, 4
+    bits each of one int64 key; np.unique counts the keys chunk by chunk.
+    Each distinct key, a cycle type, is read once in Python ints: a vertex
+    on an L-cycle is fixed by f^t iff L | t, so the number of L-cycles is
+    c_L = (fix_L - sum_{d | L, d < L} d c_d) / L.  Then Z = sum L c_L,
+    B = prod L^c_L, T is the lcm of the lengths present, and f is
+    connected iff it has one cycle.
     """
     if not 1 <= n <= BRUTE_FORCE_MAX_N:
         raise CeilingError("enumeration too large")
@@ -62,12 +64,7 @@ def enumerate_summary(n: int, chunk: int = 1 << 16) -> EnumerationSummary:
     words = np.zeros(1, dtype=np.int32)
     for x in range(n):
         words = (words[:, None] + (np.arange(n, dtype=np.int32) << 3 * x)).ravel()
-    # lcm_of[s] = lcm of the lengths L with bit L-1 set in s
-    lengths = range(1, n + 1)
-    lcm_of = np.array([math.lcm(*(L for L in lengths if s >> (L - 1) & 1)) for s in range(1 << n)])
-    sum_T = sum_B = connected_count = connected_cycle_total = 0
-    z_counts = np.zeros(n + 1, dtype=np.int64)
-
+    tally: dict[int, int] = {}  # key -> number of mappings with that key
     for lo in range(0, n**n, chunk):
         w = words[lo : lo + chunk]
         fix = np.zeros((n + 1, len(w)), dtype=np.int8)
@@ -76,29 +73,29 @@ def enumerate_summary(n: int, chunk: int = 1 << 16) -> EnumerationSummary:
             for t in range(1, n + 1):
                 y = (w >> 3 * y) & 7
                 fix[t] += y == x
-
+        key = sum(fix[t].astype(np.int64) << 4 * (t - 1) for t in range(1, n + 1))
+        for k, count in zip(*(a.tolist() for a in np.unique(key, return_counts=True))):
+            tally[k] = tally.get(k, 0) + count
+    sum_T = sum_B = connected_count = connected_cycle_total = 0
+    z_counts = [0] * (n + 1)
+    for k, count in tally.items():
         c = {}
-        present = 0
-        B = np.ones(len(w), dtype=np.int64)
-        for L in lengths:
-            c[L] = (fix[L] - sum(d * c[d] for d in range(1, L) if L % d == 0)) // L
-            B *= np.power(L, c[L], dtype=np.int64)
-            present = present | (c[L] > 0).astype(np.int64) << (L - 1)
-        Z = sum(L * c[L] for L in lengths)
-
-        z_counts += np.bincount(Z, minlength=n + 1)
-        sum_T += int(lcm_of[present].sum())
-        sum_B += int(B.sum())
-        conn = sum(c.values()) == 1
-        connected_count += int(conn.sum())
-        connected_cycle_total += int(Z[conn].sum())
+        for L in range(1, n + 1):
+            c[L] = ((k >> 4 * (L - 1) & 15) - sum(d * c[d] for d in range(1, L) if L % d == 0)) // L
+        Z = sum(L * cL for L, cL in c.items())
+        z_counts[Z] += count
+        sum_T += count * math.lcm(*(L for L, cL in c.items() if cL))
+        sum_B += count * math.prod(L**cL for L, cL in c.items())
+        if sum(c.values()) == 1:
+            connected_count += count
+            connected_cycle_total += count * Z
 
     return EnumerationSummary(
         n=n,
         count=n**n,
         sum_T=sum_T,
         sum_B=sum_B,
-        z_counts=tuple(z_counts.tolist()),
+        z_counts=tuple(z_counts),
         connected_count=connected_count,
         connected_cycle_total=connected_cycle_total,
     )
@@ -108,22 +105,6 @@ def brute_force_expectations(n: int) -> tuple[Fraction, Fraction]:
     """Exact (E_n(T), E_n(B)) by enumerating all n^n mappings; n <= 8."""
     s = enumerate_summary(n)
     return Fraction(s.sum_T, s.count), Fraction(s.sum_B, s.count)
-
-
-# ---------------------------------------------------------------------------
-# Distribution of the number of cyclic vertices (Rubin-Sitgreaves formula)
-
-
-def z_pmf(n: int) -> tuple[Fraction, ...]:
-    """(P_n(Z=1), ..., P_n(Z=n)), P_n(Z=m) = n! m / ((n-m)! n^(m+1)), as exact rationals."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    probs = []
-    falling = 1  # n! / (n-m)! for the current m
-    for m in range(1, n + 1):
-        falling *= n - m + 1
-        probs.append(Fraction(falling * m, n ** (m + 1)))
-    return tuple(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +173,33 @@ def perm_B_mean(m: int) -> Fraction:
 # Exact expectations by conditioning on the cyclic-vertex count
 
 
+def _z_mixture(n: int, numerators) -> Fraction:
+    """sum_m P_n(Z=m) X_m/m! for m = 1..n, X_m = numerators[m], as one Fraction.
+
+    With the Rubin-Sitgreaves law P_n(Z=m) = n! m / ((n-m)! n^(m+1)), term m
+    has the integer numerator m X_m n^(n-m) (n!/(n-m)!) (n!/m!) over n^(n+1) n!.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    total = 0
+    falling, rising = math.factorial(n), 1  # n!/(n-m)! and n!/m!, from m = n down
+    for m in range(n, 0, -1):
+        total += m * numerators[m] * n ** (n - m) * falling * rising
+        falling //= n - m + 1
+        rising *= m
+    return Fraction(total, n ** (n + 1) * math.factorial(n))
+
+
 def exact_E_T(n: int) -> Fraction:
     """E_n(T) = sum_m P_n(Z=m) * M_m, exact."""
-    return sum(
-        (p * perm_order_mean(m) for m, p in enumerate(z_pmf(n), start=1)),
-        Fraction(0),
-    )
+    if n > M_MAX_DEFAULT:
+        raise CeilingError("order-count table too large")
+    _order_counts(n)
+    return _z_mixture(n, _ORDER_TOTALS)
 
 
 def exact_E_B_conditional(n: int) -> Fraction:
     """E_n(B) = sum_m P_n(Z=m) * b_m, exact; independent of the series engine."""
     if n > CONDITIONAL_MAX_N:
         raise CeilingError("conditional sum too large")
-    beta = _perm_B_numerators(n)
-    return sum(
-        (p * Fraction(beta[m], math.factorial(m)) for m, p in enumerate(z_pmf(n), start=1)),
-        Fraction(0),
-    )
+    return _z_mixture(n, _perm_B_numerators(n))

@@ -109,26 +109,40 @@ def log_expected_B(n: int) -> float:
 # ---------------------------------------------------------------------------
 # g(s) and the saddle point
 
+_g_rows = np.empty((3, 0))  # d = 1..D, the terms and a product row, for the largest D so far
+
+
 def _g_sums(s: float, orders) -> tuple[float, ...]:
-    """g^(j)(s) = sum_d (-d)^j c_d e^{-ds} for each j in orders, from one array.
+    """g^(j)(s) = sum_d (-d)^j c_d e^{-ds} for each j in orders, j <= 3.
 
     The sum is truncated at D(s) = ceil(40/s): the geometric envelope
     c_d <= 1/sqrt(2 pi d) makes the tail beyond D(s) smaller than 1e-15
-    of the total for j <= 3.
+    of the total for j <= 3.  The c cache grows before any row does, so the
+    peak stays c_table's; the rows of `_g_rows` are reused from call to
+    call, by one thread at a time.  The sign of (-d)^j comes out of the
+    sum, and d*d*d is correctly rounded while d < 2**26.5.
     """
+    global _g_rows
     D = math.ceil(40.0 / s)
-    d = np.arange(1, D + 1, dtype=np.float64)
-    terms = _c_upto(D) * np.exp(-d * s)
-    return tuple(float((terms * _neg_power(d, j)).sum() if j else terms.sum()) for j in orders)
-
-
-def _neg_power(d: np.ndarray, j: int) -> np.ndarray:
-    """(-d)^j for j = 1..3, correctly rounded while d < 2**26.5.
-
-    The cube is a product: d * d is exact there, so it is rounded once,
-    where `** 3` would go through libm pow, some 50 times slower.
-    """
-    return -(d * d) * d if j == 3 else (-d) ** j
+    c = _c_upto(D)
+    if _g_rows.shape[1] < D:
+        _g_rows = np.empty((3, 0))  # free the old rows before the new are allocated
+        _g_rows = np.empty((3, D))
+        _g_rows[0] = np.arange(1, D + 1)
+    d, terms, prod = _g_rows[:, :D]
+    np.exp(np.multiply(d, -s, out=terms), out=terms)
+    terms *= c
+    sums = []
+    for j in orders:
+        if j == 1:
+            np.multiply(terms, d, out=prod)
+        elif j > 1:
+            np.multiply(d, d, out=prod)
+            if j == 3:
+                prod *= d
+            prod *= terms
+        sums.append((-1) ** j * float((prod if j else terms).sum()))
+    return tuple(sums)
 
 
 @dataclass(frozen=True)

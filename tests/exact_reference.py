@@ -4,12 +4,16 @@ Partition enumeration for small m, independent of the order-count
 recurrence in exact: every cycle type of m is enumerated, weighted by
 the number of permutations that have it.  For b_m up to m = 500, the
 O(m^2) exp-of-series convolution that exact's three-term recurrence
-replaced.  The integer-only check that P_n(Z=m) sums to one.
+replaced.  The law of the cyclic-vertex count Z as exact rationals, the
+integer-only check that it sums to one, and the term-by-term Fraction
+sums for E_n(T) and E_n(B) that exact's single integer sum replaced.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from itermap import exact
 
 
 def iter_cycle_types(m: int):
@@ -95,3 +99,32 @@ def z_pmf_sums_to_one(n: int) -> bool:
         falling *= n - m + 1
         acc += m * falling * n ** (n - m)
     return acc == n ** (n + 1)
+
+
+def z_pmf(n: int) -> tuple[Fraction, ...]:
+    """(P_n(Z=1), ..., P_n(Z=n)), P_n(Z=m) = n! m / ((n-m)! n^(m+1)), as exact rationals."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    probs = []
+    falling = 1  # n! / (n-m)! for the current m
+    for m in range(1, n + 1):
+        falling *= n - m + 1
+        probs.append(Fraction(falling * m, n ** (m + 1)))
+    return tuple(probs)
+
+
+def exact_E_T(n: int) -> Fraction:
+    """E_n(T) = sum_m P_n(Z=m) * M_m, one Fraction per term."""
+    return sum(
+        (p * exact.perm_order_mean(m) for m, p in enumerate(z_pmf(n), start=1)),
+        Fraction(0),
+    )
+
+
+def exact_E_B_conditional(n: int) -> Fraction:
+    """E_n(B) = sum_m P_n(Z=m) * b_m, one Fraction per term."""
+    beta = exact._perm_B_numerators(n)
+    return sum(
+        (p * Fraction(beta[m], math.factorial(m)) for m, p in enumerate(z_pmf(n), start=1)),
+        Fraction(0),
+    )

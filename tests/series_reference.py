@@ -1,5 +1,6 @@
 """Test oracles for series: the convolution and the exact-rational routes
-to E_n(B), g(s), the Rankin bound, and plain bisection for the saddle point.
+to E_n(B), g(s), the Rankin bound, plain bisection for the saddle point,
+and the g-sums as first written, with fresh arrays for every weight.
 
 The convolution reads the deconditioned identity E_n(B) = (n! e^n/n^n)
 sum_m e_m h_{n-m}, with the bare exponential coefficients e_m of a
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 import renyi_reference
+from itermap import series
 from itermap.mapping import CeilingError, InvariantError
 from itermap.series import SaddleReport, SeriesTable, _g_sums
 
@@ -63,6 +65,23 @@ def expected_B_exact(n: int) -> Fraction:
     r = exp_series_exact([gamma_exact(d) for d in range(1, n + 1)])
     acc = sum(r[m] * Fraction((n - m) ** (n - m), math.factorial(n - m)) for m in range(n + 1))
     return Fraction(math.factorial(n), n**n) * acc
+
+
+def g_sums_reference(s: float, orders) -> tuple[float, ...]:
+    """series._g_sums as first written: fresh arrays for d, the terms and each weight."""
+    D = math.ceil(40.0 / s)
+    d = np.arange(1, D + 1, dtype=np.float64)
+    terms = series._c_upto(D) * np.exp(-d * s)
+    return tuple(float((terms * neg_power(d, j)).sum() if j else terms.sum()) for j in orders)
+
+
+def neg_power(d: np.ndarray, j: int) -> np.ndarray:
+    """(-d)^j for j = 1..3, correctly rounded while d < 2**26.5.
+
+    The cube is a product: d * d is exact there, so it is rounded once,
+    where `** 3` would go through libm pow, some 50 times slower.
+    """
+    return -(d * d) * d if j == 3 else (-d) ** j
 
 
 def g_eval(s: float, j: int = 0) -> float:

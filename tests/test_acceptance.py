@@ -107,7 +107,7 @@ def test_09_monte_carlo_invariants_and_gof():
     for n, samples in ((10**4, 10**4), (10**5, 10**3)):
         montecarlo.run_experiment(n, samples, seed=20260825)
     s = montecarlo.run_experiment(100, 10**5, seed=20260825)
-    _, p = montecarlo_reference.z_gof(s.z_counts, exact.z_pmf(100))
+    _, p = montecarlo_reference.z_gof(s.z_counts, exact_reference.z_pmf(100))
     ok = p > 0.001
     assert report(9, ok, f"invariant checks pass; Z chi-square p = {p:.4f} at n=100")
 

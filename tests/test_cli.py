@@ -29,6 +29,12 @@ SERIES_SHA256 = {
     ("--degree", "205", "--renyi-table"):
         "4fc86ca4d4bc6c93cb04f62a93bbb54a999b848f5a67d99c07aeaf16ddbcfa24",
 }
+# sha256 of the series and exact stdout, and of exact's stderr, at the sizes
+# the benchmark runs, recorded before the g-sums reused their rows and the
+# exact means became one integer sum each
+SERIES_20000_SHA256 = "c0424c4f40b27232858f8b8f6c0f039abf353a36b94ca3018028990b36d10171"
+EXACT_40_SHA256 = "dce2e5c1504d0b78913d1f685433b3f414e8b1ab0c95ff6cf5d3f3fcc3e2b5ed"
+EXACT_40_STDERR_SHA256 = "314b75b1c1639fa822f8f61cc4dda2777ff407affc55c7e2517d4f6d3f24a067"
 # sha256 of asymptotics stdout, recorded while --eps was still an option
 ASYMPTOTICS_SHA256 = "c51c21bf8ace4985314c93579e488efaaa95c2b1bd6f7b39f5e08d18764462f2"
 # every option string of each subcommand; an option no caller sets belongs in a constant
@@ -148,6 +154,12 @@ class TestExact:
             "n=3 brute-force cross-check: FAIL",
         ]
 
+    def test_output_pinned(self, capsys):
+        code, out, err = run(capsys, "exact", "--n", "40")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXACT_40_SHA256
+        assert hashlib.sha256(err.encode()).hexdigest() == EXACT_40_STDERR_SHA256
+
     def test_orders_table(self, capsys):
         code, out, _ = run(capsys, "exact", "--n", "4", "--orders")
         assert code == 0
@@ -230,6 +242,12 @@ class TestSeries:
         code, out, _ = run(capsys, "series", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SERIES_SHA256[argv]
+
+    def test_output_pinned_at_benchmark_size(self, capsys):
+        argv = ("--degree", "20000", "--eval-n", "5000", "10000", "20000")
+        code, out, _ = run(capsys, "series", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SERIES_20000_SHA256
 
     # each pair of table options, and the removed options: the exact-rational
     # mode, the exact-column ceiling of --renyi-table and the eps of asymptotics

@@ -38,8 +38,25 @@ def test_enumerator_matches_pure_python(n):
 
 
 def test_chunk_boundaries():
-    # 1000 divides no power of 6, so the last chunk is a partial one
+    # 1000 divides no power of 6 and 100000 no power of 7, so the last chunk
+    # is a partial one, and the key counts merge across chunks
     assert exact.enumerate_summary(6, chunk=1000) == exact.enumerate_summary(6)
+    assert exact.enumerate_summary(7, chunk=100_000) == exact.enumerate_summary(7)
+
+
+@pytest.mark.parametrize(
+    "n, pins",
+    [
+        (6, (96817, 100657, 21576, (0, 7776, 12960, 12960, 8640, 3600, 720))),
+        # connected_count is OEIS A001865
+        (7, (1862890, 1965160, 355081, (0, 117649, 201684, 216090, 164640, 88200, 30240, 5040))),
+    ],
+)
+def test_enumeration_pinned(n, pins):
+    # recorded from the int64 tally of each word, before the tally of cycle types
+    s = exact.enumerate_summary(n)
+    assert (s.sum_T, s.sum_B, s.connected_count, s.z_counts) == pins
+    assert s.count == s.connected_cycle_total == n**n
 
 
 def test_packed_word_guard(monkeypatch):
@@ -73,25 +90,25 @@ class TestBruteForce:
 
 class TestZDistribution:
     def test_n1(self):
-        assert exact.z_pmf(1) == (Fraction(1),)
+        assert exact_reference.z_pmf(1) == (Fraction(1),)
 
     def test_n2(self):
-        assert exact.z_pmf(2) == (Fraction(1, 2), Fraction(1, 2))
+        assert exact_reference.z_pmf(2) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_sums_to_one(self):
         for n in (1, 2, 3, 10, 100):
-            assert sum(exact.z_pmf(n)) == 1
+            assert sum(exact_reference.z_pmf(n)) == 1
             assert exact_reference.z_pmf_sums_to_one(n)
 
     def test_matches_enumeration(self):
         for n in (2, 3, 4, 5):
             s = exact.enumerate_summary(n)
-            pmf = exact.z_pmf(n)
+            pmf = exact_reference.z_pmf(n)
             for m in range(1, n + 1):
                 assert pmf[m - 1] == Fraction(s.z_counts[m], n**n)
 
     def test_nonnegative(self):
-        assert all(p >= 0 for p in exact.z_pmf(30))
+        assert all(p >= 0 for p in exact_reference.z_pmf(30))
 
 
 class TestPermutationMeans:
@@ -167,6 +184,20 @@ class TestConditionalExpectations:
     def test_n1(self):
         assert exact.exact_E_T(1) == 1
         assert exact.exact_E_B_conditional(1) == 1
+
+    def test_equal_term_by_term_sums(self):
+        # one integer sum over n^(n+1) n! against one Fraction per term
+        for n in range(1, 61):
+            assert exact.exact_E_T(n) == exact_reference.exact_E_T(n)
+        for n in range(1, 201):
+            assert exact.exact_E_B_conditional(n) == exact_reference.exact_E_B_conditional(n)
+
+    def test_ceilings_and_domain(self):
+        with pytest.raises(mapping.CeilingError, match="order-count table too large"):
+            exact.exact_E_T(exact.M_MAX_DEFAULT + 1)
+        for route in (exact.exact_E_T, exact.exact_E_B_conditional):
+            with pytest.raises(ValueError, match="n must be positive"):
+                route(0)
 
     def test_conditional_ceiling(self):
         # the sum enumerates no mapping, so its ceiling has a message of its own

@@ -7,10 +7,11 @@ import time
 import numpy as np
 import pytest
 
+import exact_reference
 import mapping_faults
 import mapping_reference
 import montecarlo_reference
-from itermap import asymptotics, exact, mapping, montecarlo
+from itermap import asymptotics, mapping, montecarlo
 from itermap.mapping import _cycles, _cyclic_sets
 
 
@@ -226,7 +227,7 @@ class TestAgainstExact:
     def test_mean_z_within_three_se(self):
         n, samples = 100, 5000
         s = montecarlo.run_experiment(n, samples, seed=13)
-        pmf = [float(p) for p in exact.z_pmf(n)]
+        pmf = [float(p) for p in exact_reference.z_pmf(n)]
         mean = sum(m * p for m, p in enumerate(pmf, start=1))
         var = sum(m * m * p for m, p in enumerate(pmf, start=1)) - mean * mean
         obs = float(np.dot(np.arange(n + 1), s.z_counts)) / samples
@@ -236,7 +237,7 @@ class TestAgainstExact:
 class TestGof:
     def test_true_pmf_rarely_rejected(self):
         # 20 independent experiments against the true Z pmf at n = 30
-        pmf = exact.z_pmf(30)
+        pmf = exact_reference.z_pmf(30)
         ok = 0
         for seed in range(20):
             s = montecarlo.run_experiment(30, 2000, seed=1000 + seed)

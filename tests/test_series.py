@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -142,7 +143,42 @@ class TestGEval:
         # g''' weights by (-d)^3; against the cube of a Python int, rounded once
         d = np.arange(1, 800_001, dtype=np.float64)
         ref = np.array([float(-(k**3)) for k in range(1, 800_001)])
-        assert np.array_equal(series._neg_power(d, 3), ref)
+        assert np.array_equal(series_reference.neg_power(d, 3), ref)
+
+    def test_matches_first_formula_bit_for_bit(self):
+        # the reused rows against fresh arrays for d, the terms and (-d)^j
+        grid = [float(s) for s in np.geomspace(5e-5, 1.0, 200)]
+        grid += [0.5 * n ** (-2 / 3) for n in (1, 2, 5000, 10**6)]
+        for s in grid:
+            for orders in (range(4), (1, 2)):
+                got = series._g_sums(s, orders)
+                ref = series_reference.g_sums_reference(s, orders)
+                assert [x.hex() for x in got] == [x.hex() for x in ref], s
+
+    def test_warm_call_allocates_no_rows(self):
+        series._g_sums(5e-5, range(4))  # grows the c cache and the rows to D = 800000
+        tracemalloc.start()
+        try:
+            series._g_sums(5e-5, range(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * 800_000 + 2**20
+
+    def test_cold_saddle_peak(self, monkeypatch):
+        # the c cache grows before the rows are allocated, and old rows are
+        # freed before new ones.  Fresh arrays for each g-sum peaked at
+        # 38400784 bytes: c_table(800000) takes 32000496 of them, and the
+        # array of d was already allocated when the c cache grew
+        monkeypatch.setattr(series, "_c_cache", np.empty(0))
+        monkeypatch.setattr(series, "_g_rows", np.empty((3, 0)))
+        tracemalloc.start()
+        try:
+            series.saddle_point(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 38_400_784
 
     def test_coefficients_grown_in_pieces(self, monkeypatch):
         monkeypatch.setattr(series, "_c_cache", np.empty(0))
@@ -175,6 +211,14 @@ class TestSaddle:
         assert abs(rep.g1 + 10**4) <= 1e-6 * 10**4
         assert rep.A_n > 0 and rep.g3 < 0
         assert 0.8 < rep.s_star * 2 * (10**4) ** (2 / 3) < 1.2
+
+    def test_benchmark_saddle_pinned(self):
+        # recorded before the g-sums reused their rows
+        assert repr(series.saddle_point(10**6)) == (
+            "SaddleReport(n=1000000, s_star=4.9668052098842106e-05, g0=95.05594956703489, "
+            "g1=-999999.9999999998, g2=30301335181.606125, g3=-1527227732315354.8, "
+            "A_n=30301335181.606125, rankin_log_value=144.72400166587698)"
+        )
 
     def test_report_consistency(self):
         rep = series.saddle_point(500)

@@ -6,8 +6,9 @@ expected order of a random permutation (exp(beta0 sqrt(m/log m))).
 The upper-bound route maximizes G(x) = log [n!/((n-x)! n^{x-1})
 e^{beta_eps sqrt(x/log x)}] over real x by bisection on G', whose
 psi(n+1-x) term is scipy's digamma; the lower bound plugs the
-near-optimal integer m0* into P_n(Z=m) M_m.  Also owns the Harris CLT
-normalization (a_n, b_n); digamma is imported on use, so they need no scipy.
+near-optimal integer m0* into P_n(Z=m) M_m, read from log_z_pmf: the one
+float law of Z, which series.log_expected_B reads too.  Also owns the Harris
+CLT normalization (a_n, b_n); digamma is imported on use, so they need no scipy.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def compute_constants(tolerance: float = 1e-10) -> Constants:
 
 
 @lru_cache(maxsize=None)
-def constants(tolerance: float = 1e-10) -> Constants:
-    return compute_constants(tolerance)
+def constants() -> Constants:
+    return compute_constants()
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,20 @@ def g_profile(n: int) -> GProfile:
 # E_n(T) estimates, Stong's approximation, Harris normalization
 
 
+Z_LAW_MAX_M = 2**22  # the longest log_z_pmf: about 34 MB per float64 array
+
+
+def log_z_pmf(n: int, upto: int) -> np.ndarray:
+    """log P_n(Z=m) = log(m/n) + sum_{i<m} log1p(-i/n) for m = 1..upto.
+
+    One cumsum, so every prefix has the same bits.
+    """
+    if upto > Z_LAW_MAX_M:
+        raise CeilingError(f"the law of Z to m = {upto} is above the cap {Z_LAW_MAX_M}")
+    m = np.arange(1, upto + 1, dtype=np.float64)
+    return np.log(m / n) + np.cumsum(np.log1p(-(m - 1) / n))
+
+
 def stong_logM(m: int) -> float:
     """beta0 sqrt(m/log m): the leading term of log M_m."""
     if m < 3:
@@ -205,13 +220,7 @@ def en_T_estimate(n: int) -> EnTEstimate:
     leading = cst.k0 * (n / math.log(n) ** 2) ** (1.0 / 3.0)
     m0 = round(cst.a0 * (n * n / math.log(n)) ** (1.0 / 3.0))
     m0 = max(3, min(n, m0))
-    log_pz = (
-        math.lgamma(n + 1)
-        - math.lgamma(n - m0 + 1)
-        + math.log(m0)
-        - (m0 + 1) * math.log(n)
-    )
-    lower = log_pz + stong_logM(m0)
+    lower = float(log_z_pmf(n, m0)[-1]) + stong_logM(m0)
     prof = g_profile(n)
     upper = prof.G_at_x_star
     if lower > upper:

@@ -14,11 +14,13 @@ cross-check fails.  Every output file is opened before any text is
 written, so an unwritable path leaves stdout empty.  `series --eval-n`
 builds no coefficient table (--degree only sets its default n) and
 checks every n against series.DEGREE_CAP_DEFAULT before computing any
-row.  Each cmd_* imports the modules it needs; analyze, exact,
-constants and simulate load no scipy.  Settings come from options
-alone, never the environment; one with a single value in use is a
-module constant (renyi.EXACT_MAX_D, asymptotics.EPS).  The `simulate`
-CSV names each StatSummary field it writes once.
+row, and `--renyi-table` checks --degree so before q_and_c allocates.
+Each cmd_* imports the modules it needs; analyze, exact, constants and
+simulate load no scipy.  Settings come from options alone, never the
+environment; one with a single value in use is a module constant
+(renyi.EXACT_MAX_D, asymptotics.EPS; `constants` prints the cached
+asymptotics.constants()).  Every CSV goes through `_csv`; the simulate
+and asymptotics CSVs and the constants JSON name each field they read once.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ def _write_text(*outputs: tuple[str | None, str]) -> None:
             fh.write(text)
 
 
+def _csv(header, rows) -> str:
+    """A CSV table: the header row, then each row; csv writes a float as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -87,26 +98,20 @@ def cmd_exact(args) -> int:
     if n < 1:
         raise CeilingError("n must be positive")
     exact.perm_order_mean(n)  # both tables need M_1..M_n: fail before building any row
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     ok = True
     if args.orders:
-        writer.writerow(["m", "M_num", "M_den", "b_num", "b_den"])
-        for m in range(1, n + 1):
-            M = exact.perm_order_mean(m)
-            b = exact.perm_B_mean(m)
-            writer.writerow([m, M.numerator, M.denominator, b.numerator, b.denominator])
+        header = ["m", "M_num", "M_den", "b_num", "b_den"]
+        rows = [(m, exact.perm_order_mean(m), exact.perm_B_mean(m)) for m in range(1, n + 1)]
     else:
-        writer.writerow(["n", "E_T_num", "E_T_den", "E_B_num", "E_B_den"])
+        header = ["n", "E_T_num", "E_T_den", "E_B_num", "E_B_den"]
         rows = [(k, exact.exact_E_T(k), exact.exact_E_B_conditional(k)) for k in range(1, n + 1)]
-        for k, et, eb in rows:
-            writer.writerow([k, et.numerator, et.denominator, eb.numerator, eb.denominator])
         # oracle cross-checks against full enumeration
         for k, et, eb in rows[:7]:
             match = exact.brute_force_expectations(k) == (et, eb)
             print(f"n={k} brute-force cross-check: {'PASS' if match else 'FAIL'}", file=sys.stderr)
             ok = ok and match
-    _write_text((args.out, buf.getvalue()))
+    cells = ([k, x.numerator, x.denominator, y.numerator, y.denominator] for k, x, y in rows)
+    _write_text((args.out, _csv(header, cells)))
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -120,13 +125,13 @@ def cmd_series(args) -> int:
         # mpmath's Q_d rounds correctly to float64 from 60 bits (checked for d <= 800), not below
         if bits < 60:
             raise UsageError(f"--precision must be at least 60 bits, got {bits}")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     if args.renyi_table:
         if args.degree < 1:
             raise CeilingError("degree must be positive")
-        writer.writerow(["d", "U_d", "kappa_num", "kappa_den", "Q_d", "c_d"])
+        if args.degree > series.DEGREE_CAP_DEFAULT:
+            raise CeilingError(f"degree {args.degree} is above the cap {series.DEGREE_CAP_DEFAULT}")
         Q, c = renyi.q_and_c(args.degree)
+        rows = []
         for d in range(1, args.degree + 1):
             if d <= renyi.EXACT_MAX_D:
                 kap = renyi.kappa_exact(d)
@@ -134,62 +139,45 @@ def cmd_series(args) -> int:
             else:
                 u, knum, kden = "", "", ""
             q = renyi.q_factor(d, bits) if bits else float(Q[d - 1])
-            writer.writerow([d, u, knum, kden, repr(q), repr(float(c[d - 1]))])
-        _write_text((args.out, buf.getvalue()))
-        return EXIT_OK
-    if args.coefficients:
+            rows.append([d, u, knum, kden, repr(q), repr(float(c[d - 1]))])
+        text = _csv(["d", "U_d", "kappa_num", "kappa_den", "Q_d", "c_d"], rows)
+    elif args.coefficients:
         table = series.mu_table(args.degree)
-        writer.writerow(["m", "e_coeff", "mu"])
-        for m in range(args.degree + 1):
-            writer.writerow([m, repr(float(table.e[m])), repr(float(table.mu[m]))])
+        rows = zip(range(args.degree + 1), table.e.tolist(), table.mu.tolist())
+        text = _csv(["m", "e_coeff", "mu"], rows)
     else:
         ns = args.eval_n or [args.degree]
         # log_expected_B allocates O(n) floats and saddle_point O(n^(2/3)): check every n first
         if max(ns) > series.DEGREE_CAP_DEFAULT:
             raise CeilingError(f"n = {max(ns)} is above the cap {series.DEGREE_CAP_DEFAULT}")
-        writer.writerow(["n", "log_E_B", "rankin_log_bound", "s_star", "A_n"])
+        rows = []
         for n in ns:
             rep = series.saddle_point(n)
-            row = [
-                n,
-                repr(series.log_expected_B(n)),
-                repr(rep.rankin_log_value),
-                repr(rep.s_star),
-                repr(rep.A_n),
-            ]
-            writer.writerow(row)
-    _write_text((args.out, buf.getvalue()))
+            rows.append([n, series.log_expected_B(n), rep.rankin_log_value, rep.s_star, rep.A_n])
+        text = _csv(["n", "log_E_B", "rankin_log_bound", "s_star", "A_n"], rows)
+    _write_text((args.out, text))
     return EXIT_OK
 
 
 def cmd_asymptotics(args) -> int:
     from . import asymptotics
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "leading", "lower_log", "upper_log", "x_star", "m_star"])
+    columns = ("leading", "lower_log", "upper_log", "x_star", "m_star")
+    rows = []
     for n in args.n:
         est = asymptotics.en_T_estimate(n)
-        writer.writerow(
-            [n]
-            + [repr(v) for v in (est.leading, est.lower_log, est.upper_log, est.x_star, est.m_star)]
-        )
-    _write_text((args.out, buf.getvalue()))
+        rows.append([n, *(getattr(est, c) for c in columns)])
+    _write_text((args.out, _csv(["n", *columns], rows)))
     return EXIT_OK
 
 
 def cmd_constants(args) -> int:
     from . import asymptotics
 
-    c = asymptotics.compute_constants(args.tolerance)
+    c = asymptotics.constants()
     if not 3.35 <= c.k0 <= 3.37:
         raise InvariantError("k0 outside expected range")
-    payload = {
-        "I": c.I,
-        "beta0": c.beta0,
-        "k0": c.k0,
-        "quadrature_error": c.quadrature_error,
-    }
+    payload = {key: getattr(c, key) for key in ("I", "beta0", "k0", "quadrature_error")}
     _write_text((args.out, _json_dumps(payload)))
     return EXIT_OK
 
@@ -198,29 +186,22 @@ def cmd_simulate(args) -> int:
     from . import montecarlo
 
     summary = montecarlo.run_experiment(args.n, args.samples, args.seed, blocks=args.blocks)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     columns = (
         "n", "samples", "seed", "blocks",
         "mean_log_T", "var_log_T", "mean_log_B", "var_log_B",
         "mean_diff", "var_diff", "frac_norm_nonpos",
     )
-    writer.writerow(columns)
-    writer.writerow([getattr(summary, c) for c in columns])  # csv writes a float as its repr
-    outputs = [(args.out, buf.getvalue())]
+    outputs = [(args.out, _csv(columns, [[getattr(summary, c) for c in columns]]))]
     if args.histogram:
         edges = montecarlo.hist_bin_edges()
         xs = edges.tolist()
         cdf = [0.5 * math.erfc(-x / math.sqrt(2)) for x in xs]  # standard normal cdf
-        hbuf = io.StringIO()
-        hw = csv.writer(hbuf)
-        hw.writerow(["bin_low", "bin_high", "count", "phi_delta"])
-        hw.writerow(["-inf", repr(edges[0]), int(summary.hist[0]), ""])
+        rows = [["-inf", repr(edges[0]), int(summary.hist[0]), ""]]
         for i, count in enumerate(summary.hist[1:-1].tolist()):
             expected = (cdf[i + 1] - cdf[i]) * summary.samples
-            hw.writerow([repr(xs[i]), repr(xs[i + 1]), count, repr(count - expected)])
-        hw.writerow([repr(edges[-1]), "inf", int(summary.hist[-1]), ""])
-        outputs.append((args.histogram, hbuf.getvalue()))
+            rows.append([repr(xs[i]), repr(xs[i + 1]), count, repr(count - expected)])
+        rows.append([repr(edges[-1]), "inf", int(summary.hist[-1]), ""])
+        outputs.append((args.histogram, _csv(["bin_low", "bin_high", "count", "phi_delta"], rows)))
     _write_text(*outputs)
     return EXIT_OK
 
@@ -262,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("constants", help="the constants I, beta0, k0 by quadrature")
-    p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_constants)
 

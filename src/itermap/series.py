@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from . import renyi
+from . import asymptotics, renyi
 from .mapping import CeilingError, InvariantError
 
 DEGREE_CAP_DEFAULT = 200_000
@@ -93,16 +93,15 @@ def mu_table(N: int) -> SeriesTable:
 def log_expected_B(n: int) -> float:
     """log E_n(B) = log sum_m P_n(Z=m) b_m for m = 1..n, in float64.
 
-    log P_n(Z=m) = log(m/n) + sum_{i<m} log1p(-i/n), one cumsum.  The
+    log P_n(Z=m) is asymptotics.log_z_pmf, the law en_T_estimate reads.  The
     ratios r_m (`_r_cache`, grown on demand) solve m r_m = (2m-1) -
     (m-2)/r_{m-1}, r_1 = 1: the recurrence of exact._perm_B_numerators / m!.
     """
     if n < 1:
         raise CeilingError("n must be positive")
+    log_p = asymptotics.log_z_pmf(n, n)  # its cap is checked before _r_cache grows
     for k in range(len(_r_cache) + 1, n + 1):
         _r_cache.append((2 * k - 1 - (k - 2) / _r_cache[-1]) / k)
-    m = np.arange(1, n + 1, dtype=np.float64)
-    log_p = np.log(m / n) + np.cumsum(np.log1p(-(m - 1) / n))
     return float(logsumexp(log_p + np.cumsum(np.log(_r_cache[:n]))))
 
 

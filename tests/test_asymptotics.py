@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from itermap import asymptotics, mapping
+import exact_reference
+from itermap import asymptotics, mapping, series
 
 
 def k_eps_closed_form(beta: float) -> float:
@@ -111,6 +112,42 @@ class TestGProfile:
     def test_domain(self):
         with pytest.raises(mapping.CeilingError):
             asymptotics.g_profile(50)
+
+
+class TestZLaw:
+    def test_matches_exact_pmf(self):
+        # logs against logs: no exp, so the far tail keeps its relative accuracy
+        for n in range(1, 61):
+            want = [math.log(p) for p in exact_reference.z_pmf(n)]
+            np.testing.assert_allclose(asymptotics.log_z_pmf(n, n), want, rtol=1e-13, atol=0)
+
+    def test_prefixes_have_the_same_bits(self):
+        # en_T_estimate reads a prefix and series.log_expected_B the whole law
+        cases = ((1, (1,)), (7, (1, 2, 6)), (12345, (3, 4114, 12344)), (200000, (1, 4321, 199999)))
+        for n, ms in cases:
+            full = asymptotics.log_z_pmf(n, n)
+            for m in ms:
+                assert asymptotics.log_z_pmf(n, m).tobytes() == full[:m].tobytes()
+
+    def test_lower_log_reads_the_law_at_m0(self):
+        # a 40-digit log P_n(Z=m0) = log m0 - (m0+1) log n + log n! - log (n-m0)!
+        n = 10**7
+        m0 = round(asymptotics.constants().a0 * (n * n / math.log(n)) ** (1.0 / 3.0))
+        with mpmath.workdps(40):
+            ref = (mpmath.log(m0) - (m0 + 1) * mpmath.log(n)
+                   + mpmath.loggamma(n + 1) - mpmath.loggamma(n - m0 + 1))
+        got = asymptotics.en_T_estimate(n).lower_log - asymptotics.stong_logM(m0)
+        assert math.isclose(got, float(ref), rel_tol=1e-13)
+
+    def test_cap(self):
+        # checked before allocating, and by log_expected_B before its ratio table grows
+        too_long = asymptotics.Z_LAW_MAX_M + 1
+        with pytest.raises(mapping.CeilingError, match="above the cap"):
+            asymptotics.log_z_pmf(10**12, too_long)
+        grown = len(series._r_cache)
+        with pytest.raises(mapping.CeilingError, match="above the cap"):
+            series.log_expected_B(too_long)
+        assert len(series._r_cache) == grown
 
 
 class TestEnTEstimate:

@@ -14,7 +14,7 @@ from scipy.special import ndtr
 
 import itermap
 import mapping_faults
-from itermap import asymptotics, cli, exact, montecarlo, series
+from itermap import asymptotics, cli, exact, montecarlo, renyi, series
 from itermap.mapping import CeilingError, InvariantError, MappingError
 
 ANALYZE_2E5_SHA256 = "15a3ad673a98ea9da4406212f6742645b0fe901f740cddf466d804f416f63d88"
@@ -35,8 +35,9 @@ SERIES_SHA256 = {
 SERIES_20000_SHA256 = "c0424c4f40b27232858f8b8f6c0f039abf353a36b94ca3018028990b36d10171"
 EXACT_40_SHA256 = "dce2e5c1504d0b78913d1f685433b3f414e8b1ab0c95ff6cf5d3f3fcc3e2b5ed"
 EXACT_40_STDERR_SHA256 = "314b75b1c1639fa822f8f61cc4dda2777ff407affc55c7e2517d4f6d3f24a067"
-# sha256 of asymptotics stdout, recorded while --eps was still an option
-ASYMPTOTICS_SHA256 = "c51c21bf8ace4985314c93579e488efaaa95c2b1bd6f7b39f5e08d18764462f2"
+# sha256 of asymptotics stdout, recorded after lower_log read log P_n(Z=m0) from
+# asymptotics.log_z_pmf; each log P within 3e-15 relative of a 40-digit mpmath value
+ASYMPTOTICS_SHA256 = "3af230947d8f7b4ff39d5c1e17c91841c63a497f77b45885de279e33132fd14a"
 # every option string of each subcommand; an option no caller sets belongs in a constant
 OPTIONS = {
     "analyze": ["--help", "--out", "-h", "input"],
@@ -44,7 +45,7 @@ OPTIONS = {
     "series": ["--coefficients", "--degree", "--eval-n", "--help", "--out", "--precision",
                "--renyi-table", "-h"],
     "asymptotics": ["--help", "--n", "--out", "-h"],
-    "constants": ["--help", "--out", "--tolerance", "-h"],
+    "constants": ["--help", "--out", "-h"],
     "simulate": ["--blocks", "--help", "--histogram", "--n", "--out", "--samples", "--seed", "-h"],
 }
 
@@ -209,6 +210,17 @@ class TestSeries:
         code, out, err = run(capsys, "series", "--degree", "0", "--renyi-table")
         assert (code, out, err) == (cli.EXIT_CEILING, "", "error: degree must be positive\n")
 
+    def test_renyi_table_degree_above_cap(self, capsys, monkeypatch):
+        # the cap is checked before q_and_c allocates its O(degree) table
+        def unbounded(degree):
+            raise AssertionError(f"q_and_c({degree}) called above the cap")
+
+        monkeypatch.setattr(renyi, "q_and_c", unbounded)
+        cap = series.DEGREE_CAP_DEFAULT
+        code, out, err = run(capsys, "series", "--degree", str(cap + 1), "--renyi-table")
+        message = f"error: degree {cap + 1} is above the cap {cap}\n"
+        assert (code, out, err) == (cli.EXIT_CEILING, "", message)
+
     def test_renyi_table_precision(self, capsys):
         code, out, _ = run(capsys, "series", "--degree", "3", "--renyi-table", "--precision", "64")
         assert code == 0
@@ -315,11 +327,6 @@ class TestConstants:
         payload = json.loads(out)
         assert 3.35 <= payload["k0"] <= 3.37
         assert payload["quadrature_error"] < 1e-8
-
-    def test_bad_tolerance(self, capsys):
-        code, _, err = run(capsys, "constants", "--tolerance", "1")
-        assert code == cli.EXIT_CEILING
-        assert "tolerance error" in err
 
 
 class TestAsymptotics:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import threading
 import time
@@ -161,6 +162,13 @@ def _serial_summary(n, seed, sizes):
             elif norm >= montecarlo.HIST_HI:
                 hist[-1] += 1
             else:
+                # Writing the sampler's bin scale as (norm - HIST_LO) * HIST_BINS / width
+                # is an equivalent mutant: width = 8 is a power of two, so dividing by it
+                # is exact before or after the product, and both forms round the same
+                # product once (2e6 uniform draws on [-4, 4): no bin differs).  The
+                # mutant log_T**2 for log_T * log_T is not equivalent: glibc's pow rounds
+                # about 7 in 10000 squares one ulp off the product (log(733)**2 among them),
+                # which test_squares_are_products catches.
                 width = montecarlo.HIST_HI - montecarlo.HIST_LO
                 hist[1 + int((norm - montecarlo.HIST_LO) / width * montecarlo.HIST_BINS)] += 1
             z_counts[len(cyclic)] += 1
@@ -188,6 +196,20 @@ class TestSerialLoop:
     def test_equals_serial_loop(self, n):
         s = montecarlo.run_experiment(n, 40, 4, blocks=3)
         _assert_equal_summaries(s, _serial_summary(n, 4, (14, 13, 13)))
+
+    def test_squares_are_products(self, monkeypatch):
+        # log T alternates between log 733 and log 2, in draw order in both loops,
+        # so the sums of squares, and var_log_T, differ if one side squares by pow
+        real = mapping.period_logs
+
+        def alternating():
+            logs = itertools.cycle((math.log(733), math.log(2)))
+            return lambda lengths: (0, next(logs), real(lengths)[2])
+
+        monkeypatch.setattr(mapping, "period_logs", alternating())
+        s = montecarlo.run_experiment(100, 9, 4, blocks=1)
+        monkeypatch.setattr(mapping, "period_logs", alternating())
+        _assert_equal_summaries(s, _serial_summary(100, 4, (9,)))
 
 
 class TestThreadedPath:

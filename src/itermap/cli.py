@@ -2,16 +2,17 @@
 
 Subcommands: analyze, exact, series, asymptotics, constants, simulate.
 Outputs are byte-stable for identical configuration.  Each cmd_* is
-straight-line code; main alone maps a failure to its exit code
-(EXIT_CODES) and prints it as one "error: ..." line on stderr:
+straight-line code that returns nothing; main alone maps a failure to
+its exit code (EXIT_CODES) and prints it as one "error: ..." line on stderr:
 0 success, 2 input parse or usage failure (MappingError, UsageError),
 3 I/O failure (OSError), 4 a size or parameter outside the supported
 domain (CeilingError), 5 internal invariant violation (InvariantError).
 Any other exception propagates.  `exact` sums each E_n(T) and E_n(B)
 as one integer over n^(n+1) n!, checks n <= 7 against the tally of all
-n^n mappings, and also exits 5, after writing its table, when such a
-cross-check fails.  Every output file is opened before any text is
-written, so an unwritable path leaves stdout empty.  `series --eval-n`
+n^n mappings, and raises InvariantError after writing its table when
+such a cross-check fails, so main exits 5 there too.  Every output
+file is opened before any text is written, so an unwritable path
+leaves stdout empty.  `series --eval-n`
 builds no coefficient table (--degree only sets its default n) and
 checks every n against series.DEGREE_CAP_DEFAULT before computing any
 row, and `--renyi-table` checks --degree so before q_and_c allocates.
@@ -79,7 +80,7 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     from . import mapping
 
     with open(args.input, "rb") as fh:
@@ -88,17 +89,16 @@ def cmd_analyze(args) -> int:
     cs = mapping.analyze(f)
     ps = mapping.period_stats(cs)
     _write_text((args.out, _json_dumps(mapping.stats_to_json_dict(f, cs, ps))))
-    return EXIT_OK
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args) -> None:
     from . import exact
 
     n = args.n
     if n < 1:
         raise CeilingError("n must be positive")
     exact.perm_order_mean(n)  # both tables need M_1..M_n: fail before building any row
-    ok = True
+    failed = []
     if args.orders:
         header = ["m", "M_num", "M_den", "b_num", "b_den"]
         rows = [(m, exact.perm_order_mean(m), exact.perm_B_mean(m)) for m in range(1, n + 1)]
@@ -109,13 +109,15 @@ def cmd_exact(args) -> int:
         for k, et, eb in rows[:7]:
             match = exact.brute_force_expectations(k) == (et, eb)
             print(f"n={k} brute-force cross-check: {'PASS' if match else 'FAIL'}", file=sys.stderr)
-            ok = ok and match
+            if not match:
+                failed.append(k)
     cells = ([k, x.numerator, x.denominator, y.numerator, y.denominator] for k, x, y in rows)
     _write_text((args.out, _csv(header, cells)))
-    return EXIT_OK if ok else EXIT_INVARIANT
+    if failed:
+        raise InvariantError(f"brute-force cross-check failed for n = {failed}")
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> None:
     from . import renyi, series
 
     bits = args.precision
@@ -156,10 +158,9 @@ def cmd_series(args) -> int:
             rows.append([n, series.log_expected_B(n), rep.rankin_log_value, rep.s_star, rep.A_n])
         text = _csv(["n", "log_E_B", "rankin_log_bound", "s_star", "A_n"], rows)
     _write_text((args.out, text))
-    return EXIT_OK
 
 
-def cmd_asymptotics(args) -> int:
+def cmd_asymptotics(args) -> None:
     from . import asymptotics
 
     columns = ("leading", "lower_log", "upper_log", "x_star", "m_star")
@@ -168,10 +169,9 @@ def cmd_asymptotics(args) -> int:
         est = asymptotics.en_T_estimate(n)
         rows.append([n, *(getattr(est, c) for c in columns)])
     _write_text((args.out, _csv(["n", *columns], rows)))
-    return EXIT_OK
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> None:
     from . import asymptotics
 
     c = asymptotics.constants()
@@ -179,10 +179,9 @@ def cmd_constants(args) -> int:
         raise InvariantError("k0 outside expected range")
     payload = {key: getattr(c, key) for key in ("I", "beta0", "k0", "quadrature_error")}
     _write_text((args.out, _json_dumps(payload)))
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     from . import montecarlo
 
     summary = montecarlo.run_experiment(args.n, args.samples, args.seed, blocks=args.blocks)
@@ -203,7 +202,6 @@ def cmd_simulate(args) -> int:
         rows.append([repr(edges[-1]), "inf", int(summary.hist[-1]), ""])
         outputs.append((args.histogram, _csv(["bin_low", "bin_high", "count", "phi_delta"], rows)))
     _write_text(*outputs)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,10 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -57,10 +57,8 @@ def enumerate_summary(n: int, chunk: int = 1 << 16) -> EnumerationSummary:
     B = prod L^c_L, T is the lcm of the lengths present, and f is
     connected iff it has one cycle.
     """
-    if not 1 <= n <= BRUTE_FORCE_MAX_N:
+    if not 1 <= n <= BRUTE_FORCE_MAX_N:  # at most 8: 3-bit fields hold targets 0..7
         raise CeilingError("enumeration too large")
-    if n > 8:  # 3-bit fields hold targets 0..7
-        raise CeilingError("packed enumeration words hold n <= 8 targets")
     words = np.zeros(1, dtype=np.int32)
     for x in range(n):
         words = (words[:, None] + (np.arange(n, dtype=np.int32) << 3 * x)).ravel()

@@ -179,21 +179,12 @@ def _last_sets(f: np.ndarray, keep_prev: bool):
     return J, prev, last
 
 
-def _cyclic_sets(f: np.ndarray, keep_prev: bool = False):
-    """(mask, J, S_(J-1), S_J): the cyclic mask of f (a row or a block) from its last set S_J.
-    Only `analyze` keeps S_(J-1), for its height; kept, f(V) outlives the second round."""
-    J, prev, cyclic = _last_sets(f, keep_prev)
-    mask = np.zeros(f.shape, dtype=bool)
-    np.put(mask, cyclic, True)
-    return mask, J, prev, cyclic
-
-
 def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
     """Cycle lengths of one row f on its cyclic vertices (ascending array).
 
     Cycles come in the order of their smallest vertex.  Every walk must
-    stay in the mask and close at its start, which holds iff f permutes
-    the mask.
+    stay in the set and close at its start, which holds iff f permutes
+    the set.
     """
     verts = cyclic.tolist()
     succ = dict(zip(verts, f[cyclic].tolist()))
@@ -205,29 +196,26 @@ def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
         start, u = len(seen), v
         while u not in seen:
             seen.add(u)
-            u = succ.get(u)  # None off the mask, where the walk stops
+            u = succ.get(u)  # None off the set, where the walk stops
         if u != v:
-            raise InvariantError("f does not permute the cyclic mask")
+            raise InvariantError("f does not permute the cyclic set")
         lengths.append(len(seen) - start)
     return lengths
 
 
-def _cycle_rows(f: np.ndarray, keep_prev: bool = False):
-    """(each row's cycle lengths, J, S_(J-1)) of f, a row or a block: the one cycle kernel.
+def _cycle_rows(f: np.ndarray) -> list[list[int]]:
+    """Each row's cycle lengths of f, a row or a block: the one cycle kernel.
 
-    `_images` runs once, and the mask is checked to be exactly its last
-    set S_J, the cyclic set: f must permute it (`_cycles` walks every
-    mask vertex, as S_J cannot show one beyond it), so it lies in S_J,
-    and it must hold S_J (one gather), so every vertex reaches it.
-    S_(J-1) is kept only if keep_prev, for `_max_tail_height`.
+    `_images` runs once; its last set S_J, the cyclic set, is cut at the
+    row starts, and `_cycles` walks each row's part.  The walk catches an
+    S_J that holds a tail vertex or lacks part of a cycle, but not one
+    that lacks a whole cycle.
     """
-    mask, J, prev, last = _cyclic_sets(f, keep_prev=keep_prev)
+    _, _, last = _last_sets(f, False)
     n = f.shape[-1]
-    rows = zip(f.reshape(-1, n), mask.reshape(-1, n))
-    lengths = [_cycles(row, np.flatnonzero(m)) for row, m in rows]
-    if not np.take(mask, last).all():
-        raise InvariantError("a vertex does not reach the cyclic mask")
-    return lengths, J, prev
+    cuts = np.searchsorted(last, np.arange(0, f.size + 1, n)).tolist()
+    rows = enumerate(zip(f.reshape(-1, n), cuts, cuts[1:]))
+    return [_cycles(row, last[lo:hi] - r * n) for r, (row, lo, hi) in rows]
 
 
 def _max_tail_height(f: np.ndarray, J: int, prev: np.ndarray | None) -> int:
@@ -249,11 +237,12 @@ def _max_tail_height(f: np.ndarray, J: int, prev: np.ndarray | None) -> int:
 def analyze(f: Mapping) -> CycleStructure:
     """Decompose the functional graph of f in O(n) space and, on a random mapping, O(n) work.
 
-    One `_cycle_rows` call gives the checked cycle lengths and the sets
-    where `_max_tail_height` restarts.
+    One `_images` run gives the cyclic set, which `_cycles` walks, and
+    the set before it, where `_max_tail_height` restarts.
     """
     t = f.targets - 1
-    [lengths], J, prev = _cycle_rows(t, keep_prev=True)
+    J, prev, cyclic = _last_sets(t, True)
+    lengths = _cycles(t, cyclic)
     return CycleStructure(
         cycle_lengths=tuple(sorted(lengths)),
         num_cyclic=sum(lengths),

@@ -6,10 +6,9 @@ bit-identical for a given (n, samples, seed, blocks) no matter how the
 blocks would be scheduled.  Up to BATCH_N_MAX a block is drawn as one
 matrix; above it, row by row from the same stream, so memory stays O(n)
 per sample.  Each draw goes through one call of mapping._cycle_rows,
-the cycle kernel of `analyze`: one image-shrinking run, the cycle walk,
-which raises mapping.InvariantError unless f permutes the cyclic mask,
-and one gather, which raises unless the mask holds the cyclic set, so
-that every vertex reaches it.  log T and log B come from
+the cycle kernel: one image-shrinking run and the cycle walk of
+`analyze`, which raises mapping.InvariantError unless f permutes the
+last image set, the cyclic set.  log T and log B come from
 mapping.period_logs, as in `analyze`.
 
 From PARALLEL_N_MIN on, the kernel runs on a few worker threads
@@ -72,8 +71,7 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 def _samples(f) -> list[tuple[int, float, float]]:
     """(Z, log T, log B) of each row of f, one row or a block of rows."""
-    rows, _, _ = mapping._cycle_rows(f)
-    return [(sum(lengths), *mapping.period_logs(lengths)[1:]) for lengths in rows]
+    return [(sum(lengths), *mapping.period_logs(lengths)[1:]) for lengths in mapping._cycle_rows(f)]
 
 
 def _workers() -> int:
@@ -130,8 +128,7 @@ def run_experiment(
     running sums in draw order, so memory is O(1) in `samples`.  Raises
     CeilingError before any draw for n outside [1, MAX_N], samples < 1,
     seed < 0 or blocks < 1; blocks is clamped to samples.  Raises
-    mapping.InvariantError if a sample's cyclic mask fails its checks:
-    f must permute it, and it must hold the sample's cyclic set.
+    mapping.InvariantError unless f permutes each sample's cyclic set.
 
     From PARALLEL_N_MIN on, w = _workers() threads run the kernel on
     single rows and the output is that of the inline loop.  Memory is then

@@ -1,13 +1,12 @@
 """Broken kernels for the mapping module: each one must trip an InvariantError.
 
-A fault names an input mapping, the `itermap.mapping` attribute it
-replaces, a factory that builds the replacement from the real function,
-and the error message `analyze` must then raise.  Each factory breaks
-the mask that `_cyclic_sets` returns and passes its image sets on
-unchanged, so the checks compare a wrong mask with the sets they were
-given.  The mask changes every row of a block alike (the same vertex,
-or every fixed point), so the sampler meets it too.  `install` works
-with `setattr` (a subprocess) or `monkeypatch.setattr`.
+A fault names an input mapping, a factory that builds a broken
+`_last_sets` from the real one, and the error message `analyze` must
+then raise.  Each factory changes the last image set S_J as a bug in the
+image-shrinking loop `_images` could: a tail vertex kept, a cycle vertex
+lost, or the loop stopped one round early.  A fault changes every row of
+a block alike, so the sampler meets it too.  `install` works with
+`setattr` (a subprocess) or `monkeypatch.setattr`.
 """
 
 import numpy as np
@@ -15,53 +14,55 @@ import numpy as np
 from itermap import mapping
 
 
-def _mask_with(vertex, value):
-    def make(real):
-        def broken(f, **kwargs):
-            mask, *sets = real(f, **kwargs)
-            mask[..., vertex] = value
-            return mask, *sets
-
-        return broken
-
-    return make
-
-
-def _fixed_points_cleared(real):
-    def broken(f, **kwargs):
-        mask, *sets = real(f, **kwargs)
-        return mask & (f != np.arange(f.shape[-1])), *sets
+def _tail_vertex_added(real):
+    # vertex 1 (0-based) of every row joins S_J
+    def broken(f, keep_prev):
+        J, prev, last = real(f, keep_prev)
+        return J, prev, np.union1d(last, np.arange(1, f.size, f.shape[-1]))
 
     return broken
 
 
-PERMUTE = "f does not permute the cyclic mask"
-REACH = "a vertex does not reach the cyclic mask"
+def _cycle_vertex_dropped(real):
+    # the largest vertex of every row's part of S_J leaves it
+    def broken(f, keep_prev):
+        J, prev, last = real(f, keep_prev)
+        n = f.shape[-1]
+        return J, prev, np.delete(last, np.searchsorted(last, np.arange(n, f.size + 1, n)) - 1)
+
+    return broken
+
+
+def _one_round_short(real):
+    # S_(J-1) is handed over as the last set; it strictly holds the cyclic set of
+    # some row whenever J >= 1, so the inputs below need at least one round
+    def broken(f, keep_prev):
+        *sets, _ = mapping._images(f)
+        J = len(sets) - 1
+        return J, sets[-2] if keep_prev and J > 1 else None, sets[-1]
+
+    return broken
+
+
+PERMUTE = "f does not permute the cyclic set"
 
 FAULTS = {
-    # 4 -> 3 -> 2 -> 1 -> 1; tail vertex 2 joins the mask and f sends 1 and 2 both to 1
-    "tail_vertex_added": ("4 1 1 2 3", "_cyclic_sets", _mask_with(1, True), PERMUTE),
-    # the 3-cycle 1 -> 2 -> 3 -> 1 loses vertex 1, so f sends vertex 3 out of the mask
-    "cyclic_vertex_missing": ("3 2 3 1", "_cyclic_sets", _mask_with(0, False), PERMUTE),
-    # the fixed point 3 leaves the mask; f still permutes what is left, {1}
-    "fixed_point_missing": ("3 1 1 3", "_cyclic_sets", _mask_with(2, False), REACH),
-    # every fixed point leaves the mask, so 1 -> 1, 3 -> 3 and 2 -> 1 reach none of it;
-    # f still permutes what is left, here nothing, so only the reach check sees it
-    "fixed_points_cleared": ("3 1 1 3", "_cyclic_sets", _fixed_points_cleared, REACH),
-    # n = 64: the 2-cycle 1 <-> 2 below the tail 64 -> 63 -> ... -> 6 -> 1, and the 3-cycle
-    # 3 -> 4 -> 5 -> 3, which leaves the mask; f permutes what is left, so only the reach
-    # check sees it: every image set keeps the 3-cycle, through all six rounds of the loop
-    "cycle_missing_behind_tail": (
+    # 4 -> 3 -> 2 -> 1 -> 1; tail vertex 2 joins S_J and f sends 1 and 2 both to 1
+    "tail_vertex_added": ("4 1 1 2 3", _tail_vertex_added, PERMUTE),
+    # the 3-cycle 1 -> 2 -> 3 -> 1 loses vertex 3, so f sends vertex 2 out of S_J
+    "cyclic_vertex_missing": ("3 2 3 1", _cycle_vertex_dropped, PERMUTE),
+    # n = 64: the 2-cycle 1 <-> 2 below the tail 64 -> 63 -> ... -> 6 -> 1 of height 59,
+    # and the 3-cycle 3 -> 4 -> 5 -> 3; S_5 = f^31(V) still holds tail vertices 6..33
+    "one_round_short": (
         " ".join(map(str, [64, 2, 1, 4, 5, 3, 1, *range(6, 64)])),
-        "_cyclic_sets",
-        _mask_with([2, 3, 4], False),
-        REACH,
+        _one_round_short,
+        PERMUTE,
     ),
 }
 
 
 def install(name, set_attr=setattr):
-    """Install fault `name`; return its input text and expected message."""
-    text, attr, make, message = FAULTS[name]
-    set_attr(mapping, attr, make(getattr(mapping, attr)))
+    """Install fault `name` on `mapping._last_sets`; return its input text and expected message."""
+    text, make, message = FAULTS[name]
+    set_attr(mapping, "_last_sets", make(mapping._last_sets))
     return text, message

@@ -153,6 +153,7 @@ class TestExact:
             "n=1 brute-force cross-check: PASS",
             "n=2 brute-force cross-check: FAIL",
             "n=3 brute-force cross-check: FAIL",
+            "error: brute-force cross-check failed for n = [2, 3]",
         ]
 
     def test_output_pinned(self, capsys):
@@ -452,10 +453,7 @@ class TestSimulate:
         assert (code, out) == (cli.EXIT_IO, "")
         assert errors == [f"error: [Errno 2] No such file or directory: '{path}'"]
 
-    # the first row of seed 0 at n = 100 has a fixed point, so fixed_points_cleared trips
-    @pytest.mark.parametrize(
-        "fault", ["tail_vertex_added", "cyclic_vertex_missing", "fixed_points_cleared"]
-    )
+    @pytest.mark.parametrize("fault", list(mapping_faults.FAULTS))
     def test_invariant_violation(self, capsys, monkeypatch, fault):
         _, message = mapping_faults.install(fault, monkeypatch.setattr)
         code, out, err = run(capsys, "simulate", "--n", "100", "--samples", "200")

@@ -59,10 +59,11 @@ def test_enumeration_pinned(n, pins):
     assert s.count == s.connected_cycle_total == n**n
 
 
-def test_packed_word_guard(monkeypatch):
-    monkeypatch.setattr(exact, "BRUTE_FORCE_MAX_N", 9)
-    with pytest.raises(mapping.CeilingError, match="n <= 8"):
-        exact.enumerate_summary(9)
+def test_packed_word_guard():
+    # the one ceiling check also guards the packing: 3-bit fields hold targets 0..7
+    assert exact.BRUTE_FORCE_MAX_N <= 8
+    with pytest.raises(mapping.CeilingError, match="enumeration too large"):
+        exact.enumerate_summary(exact.BRUTE_FORCE_MAX_N + 1)
 
 
 class TestBruteForce:

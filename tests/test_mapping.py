@@ -189,7 +189,7 @@ class TestAnalyze:
 
 
 class TestInvariantErrors:
-    """Each check in analyze fires on a kernel broken to trip it."""
+    """The cycle walk in analyze fires on each image-loop bug of `mapping_faults`."""
 
     def _raises(self, monkeypatch, fault):
         text, message = mapping_faults.install(fault, monkeypatch.setattr)
@@ -202,11 +202,8 @@ class TestInvariantErrors:
     def test_mask_missing_cyclic_vertex_checked(self, monkeypatch):
         self._raises(monkeypatch, "cyclic_vertex_missing")
 
-    def test_mask_missing_cycle_checked(self, monkeypatch):
-        self._raises(monkeypatch, "fixed_point_missing")
-
-    def test_mask_missing_cycle_behind_tail_checked(self, monkeypatch):
-        self._raises(monkeypatch, "cycle_missing_behind_tail")
+    def test_loop_one_round_short_checked(self, monkeypatch):
+        self._raises(monkeypatch, "one_round_short")
 
 
 def _rho(n, tail, cycle):
@@ -223,17 +220,14 @@ def _rho(n, tail, cycle):
 def kernel_sets(f):
     """The image sets of one 0-based row, after checking the kernel's results against the reference."""
     ref = mapping_reference.analyze(mapping.Mapping(len(f), f + 1))
-    mask, J, prev, cyclic = mapping._cyclic_sets(f, keep_prev=True)
-    assert set((np.flatnonzero(mask) + 1).tolist()) == ref.cyclic_vertices
-    assert mapping._cyclic_sets(f)[2] is None  # the sampler's call keeps no S_(J-1)
-    assert mask[cyclic].all()  # the mask holds the last set
-    [lengths], J_rows, prev_rows = mapping._cycle_rows(f, keep_prev=True)
-    assert tuple(sorted(lengths)) == ref.cycle_lengths and J_rows == J
-    assert prev_rows is None if prev is None else np.array_equal(prev_rows, prev)
-    assert mapping._cycle_rows(f)[2] is None
+    [lengths] = mapping._cycle_rows(f)  # first, so that a wrong last set fails in the walk
+    assert tuple(sorted(lengths)) == ref.cycle_lengths
+    J, prev, cyclic = mapping._last_sets(f, True)
+    assert set((cyclic + 1).tolist()) == ref.cyclic_vertices
+    assert mapping._last_sets(f, False)[1] is None  # the sampler's call keeps no S_(J-1)
     assert mapping._max_tail_height(f, J, prev) == ref.max_tail_height
     sets = list(mapping._images(f))
-    # _cyclic_sets hands over the index and the last two sets of the same run
+    # _last_sets hands over the index and the last two sets of the same run
     assert J == len(sets) - 1 and np.array_equal(cyclic, sets[-1])
     assert prev is None if J <= 1 else np.array_equal(prev, sets[-2])
     return sets
@@ -262,8 +256,7 @@ class TestKernel:
         block = np.stack([_rho(n, h, c) for h, c in [(0, 5), (1, 2), (3, 7), (10, 3), (63, 1)]])
         assert [len(kernel_sets(row)) for row in block] == [1, 2, 3, 5, 7]
         assert len(list(mapping._images(block))) == 7
-        mask = mapping._cyclic_sets(block)[0]
-        assert (mask == np.stack([mapping._cyclic_sets(row)[0] for row in block])).all()
+        assert mapping._cycle_rows(block) == [mapping._cycle_rows(row)[0] for row in block]
 
 
 class TestSinglePass:

@@ -13,7 +13,7 @@ import mapping_faults
 import mapping_reference
 import montecarlo_reference
 from itermap import asymptotics, mapping, montecarlo
-from itermap.mapping import _cycles, _cyclic_sets
+from itermap.mapping import _cycle_rows, _cycles, _last_sets
 
 
 class TestDeterminism:
@@ -63,24 +63,18 @@ class TestInvariants:
         assert math.isclose(s.mean_log_T, sum_log_T / samples, rel_tol=1e-12)
         assert math.isclose(s.mean_log_B, sum_log_B / samples, rel_tol=1e-12)
 
-    # batched at n = 100 and per row at n = 2000; among these rows vertex 1
-    # (0-based) is a tail vertex and vertex 0 lies on a cycle of length >= 2
-    @pytest.mark.parametrize("n", [100, 2000])
-    @pytest.mark.parametrize("fault", ["tail_vertex_added", "cyclic_vertex_missing"])
+    # batched at n = 100, per row inline at n = 2000 and per row on threads; in the
+    # first row at each n, vertex 1 (0-based) is a tail vertex and the largest cyclic
+    # vertex lies on a cycle of length >= 2, so each fault trips the walk there
+    @pytest.mark.parametrize("n", [100, 2000, montecarlo.PARALLEL_N_MIN])
+    @pytest.mark.parametrize("fault", list(mapping_faults.FAULTS))
     def test_mask_faults_raise(self, monkeypatch, fault, n):
+        first = montecarlo.block_rng(0, 0).integers(0, n, size=n, dtype=np.int64)
         _, message = mapping_faults.install(fault, monkeypatch.setattr)
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
-            montecarlo.run_experiment(n, 200, seed=0)
-
-    # batched, per row inline and per row on threads; each first row has a fixed point,
-    # and the reach check of that row is the only check the fault trips
-    @pytest.mark.parametrize("n, seed", [(100, 0), (2000, 1), (montecarlo.PARALLEL_N_MIN, 0)])
-    def test_lost_cycle_raises(self, monkeypatch, n, seed):
-        first = montecarlo.block_rng(seed, 0).integers(0, n, size=n, dtype=np.int64)
-        assert (first == np.arange(n)).any()
-        _, message = mapping_faults.install("fixed_points_cleared", monkeypatch.setattr)
+            _cycle_rows(first)
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
-            montecarlo.run_experiment(n, 8, seed=seed)
+            montecarlo.run_experiment(n, 8, seed=0)
 
     def test_resource_errors(self):
         with pytest.raises(mapping.CeilingError, match="experiment too large"):
@@ -108,19 +102,17 @@ class TestKernelPaths:
     @pytest.mark.parametrize("n, rows", [(montecarlo.BATCH_N_MAX, 16), (2000, 1)])
     def test_1d_and_2d_agree_row_by_row(self, n, rows):
         fmat = montecarlo.block_rng(4, 0).integers(0, n, size=(rows, n), dtype=np.int64)
-        mask2 = _cyclic_sets(fmat)[0]
-        for row, mask_row in zip(fmat, mask2):
-            mask1 = _cyclic_sets(row)[0]
-            assert np.array_equal(mask1, mask_row)
-            lengths = _cycles(row, np.flatnonzero(mask1))
-            assert lengths == _cycles(row, np.flatnonzero(mask_row))
+        block = _cycle_rows(fmat)
+        assert len(block) == rows
+        for row, lengths in zip(fmat, block):
+            assert _cycle_rows(row) == [lengths]
             ref = mapping_reference.analyze(mapping.Mapping(n, row + 1))
             assert tuple(sorted(lengths)) == ref.cycle_lengths
-            assert set((np.flatnonzero(mask1) + 1).tolist()) == ref.cyclic_vertices
+            assert set((_last_sets(row, False)[2] + 1).tolist()) == ref.cyclic_vertices
 
     def test_one_image_pass_per_row(self, monkeypatch):
         # one `_images` run per row on the per-row path and per block when batched:
-        # the check that the mask holds the cyclic set reuses the run's last set
+        # the walk reads the run's last set, cut at the row starts
         real = mapping._images
         shapes = []
 
@@ -136,7 +128,7 @@ class TestKernelPaths:
     def test_cycles_in_order_of_smallest_vertex(self):
         # the sampler's float sums run over the lengths in this order
         f = np.array([4, 3, 1, 2, 0, 5], dtype=np.int64)  # cycles (0 4), (1 3 2), (5)
-        assert _cycles(f, np.flatnonzero(_cyclic_sets(f)[0])) == [2, 3, 1]
+        assert _cycle_rows(f) == [[2, 3, 1]]
 
 
 def _serial_summary(n, seed, sizes):
@@ -150,7 +142,7 @@ def _serial_summary(n, seed, sizes):
         rng = montecarlo.block_rng(seed, b)
         for _ in range(bs):
             row = rng.integers(0, n, size=n, dtype=np.int64)
-            cyclic = np.flatnonzero(_cyclic_sets(row)[0])
+            cyclic = _last_sets(row, False)[2]
             _, log_T, log_B = mapping.period_logs(_cycles(row, cyclic))
             for i, x in enumerate((log_T, log_B, log_B - log_T)):
                 sums[2 * i] += x
@@ -219,14 +211,14 @@ class TestThreadedPath:
         # host) completion order is not draw order
         n, seed = montecarlo.PARALLEL_N_MIN, 6
         firsts = [montecarlo.block_rng(seed, b).integers(0, n, size=n) for b in range(3)]
-        real = mapping._cyclic_sets
+        real = mapping._last_sets
 
-        def slow(f, **kwargs):
+        def slow(f, keep_prev):
             if any(np.array_equal(f, first) for first in firsts):
                 time.sleep(0.05)
-            return real(f, **kwargs)
+            return real(f, keep_prev)
 
-        monkeypatch.setattr(mapping, "_cyclic_sets", slow)
+        monkeypatch.setattr(mapping, "_last_sets", slow)
         monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
         s = montecarlo.run_experiment(n, 13, seed, blocks=3)
         _assert_equal_summaries(s, _serial_summary(n, seed, (5, 4, 4)))

@@ -105,6 +105,20 @@ class TestExpectedB:
         ref = series_reference.log_expected_B_convolution(n, tab)
         assert math.isclose(series.log_expected_B(n), ref, rel_tol=1e-12)
 
+    def test_five_term_expansion(self):
+        # Laplace's method on sum_m P_n(Z=m) b_m, peaked at m = n^(2/3), derives the
+        # first three terms; -7/36 and -2/15 are fitted to the residuals, not derived
+        C = 0.5 * math.log(4 / 3) - 2 / 3 - math.log(2)
+
+        def five_terms(n):
+            c = n ** (1 / 3)
+            return 1.5 * c - math.log(n) / 3 + C - 7 / 36 / c - 2 / 15 / c**2
+
+        geometric = [round(300 * (2e5 / 300) ** (k / 20)) for k in range(1, 21)]
+        for n in [*range(2, 301), *geometric]:
+            residual = series.log_expected_B(n) - five_terms(n)
+            assert 0 < residual <= 0.05 / n, (n, residual)
+
     def test_ratio_table_grown_in_any_order(self, monkeypatch):
         # the cached ratios give the same bits whether a larger n came first or not
         monkeypatch.setattr(series, "_r_cache", array("d", [1.0]))

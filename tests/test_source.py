@@ -107,7 +107,7 @@ def test_no_environment_reads():
 
 
 def test_sampler_calls_the_cycle_kernel_whole():
-    # the mask, the cycle walk and the reach check stay in mapping, behind one call
+    # the image-shrinking run and the cycle walk stay in mapping, behind one call
     private = set()
     for name, tree in _modules():
         if name != "montecarlo.py":

@@ -149,7 +149,7 @@ def cmd_series(args) -> None:
         text = _csv(["m", "e_coeff", "mu"], rows)
     else:
         ns = args.eval_n or [args.degree]
-        # log_expected_B allocates O(n) floats and saddle_point O(n^(2/3)): check every n first
+        # the cap guards only log_expected_B's O(n) floats (saddle_point is O(1)): check every n first
         if max(ns) > series.DEGREE_CAP_DEFAULT:
             raise CeilingError(f"n = {max(ns)} is above the cap {series.DEGREE_CAP_DEFAULT}")
         rows = []

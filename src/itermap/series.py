@@ -5,10 +5,23 @@ uniform mapping with Z = m cyclic vertices being a uniform permutation
 of [m] with mean cycle product b_m: the one library route to E_n(B).
 mu_table builds the coefficients e_m of exp(sum_d c_d z^d) and their
 prefix sums mu(m), bounded above by the Rankin bound exp(n s + g(s))
-with g(s) = sum_d c_d e^{-ds}.  The saddle point of n s + g(s) is the
-root of g'(s) + n, found by Newton's method alone.  The convolution of
-e_m with h_m = m^m/(m! e^m), the exact-rational series and the Rankin
-check are test oracles in tests/series_reference.py.
+with g(s) = sum_d c_d e^{-ds}.
+
+g has a closed form.  Put z = e^{-1-s} and let T = z e^T be the Cayley
+tree function, T(z) = sum_d d^(d-1) z^d/d!.  Then h_d e^{-ds} =
+d^d z^d/d! sums to z T'(z) = T/(1-T), and (Q(d)/d) e^{-ds} =
+|U_d| z^d/d! (renyi: Q(d) = h_d R_d, |U_d| = d^(d-1) R_d) sums to
+-log(1-T), a connected mapping being a cycle of rooted trees.  As
+c_d = h_d - Q(d)/d, with u = 1 - T,
+
+    g(s) = T/u + log u,   s = -u - log(1-u),
+
+and dT/ds = -T/u gives g' = -T^2/u^3, g'' = T^2 (2+T)/u^5 and
+g''' = -T^2 (4 + 9T + 2T^2)/u^7.  The saddle point of n s + g(s), where
+g'(s) = -n, is the root u of (1-u)^2 = n u^3 in (0, 1).  The convolution
+of e_m with h_m = m^m/(m! e^m), the exact-rational series, the truncated
+sum for g and the Rankin check are test oracles in
+tests/series_reference.py.
 """
 
 from __future__ import annotations
@@ -64,16 +77,7 @@ class SeriesTable:
     mu: np.ndarray
 
 
-_c_cache = np.empty(0)
 _r_cache = array("d", [1.0])  # r_m = b_m/b_(m-1), m = 1, 2, ..., grown by log_expected_B
-
-
-def _c_upto(N: int) -> np.ndarray:
-    """c_1..c_N, grown on demand; the one source of c_d for the table and g(s)."""
-    global _c_cache
-    if _c_cache.size < N:
-        _c_cache = np.concatenate([_c_cache, renyi.c_table(N, start=_c_cache.size + 1)])
-    return _c_cache[:N]
 
 
 def mu_table(N: int) -> SeriesTable:
@@ -82,7 +86,7 @@ def mu_table(N: int) -> SeriesTable:
         raise CeilingError("degree must be nonnegative")
     if N > DEGREE_CAP_DEFAULT:
         raise CeilingError("degree above configured cap")
-    e = exp_series(_c_upto(N))
+    e = exp_series(renyi.c_table(N))
     return SeriesTable(N=N, e=e, mu=np.cumsum(e))
 
 
@@ -106,42 +110,7 @@ def log_expected_B(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# g(s) and the saddle point
-
-_g_rows = np.empty((3, 0))  # d = 1..D, the terms and a product row, for the largest D so far
-
-
-def _g_sums(s: float, orders) -> tuple[float, ...]:
-    """g^(j)(s) = sum_d (-d)^j c_d e^{-ds} for each j in orders, j <= 3.
-
-    The sum is truncated at D(s) = ceil(40/s): the geometric envelope
-    c_d <= 1/sqrt(2 pi d) makes the tail beyond D(s) smaller than 1e-15
-    of the total for j <= 3.  The c cache grows before any row does, so the
-    peak stays c_table's; the rows of `_g_rows` are reused from call to
-    call, by one thread at a time.  The sign of (-d)^j comes out of the
-    sum, and d*d*d is correctly rounded while d < 2**26.5.
-    """
-    global _g_rows
-    D = math.ceil(40.0 / s)
-    c = _c_upto(D)
-    if _g_rows.shape[1] < D:
-        _g_rows = np.empty((3, 0))  # free the old rows before the new are allocated
-        _g_rows = np.empty((3, D))
-        _g_rows[0] = np.arange(1, D + 1)
-    d, terms, prod = _g_rows[:, :D]
-    np.exp(np.multiply(d, -s, out=terms), out=terms)
-    terms *= c
-    sums = []
-    for j in orders:
-        if j == 1:
-            np.multiply(terms, d, out=prod)
-        elif j > 1:
-            np.multiply(d, d, out=prod)
-            if j == 3:
-                prod *= d
-            prod *= terms
-        sums.append((-1) ** j * float((prod if j else terms).sum()))
-    return tuple(sums)
+# The saddle point of n s + g(s)
 
 
 @dataclass(frozen=True)
@@ -160,41 +129,42 @@ NEWTON_MAX_STEPS = 50
 
 
 def saddle_point(n: int) -> SaddleReport:
-    """Minimize n s + g(s) by Newton's method on g'(s) + n = 0.
+    """Minimize n s + g(s): g'(s) = -n where u = 1 - T solves (1-u)^2 = n u^3.
 
-    g' is increasing and concave (g'' > 0 > g'''), so the root is unique,
-    every Newton step lands at or below it, and from below the iterates
-    climb to it monotonically.  The search starts at the asymptotic
-    location s0 = 1/(2 n^(2/3)); a step that would not leave s > 0
-    restarts from s/4 instead (n = 1 and n = 2 need this).  It stops at
-    the first step of at most 1e-14 s0, when the error left is of order
-    step^2 / s0.
+    p(u) = n u^3 - (1-u)^2 is increasing and convex on (0, 1] and
+    positive at u = n^(-1/3), so Newton's method from there falls
+    monotonically to the root; it stops at the first iterate that does
+    not fall (at most 6 steps for n <= 1e15).  s = -u - log(1-u) cancels
+    for small u, so it is summed as u x + 2 sum_{j>=1} x^(2j+1)/(2j+1)
+    with x = u/(2-u), from -log(1-u) = 2 atanh(x) and 2x - u = u x: every
+    term is positive, and x < 0.4 for n >= 1, so 20 terms leave less
+    than 1e-18 of s.
     """
     if n < 1:
         raise CeilingError("n must be positive")
-    s0 = 0.5 * n ** (-2.0 / 3.0)
-    s_star = s0
+    u = n ** (-1.0 / 3.0)
     for _ in range(NEWTON_MAX_STEPS):
-        g1, g2 = _g_sums(s_star, (1, 2))
-        step = (g1 + n) / g2
-        if not s_star - step > 0:
-            s_star /= 4
-        else:
-            s_star -= step
-            if abs(step) <= 1e-14 * s0:
-                break
+        below = u - (n * u**3 - (1 - u) ** 2) / (3 * n * u * u + 2 * (1 - u))
+        if not below < u:
+            break
+        u = below
     else:
         raise InvariantError(f"saddle search did not converge at n={n}")
-    g0, g1, g2, g3 = _g_sums(s_star, range(4))
-    if not (g2 > 0 and g3 < 0):
-        raise InvariantError(f"saddle point at n={n}: need g'' > 0 > g''', got {g2!r}, {g3!r}")
+    T = 1 - u
+    x = u / (2 - u)
+    odd = 0.0  # sum_{j=1..20} x^(2j-2)/(2j+1), by Horner's rule
+    for j in range(20, 0, -1):
+        odd = odd * x * x + 1 / (2 * j + 1)
+    s_star = u * x + 2 * x**3 * odd
+    g0 = T / u + math.log(u)
+    g2 = T * T * (2 + T) / u**5
     return SaddleReport(
         n=n,
         s_star=s_star,
         g0=g0,
-        g1=g1,
+        g1=-T * T / u**3,
         g2=g2,
-        g3=g3,
+        g3=-T * T * (4 + 9 * T + 2 * T * T) / u**7,
         A_n=g2,
         rankin_log_value=n * s_star + g0,
     )

@@ -1,6 +1,7 @@
 """Test oracles for series: the convolution and the exact-rational routes
-to E_n(B), g(s), the Rankin bound, plain bisection for the saddle point,
-and the g-sums as first written, with fresh arrays for every weight.
+to E_n(B), g(s) as a truncated float sum, the Rankin bound, plain
+bisection for the saddle point, and the g-sums as first written, with
+fresh arrays for every weight.
 
 The convolution reads the deconditioned identity E_n(B) = (n! e^n/n^n)
 sum_m e_m h_{n-m}, with the bare exponential coefficients e_m of a
@@ -10,9 +11,11 @@ convolution gives 1 + e instead of 1 at n = 1).
 The exact route shares no code with the float64 one: gamma_d = c_d e^d
 comes from renyi_reference.s_exact, and the exponential coefficients
 e_m = r_m e^{-m} from the same recurrence in rationals, so every e^{-m}
-cancels in E_n(B).  The bisection evaluates g'(s) + n at every bracket
-and bisection point, with no root located first, and g0..g3 by one
-g_eval call each.
+cancels in E_n(B).  g_sums shares no code with the closed form of
+series.saddle_point: it sums c_d e^{-ds} weighted by (-d)^j over the
+float c_d of renyi.c_table.  The bisection evaluates g'(s) + n at every
+bracket and bisection point, with no root located first, and g0..g3 by
+one g_eval call each.
 """
 
 import math
@@ -22,9 +25,9 @@ import numpy as np
 from scipy.special import gammaln
 
 import renyi_reference
-from itermap import series
+from itermap import renyi
 from itermap.mapping import CeilingError, InvariantError
-from itermap.series import SaddleReport, SeriesTable, _g_sums
+from itermap.series import SaddleReport, SeriesTable
 
 
 def h_array(N: int) -> np.ndarray:
@@ -67,11 +70,56 @@ def expected_B_exact(n: int) -> Fraction:
     return Fraction(math.factorial(n), n**n) * acc
 
 
+_c_cache = np.empty(0)
+_g_rows = np.empty((3, 0))  # d = 1..D, the terms and a product row, for the largest D so far
+
+
+def _c_upto(N: int) -> np.ndarray:
+    """c_1..c_N, rebuilt whenever a larger N is asked for."""
+    global _c_cache
+    if _c_cache.size < N:
+        _c_cache = renyi.c_table(N)
+    return _c_cache[:N]
+
+
+def g_sums(s: float, orders) -> tuple[float, ...]:
+    """g^(j)(s) = sum_d (-d)^j c_d e^{-ds} for each j in orders, j <= 3.
+
+    The sum is truncated at D(s) = ceil(40/s): the geometric envelope
+    c_d <= 1/sqrt(2 pi d) makes the tail beyond D(s) smaller than 1e-15
+    of the total for j <= 3.  The c cache grows before any row does, so the
+    peak stays c_table's; the rows of `_g_rows` are reused from call to
+    call, by one thread at a time.  The sign of (-d)^j comes out of the
+    sum, and d*d*d is correctly rounded while d < 2**26.5.
+    """
+    global _g_rows
+    D = math.ceil(40.0 / s)
+    c = _c_upto(D)
+    if _g_rows.shape[1] < D:
+        _g_rows = np.empty((3, 0))  # free the old rows before the new are allocated
+        _g_rows = np.empty((3, D))
+        _g_rows[0] = np.arange(1, D + 1)
+    d, terms, prod = _g_rows[:, :D]
+    np.exp(np.multiply(d, -s, out=terms), out=terms)
+    terms *= c
+    sums = []
+    for j in orders:
+        if j == 1:
+            np.multiply(terms, d, out=prod)
+        elif j > 1:
+            np.multiply(d, d, out=prod)
+            if j == 3:
+                prod *= d
+            prod *= terms
+        sums.append((-1) ** j * float((prod if j else terms).sum()))
+    return tuple(sums)
+
+
 def g_sums_reference(s: float, orders) -> tuple[float, ...]:
-    """series._g_sums as first written: fresh arrays for d, the terms and each weight."""
+    """g_sums as first written: fresh arrays for d, the terms and each weight."""
     D = math.ceil(40.0 / s)
     d = np.arange(1, D + 1, dtype=np.float64)
-    terms = series._c_upto(D) * np.exp(-d * s)
+    terms = _c_upto(D) * np.exp(-d * s)
     return tuple(float((terms * neg_power(d, j)).sum() if j else terms.sum()) for j in orders)
 
 
@@ -85,8 +133,8 @@ def neg_power(d: np.ndarray, j: int) -> np.ndarray:
 
 
 def g_eval(s: float, j: int = 0) -> float:
-    """g^(j)(s) alone, from series._g_sums."""
-    return _g_sums(s, (j,))[0]
+    """g^(j)(s) alone, from g_sums."""
+    return g_sums(s, (j,))[0]
 
 
 def rankin_bound(n: int, s: float, table: SeriesTable) -> float:

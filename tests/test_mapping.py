@@ -196,10 +196,10 @@ class TestInvariantErrors:
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
             mapping.period_stats(mapping.analyze(mapping.parse_mapping(text)))
 
-    def test_mask_with_tail_vertex_checked(self, monkeypatch):
+    def test_loop_tail_vertex_added_checked(self, monkeypatch):
         self._raises(monkeypatch, "tail_vertex_added")
 
-    def test_mask_missing_cyclic_vertex_checked(self, monkeypatch):
+    def test_loop_cyclic_vertex_missing_checked(self, monkeypatch):
         self._raises(monkeypatch, "cyclic_vertex_missing")
 
     def test_loop_one_round_short_checked(self, monkeypatch):

@@ -116,6 +116,18 @@ class TestCCoeff:
             c = renyi_reference.c_coeff(d)
             assert abs(ct[d - 1] - c) <= 1e-11 * max(c, 1e-3)
 
+    def test_matches_mpmath(self):
+        # h_d = d^d/(d! e^d) and Q(d) at 40 digits.  The direct exp(d log d - log d! - d)
+        # was 8.5e-15 off at d = 14 and 2.2e-10 at d = 1e5; the worst c_d here, at
+        # d = 2 where h_d - Q(d)/d loses two bits, is 1.3e-15 off
+        ct = renyi.c_table(200_000)
+        assert ct[0] == 0.0
+        with mpmath.workdps(40):
+            for d in [*range(2, 51), 1000, 10_000, 100_000, 200_000]:
+                h = mpmath.exp(d * mpmath.log(d) - d - mpmath.loggamma(d + 1))
+                ref = h - mpmath.gammainc(d, d, mpmath.inf, regularized=True) / d
+                assert abs(ct[d - 1] / ref - 1) <= 4e-15, d
+
     def test_table_nonnegative(self):
         ct = renyi.c_table(5000)
         assert ct.min() >= 0.0

@@ -3,11 +3,12 @@ import tracemalloc
 from array import array
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 import series_reference
-from itermap import cli, exact, renyi, series
+from itermap import cli, exact, series
 from itermap.mapping import CeilingError, InvariantError
 
 
@@ -160,45 +161,35 @@ class TestGEval:
         assert np.array_equal(series_reference.neg_power(d, 3), ref)
 
     def test_matches_first_formula_bit_for_bit(self):
-        # the reused rows against fresh arrays for d, the terms and (-d)^j
+        # the oracle's reused rows against fresh arrays for d, the terms and (-d)^j
         grid = [float(s) for s in np.geomspace(5e-5, 1.0, 200)]
         grid += [0.5 * n ** (-2 / 3) for n in (1, 2, 5000, 10**6)]
         for s in grid:
             for orders in (range(4), (1, 2)):
-                got = series._g_sums(s, orders)
+                got = series_reference.g_sums(s, orders)
                 ref = series_reference.g_sums_reference(s, orders)
                 assert [x.hex() for x in got] == [x.hex() for x in ref], s
 
     def test_warm_call_allocates_no_rows(self):
-        series._g_sums(5e-5, range(4))  # grows the c cache and the rows to D = 800000
+        series_reference.g_sums(5e-5, range(4))  # grows the c cache and the rows to D = 800000
         tracemalloc.start()
         try:
-            series._g_sums(5e-5, range(4))
+            series_reference.g_sums(5e-5, range(4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * 800_000 + 2**20
 
-    def test_cold_saddle_peak(self, monkeypatch):
-        # the c cache grows before the rows are allocated, and old rows are
-        # freed before new ones.  Fresh arrays for each g-sum peaked at
-        # 38400784 bytes: c_table(800000) takes 32000496 of them, and the
-        # array of d was already allocated when the c cache grew
-        monkeypatch.setattr(series, "_c_cache", np.empty(0))
-        monkeypatch.setattr(series, "_g_rows", np.empty((3, 0)))
-        tracemalloc.start()
-        try:
-            series.saddle_point(10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 38_400_784
-
-    def test_coefficients_grown_in_pieces(self, monkeypatch):
-        monkeypatch.setattr(series, "_c_cache", np.empty(0))
-        for N in (1, 2, 10, 500, 4096):
-            series._c_upto(N)
-        assert np.array_equal(series._c_upto(4096), renyi.c_table(4096))
+    def test_cold_saddle_peak(self):
+        # the closed form allocates no rows and no c table, whatever n is
+        for n in (10**6, 10**12):
+            tracemalloc.start()
+            try:
+                series.saddle_point(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, n
 
 
 class TestRankin:
@@ -227,11 +218,11 @@ class TestSaddle:
         assert 0.8 < rep.s_star * 2 * (10**4) ** (2 / 3) < 1.2
 
     def test_benchmark_saddle_pinned(self):
-        # recorded before the g-sums reused their rows
+        # recorded when g became the closed form; every field within 3e-16 of 50-digit mpmath
         assert repr(series.saddle_point(10**6)) == (
-            "SaddleReport(n=1000000, s_star=4.9668052098842106e-05, g0=95.05594956703489, "
-            "g1=-999999.9999999998, g2=30301335181.606125, g3=-1527227732315354.8, "
-            "A_n=30301335181.606125, rankin_log_value=144.72400166587698)"
+            "SaddleReport(n=1000000, s_star=4.9668052098808374e-05, g0=95.05594956702316, "
+            "g1=-1000000.0, g2=30301335181.481514, g3=-1527227732298556.5, "
+            "A_n=30301335181.481514, rankin_log_value=144.72400166583154)"
         )
 
     def test_report_consistency(self):
@@ -242,11 +233,82 @@ class TestSaddle:
         assert rep.A_n == rep.g2
 
 
+def g_closed(s):
+    """g(s) = T/(1-T) + log(1-T) with T = -W(-e^{-1-s}), at mpmath's working precision."""
+    T = -mpmath.lambertw(-mpmath.exp(-1 - s))
+    return T / (1 - T) + mpmath.log(1 - T)
+
+
+def saddle_mpmath(n):
+    """Every SaddleReport field from the root u of (1-u)^2 = n u^3, at 50 digits."""
+    with mpmath.workdps(50):
+        u = mpmath.findroot(lambda u: n * u**3 - (1 - u) ** 2, mpmath.mpf(n) ** (-mpmath.mpf(1) / 3))
+        T = 1 - u
+        s = -u - mpmath.log(1 - u)
+        g0 = T / u + mpmath.log(u)
+        g2 = T**2 * (2 + T) / u**5
+        g3 = -(T**2) * (4 + 9 * T + 2 * T**2) / u**7
+        return dict(s_star=s, g0=g0, g1=-(T**2) / u**3, g2=g2, g3=g3, A_n=g2, rankin_log_value=n * s + g0)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("s", ["0.05", "0.2", "1"])
+    def test_identity_against_sum(self, s):
+        # sum_d c_d e^{-ds} at 40 digits, from h_d and Q(d) alone, truncated where
+        # e^{-ds} < e^{-50}, against T/(1-T) + log(1-T)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(s)
+            total = mpmath.mpf(0)
+            for d in range(2, int(50 / s) + 1):
+                h = mpmath.exp(d * mpmath.log(d) - d - mpmath.loggamma(d + 1))
+                q = mpmath.gammainc(d, d, mpmath.inf, regularized=True)
+                total += (h - q / d) * mpmath.exp(-d * s)
+            assert abs(total / g_closed(s) - 1) < 1e-20
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10**4, 10**6, 10**12])
+    def test_derivatives_against_mpmath_diff(self, n):
+        rep = series.saddle_point(n)
+        with mpmath.workdps(50):
+            for j, got in ((0, rep.g0), (1, rep.g1), (2, rep.g2), (3, rep.g3)):
+                ref = mpmath.diff(g_closed, mpmath.mpf(rep.s_star), j)
+                assert abs(got / ref - 1) < 1e-14, (n, j)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_exact_points(self, k):
+        # at n = k (k-1)^2 the root is u = 1/k, so T = (k-1)/k and g1..g3 are rational
+        n, T = k * (k - 1) ** 2, Fraction(k - 1, k)
+        rep = series.saddle_point(n)
+        exact_g = (-n, T**2 * (2 + T) * k**5, -(T**2) * (4 + 9 * T + 2 * T**2) * k**7)
+        for got, ref in zip((rep.g1, rep.g2, rep.g3), exact_g):
+            assert math.isclose(got, ref, rel_tol=1e-15), (n, got, ref)
+        with mpmath.workdps(30):
+            s_star = mpmath.log(mpmath.mpf(k) / (k - 1)) - mpmath.mpf(1) / k
+            assert math.isclose(rep.s_star, s_star, rel_tol=1e-15)
+            assert math.isclose(rep.g0, k - 1 - mpmath.log(k), rel_tol=1e-15)
+
+    def test_exact_values_at_two_and_twelve(self):
+        rep = series.saddle_point(2)
+        assert (rep.g1, rep.g2, rep.g3) == (-2, 20, -288)
+        assert math.isclose(rep.s_star, math.log(2) - 0.5, rel_tol=1e-16)
+        assert math.isclose(rep.g0, 1 - math.log(2), rel_tol=1e-16)
+        # 1/3 is not a float, so at n = 12 the values are 1e-15 off
+        rep = series.saddle_point(12)
+        for got, ref in zip((rep.g1, rep.g2, rep.g3), (-12, 288, -10584)):
+            assert math.isclose(got, ref, rel_tol=1e-15)
+
+    def test_fields_match_mpmath(self):
+        grid = list(range(1, 61)) + [round(10 ** (k / 8)) for k in range(15, 121)]
+        for n in grid:
+            rep, ref = series.saddle_point(n), saddle_mpmath(n)
+            for field, value in ref.items():
+                assert abs(getattr(rep, field) / value - 1) <= 1e-14, (n, field)
+
+
 SADDLE_GRID = list(range(1, 51)) + [5000, 10000, 20000, 10**6]
 
 
 class TestSaddleMatchesBisection:
-    """Newton's iterate is the root of g' + n, and agrees with plain bisection."""
+    """The closed-form saddle point is the root of the summed g' + n, and agrees with bisection."""
 
     def test_grid(self):
         g_eval = series_reference.g_eval
@@ -263,13 +325,3 @@ class TestSaddleMatchesBisection:
         with pytest.raises(InvariantError, match="saddle search did not converge at n=100"):
             series.saddle_point(100)
 
-    def test_sign_check_raises(self, monkeypatch):
-        real = series._g_sums
-
-        def g3_positive(s, orders):
-            vals = real(s, orders)
-            return vals[:3] + (abs(vals[3]),) if len(vals) == 4 else vals
-
-        monkeypatch.setattr(series, "_g_sums", g3_positive)
-        with pytest.raises(InvariantError, match="saddle point at n=100"):
-            series.saddle_point(100)

@@ -39,11 +39,14 @@ def _panel(f, a: float, b: float) -> tuple[float, float]:
     return v20, abs(v20 - v10)
 
 
-def adaptive_quad(f, a: float, b: float, tol: float, max_depth: int = 40) -> tuple[float, float]:
+QUAD_MAX_DEPTH = 40  # the most times adaptive_quad halves a panel
+
+
+def adaptive_quad(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Integrate a vectorized f on [a, b] to absolute accuracy tol.
 
     Returns (value, error_estimate); bisects panels until each carries
-    its proportional share of tol.
+    its proportional share of tol, or has been halved QUAD_MAX_DEPTH times.
     """
     stack = [(a, b, tol, 0)]
     total = 0.0
@@ -51,7 +54,7 @@ def adaptive_quad(f, a: float, b: float, tol: float, max_depth: int = 40) -> tup
     while stack:
         lo, hi, budget, depth = stack.pop()
         val, err = _panel(f, lo, hi)
-        if err <= budget or depth >= max_depth:
+        if err <= budget or depth >= QUAD_MAX_DEPTH:
             total += val
             err_total += err
             continue
@@ -78,24 +81,26 @@ def _integrand(t: np.ndarray) -> np.ndarray:
     return np.log(np.log(np.e / (-np.expm1(-t))))
 
 
-def compute_constants(tolerance: float = 1e-10) -> Constants:
-    """I = int_0^inf log log(e/(1-e^{-t})) dt by adaptive quadrature.
+TOLERANCE = 1e-10  # the absolute accuracy asked of I
+
+
+@lru_cache(maxsize=None)
+def constants() -> Constants:
+    """I = int_0^inf log log(e/(1-e^{-t})) dt to TOLERANCE by adaptive quadrature.
 
     The (0,1] piece is computed under t = e^{-u} to tame the log-log
     endpoint; the [1,T] piece directly, with T chosen so the analytic
-    tail bound 2 e^{-T} is below tolerance/10.
+    tail bound 2 e^{-T} is below TOLERANCE/10.
     """
-    if not 1e-12 < tolerance < 1e-3:
-        raise CeilingError("tolerance error")
 
     def low(u: np.ndarray) -> np.ndarray:
         t = np.exp(-u)
         return _integrand(t) * t
 
-    T = math.log(20.0 / tolerance)
-    U = math.log(1.0 / tolerance) + 5.0  # e^{-U} log(U) < tolerance/10
-    v1, e1 = adaptive_quad(low, 0.0, U, 0.4 * tolerance)
-    v2, e2 = adaptive_quad(_integrand, 1.0, T, 0.4 * tolerance)
+    T = math.log(20.0 / TOLERANCE)
+    U = math.log(1.0 / TOLERANCE) + 5.0  # e^{-U} log(U) < TOLERANCE/10
+    v1, e1 = adaptive_quad(low, 0.0, U, 0.4 * TOLERANCE)
+    v2, e2 = adaptive_quad(_integrand, 1.0, T, 0.4 * TOLERANCE)
     tail = 2.0 * math.exp(-T)
     I = v1 + v2
     err = e1 + e2 + tail
@@ -106,11 +111,6 @@ def compute_constants(tolerance: float = 1e-10) -> Constants:
         a0=(3 * I) ** (1.0 / 3.0),
         quadrature_error=err,
     )
-
-
-@lru_cache(maxsize=None)
-def constants() -> Constants:
-    return compute_constants()
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ its exit code (EXIT_CODES) and prints it as one "error: ..." line on stderr:
 3 I/O failure (OSError), 4 a size or parameter outside the supported
 domain (CeilingError), 5 internal invariant violation (InvariantError).
 Any other exception propagates.  `exact` sums each E_n(T) and E_n(B)
-as one integer over n^(n+1) n!, checks n <= 7 against the tally of all
-n^n mappings, and raises InvariantError after writing its table when
-such a cross-check fails, so main exits 5 there too.  Every output
-file is opened before any text is written, so an unwritable path
-leaves stdout empty.  `series --eval-n`
+as one integer over n^(n+1) n!, checks n <= 7 against the recorded sums
+of T and B over all n^n mappings (exact.BRUTE_FORCE_SUMS, which
+tests/exact_reference.py regenerates by enumeration), and raises
+InvariantError after writing its table when such a cross-check fails,
+so main exits 5 there too.  Every output file is opened before any
+text is written, so an unwritable path leaves stdout empty.  `series --eval-n`
 builds no coefficient table (--degree only sets its default n) and
 checks every n against series.DEGREE_CAP_DEFAULT before computing any
 row, and `--renyi-table` checks --degree so before q_and_c allocates.
@@ -92,6 +93,8 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_exact(args) -> None:
+    from fractions import Fraction
+
     from . import exact
 
     n = args.n
@@ -105,9 +108,9 @@ def cmd_exact(args) -> None:
     else:
         header = ["n", "E_T_num", "E_T_den", "E_B_num", "E_B_den"]
         rows = [(k, exact.exact_E_T(k), exact.exact_E_B_conditional(k)) for k in range(1, n + 1)]
-        # oracle cross-checks against full enumeration
-        for k, et, eb in rows[:7]:
-            match = exact.brute_force_expectations(k) == (et, eb)
+        # oracle cross-checks against the recorded sums over all k^k mappings
+        for (k, et, eb), (sum_T, sum_B) in zip(rows, exact.BRUTE_FORCE_SUMS):
+            match = (Fraction(sum_T, k**k), Fraction(sum_B, k**k)) == (et, eb)
             print(f"n={k} brute-force cross-check: {'PASS' if match else 'FAIL'}", file=sys.stderr)
             if not match:
                 failed.append(k)

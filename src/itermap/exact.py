@@ -1,108 +1,28 @@
-"""Ground-truth computations: brute-force enumeration of all n^n mappings,
-the mean order M_m and mean cycle product b_m of a uniform permutation
-of [m], and the exact E_n(T) and E_n(B), each one integer sum over the
-law of the cyclic-vertex count Z.
+"""Ground-truth computations: the mean order M_m and mean cycle product
+b_m of a uniform permutation of [m], and the exact E_n(T) and E_n(B),
+each one integer sum over the law of the cyclic-vertex count Z.
 
 Everything here is exact arithmetic; these routines are the oracles
-every asymptotic route is validated against.  The enumeration shares no
-code with the mapping module or with the sums over Z: it packs each
-mapping into one integer word and tallies the cycle types read off the
-fixed points of its iterates.
+every asymptotic route is validated against.  BRUTE_FORCE_SUMS records
+sum T(f) and sum B(f) over all n^n mappings f of [n] for n = 1..7, which
+the CLI compares E_n(T) and E_n(B) against; the enumeration that
+regenerates them lives in tests/exact_reference.py and shares no code
+with the sums over Z.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
 
 from .mapping import CeilingError
 
-BRUTE_FORCE_MAX_N = 8
+# (sum of T(f), sum of B(f)) over all n^n mappings f of [n], for n = 1..7
+BRUTE_FORCE_SUMS = (
+    (1, 1), (5, 5), (40, 40), (431, 437), (5886, 6036), (96817, 100657), (1862890, 1965160),
+)
 M_MAX_DEFAULT = 60
 CONDITIONAL_MAX_N = 500
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration of Omega_n
-
-
-@dataclass(frozen=True)
-class EnumerationSummary:
-    """Aggregates over all n^n mappings of [n]."""
-
-    n: int
-    count: int                 # n^n
-    sum_T: int
-    sum_B: int
-    z_counts: tuple[int, ...]  # z_counts[m] = #{f : Z(f) = m}, index 0..n
-    connected_count: int       # |U_n|
-    connected_cycle_total: int  # sum of the cycle length over connected f
-
-
-@lru_cache(maxsize=None)
-def enumerate_summary(n: int, chunk: int = 1 << 16) -> EnumerationSummary:
-    """One vectorized pass over all n^n mappings, by fixed points of iterates.
-
-    Each mapping is a word with f(x) in bits 3x..3x+2, so f is evaluated
-    elementwise as (w >> 3x) & 7, without a gather.  Following every
-    vertex for n steps gives fix_t = #{v : f^t(v) = v} for t = 1..n, 4
-    bits each of one int64 key; np.unique counts the keys chunk by chunk.
-    Each distinct key, a cycle type, is read once in Python ints: a vertex
-    on an L-cycle is fixed by f^t iff L | t, so the number of L-cycles is
-    c_L = (fix_L - sum_{d | L, d < L} d c_d) / L.  Then Z = sum L c_L,
-    B = prod L^c_L, T is the lcm of the lengths present, and f is
-    connected iff it has one cycle.
-    """
-    if not 1 <= n <= BRUTE_FORCE_MAX_N:  # at most 8: 3-bit fields hold targets 0..7
-        raise CeilingError("enumeration too large")
-    words = np.zeros(1, dtype=np.int32)
-    for x in range(n):
-        words = (words[:, None] + (np.arange(n, dtype=np.int32) << 3 * x)).ravel()
-    tally: dict[int, int] = {}  # key -> number of mappings with that key
-    for lo in range(0, n**n, chunk):
-        w = words[lo : lo + chunk]
-        fix = np.zeros((n + 1, len(w)), dtype=np.int8)
-        for x in range(n):
-            y = np.full(len(w), x, dtype=np.int32)
-            for t in range(1, n + 1):
-                y = (w >> 3 * y) & 7
-                fix[t] += y == x
-        key = sum(fix[t].astype(np.int64) << 4 * (t - 1) for t in range(1, n + 1))
-        for k, count in zip(*(a.tolist() for a in np.unique(key, return_counts=True))):
-            tally[k] = tally.get(k, 0) + count
-    sum_T = sum_B = connected_count = connected_cycle_total = 0
-    z_counts = [0] * (n + 1)
-    for k, count in tally.items():
-        c = {}
-        for L in range(1, n + 1):
-            c[L] = ((k >> 4 * (L - 1) & 15) - sum(d * c[d] for d in range(1, L) if L % d == 0)) // L
-        Z = sum(L * cL for L, cL in c.items())
-        z_counts[Z] += count
-        sum_T += count * math.lcm(*(L for L, cL in c.items() if cL))
-        sum_B += count * math.prod(L**cL for L, cL in c.items())
-        if sum(c.values()) == 1:
-            connected_count += count
-            connected_cycle_total += count * Z
-
-    return EnumerationSummary(
-        n=n,
-        count=n**n,
-        sum_T=sum_T,
-        sum_B=sum_B,
-        z_counts=tuple(z_counts),
-        connected_count=connected_count,
-        connected_cycle_total=connected_cycle_total,
-    )
-
-
-def brute_force_expectations(n: int) -> tuple[Fraction, Fraction]:
-    """Exact (E_n(T), E_n(B)) by enumerating all n^n mappings; n <= 8."""
-    s = enumerate_summary(n)
-    return Fraction(s.sum_T, s.count), Fraction(s.sum_B, s.count)
 
 
 # ---------------------------------------------------------------------------

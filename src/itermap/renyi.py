@@ -91,7 +91,6 @@ def q_and_c(N: int) -> tuple[np.ndarray, np.ndarray]:
     q = gammaincc(d, d)
     c = h - q / d
     c[d == 1] = 0.0
-    np.maximum(c, 0.0, out=c)
     return q, c
 
 

@@ -50,8 +50,6 @@ def exp_series(inner: np.ndarray) -> np.ndarray:
     dot product per coefficient.
     """
     c = np.asarray(inner, dtype=np.float64)
-    if c.size and c.min() < 0:
-        raise CeilingError("invalid series")
     N = c.size
     w = c * np.arange(1, N + 1)
     e = np.zeros(N + 1)

@@ -26,7 +26,7 @@ def report(number: int, ok: bool, detail: str) -> bool:
 def test_01_oracle_equivalence_exact():
     ok = True
     for n in range(1, 8):
-        bt, bb = exact.brute_force_expectations(n)
+        bt, bb = exact_reference.brute_force_expectations(n)
         ok = ok and exact.exact_E_T(n) == bt
         ok = ok and exact.exact_E_B_conditional(n) == bb
         ok = ok and series_reference.expected_B_exact(n) == bb
@@ -39,7 +39,7 @@ def test_02_z_distribution_normalized():
 
 
 def test_03_constants():
-    c = asymptotics.compute_constants(1e-8)
+    c = asymptotics.constants()
     ok = 3.35 <= c.k0 <= 3.37
     ok = ok and abs(c.beta0**2 - 8 * c.I) <= 8e-8
     assert report(3, ok, f"k0 = {c.k0:.6f} in [3.35, 3.37], beta0^2 = 8I to tolerance")
@@ -88,7 +88,7 @@ def test_07_connected_mapping_cycle_count():
         ok = ok and abs(ratio - 1) <= 5 / math.sqrt(d)
         details.append(f"{ratio:.4f}")
     for d in range(1, 8):
-        ok = ok and renyi.connected_count(d) == exact.enumerate_summary(d).connected_count
+        ok = ok and renyi.connected_count(d) == exact_reference.enumerate_summary(d).connected_count
     assert report(
         7, ok, f"kappa_d / sqrt(2d/pi) = {', '.join(details)}; U_d matches enumeration d <= 7"
     )

@@ -47,19 +47,8 @@ class TestConstants:
             60.0,
             limit=400,
         )
-        c = asymptotics.compute_constants(1e-10)
+        c = asymptotics.constants()
         assert abs(c.I - ref) <= 1e-8 + ref_err
-
-    def test_tolerance_validation(self):
-        with pytest.raises(mapping.CeilingError, match="tolerance error"):
-            asymptotics.compute_constants(1.0)
-        with pytest.raises(mapping.CeilingError, match="tolerance error"):
-            asymptotics.compute_constants(1e-13)
-
-    def test_tightening_tolerance_is_consistent(self):
-        a = asymptotics.compute_constants(1e-6)
-        b = asymptotics.compute_constants(1e-11)
-        assert abs(a.I - b.I) <= 1e-6
 
 
 class TestGProfile:

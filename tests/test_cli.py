@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,7 +147,10 @@ class TestExact:
         assert err.count("PASS") == 4 and "FAIL" not in err
 
     def test_crosscheck_can_fail(self, capsys, monkeypatch):
-        monkeypatch.setattr(exact, "brute_force_expectations", lambda k: (Fraction(k), Fraction(1)))
+        # one edited sum of T at n = 2 and one of B at n = 3
+        sums = list(exact.BRUTE_FORCE_SUMS)
+        sums[1], sums[2] = (4, 5), (40, 41)
+        monkeypatch.setattr(exact, "BRUTE_FORCE_SUMS", tuple(sums))
         code, out, err = run(capsys, "exact", "--n", "3")
         assert code == cli.EXIT_INVARIANT
         assert out.startswith("n,E_T_num")

@@ -27,7 +27,7 @@ def dumb_enumeration(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerator_matches_pure_python(n):
-    s = exact.enumerate_summary(n)
+    s = exact_reference.enumerate_summary(n)
     assert (
         s.sum_T,
         s.sum_B,
@@ -40,8 +40,9 @@ def test_enumerator_matches_pure_python(n):
 def test_chunk_boundaries():
     # 1000 divides no power of 6 and 100000 no power of 7, so the last chunk
     # is a partial one, and the key counts merge across chunks
-    assert exact.enumerate_summary(6, chunk=1000) == exact.enumerate_summary(6)
-    assert exact.enumerate_summary(7, chunk=100_000) == exact.enumerate_summary(7)
+    enumerate_summary = exact_reference.enumerate_summary
+    assert enumerate_summary(6, chunk=1000) == enumerate_summary(6)
+    assert enumerate_summary(7, chunk=100_000) == enumerate_summary(7)
 
 
 @pytest.mark.parametrize(
@@ -54,39 +55,44 @@ def test_chunk_boundaries():
 )
 def test_enumeration_pinned(n, pins):
     # recorded from the int64 tally of each word, before the tally of cycle types
-    s = exact.enumerate_summary(n)
+    s = exact_reference.enumerate_summary(n)
     assert (s.sum_T, s.sum_B, s.connected_count, s.z_counts) == pins
     assert s.count == s.connected_cycle_total == n**n
 
 
 def test_packed_word_guard():
     # the one ceiling check also guards the packing: 3-bit fields hold targets 0..7
-    assert exact.BRUTE_FORCE_MAX_N <= 8
+    assert exact_reference.BRUTE_FORCE_MAX_N <= 8
     with pytest.raises(mapping.CeilingError, match="enumeration too large"):
-        exact.enumerate_summary(exact.BRUTE_FORCE_MAX_N + 1)
+        exact_reference.enumerate_summary(exact_reference.BRUTE_FORCE_MAX_N + 1)
 
 
 class TestBruteForce:
     def test_n1(self):
-        assert exact.brute_force_expectations(1) == (Fraction(1), Fraction(1))
+        assert exact_reference.brute_force_expectations(1) == (Fraction(1), Fraction(1))
 
     def test_n2(self):
         # the 4 mappings (1,1),(1,2),(2,1),(2,2) have T = 1,1,2,1
-        assert exact.brute_force_expectations(2) == (Fraction(5, 4), Fraction(5, 4))
+        assert exact_reference.brute_force_expectations(2) == (Fraction(5, 4), Fraction(5, 4))
 
     def test_n3_golden(self):
         # frozen from the enumeration, cross-checked by the pure-Python pass
-        assert exact.brute_force_expectations(3) == (Fraction(40, 27), Fraction(40, 27))
+        assert exact_reference.brute_force_expectations(3) == (Fraction(40, 27), Fraction(40, 27))
 
     def test_n4_golden(self):
-        assert exact.brute_force_expectations(4) == (
+        assert exact_reference.brute_force_expectations(4) == (
             Fraction(431, 256),
             Fraction(437, 256),
         )
 
     def test_ceiling(self):
         with pytest.raises(mapping.CeilingError, match="enumeration too large"):
-            exact.brute_force_expectations(9)
+            exact_reference.brute_force_expectations(9)
+
+    def test_recorded_sums(self):
+        # the sums the CLI's cross-check reads, regenerated by enumeration
+        sums = (exact_reference.enumerate_summary(k) for k in range(1, 8))
+        assert exact.BRUTE_FORCE_SUMS == tuple((s.sum_T, s.sum_B) for s in sums)
 
 
 class TestZDistribution:
@@ -103,7 +109,7 @@ class TestZDistribution:
 
     def test_matches_enumeration(self):
         for n in (2, 3, 4, 5):
-            s = exact.enumerate_summary(n)
+            s = exact_reference.enumerate_summary(n)
             pmf = exact_reference.z_pmf(n)
             for m in range(1, n + 1):
                 assert pmf[m - 1] == Fraction(s.z_counts[m], n**n)
@@ -178,7 +184,7 @@ class TestConditionalExpectations:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_equals_brute_force(self, n):
-        bt, bb = exact.brute_force_expectations(n)
+        bt, bb = exact_reference.brute_force_expectations(n)
         assert exact.exact_E_T(n) == bt
         assert exact.exact_E_B_conditional(n) == bb
 

@@ -68,7 +68,7 @@ class TestInvariants:
     # vertex lies on a cycle of length >= 2, so each fault trips the walk there
     @pytest.mark.parametrize("n", [100, 2000, montecarlo.PARALLEL_N_MIN])
     @pytest.mark.parametrize("fault", list(mapping_faults.FAULTS))
-    def test_mask_faults_raise(self, monkeypatch, fault, n):
+    def test_loop_faults_raise(self, monkeypatch, fault, n):
         first = montecarlo.block_rng(0, 0).integers(0, n, size=n, dtype=np.int64)
         _, message = mapping_faults.install(fault, monkeypatch.setattr)
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):

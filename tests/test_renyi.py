@@ -5,9 +5,10 @@ import mpmath
 import pytest
 from scipy.special import gammaincc
 
+import exact_reference
 import renyi_reference
 import series_reference
-from itermap import exact, renyi
+from itermap import renyi
 
 
 class TestConnectedCount:
@@ -18,7 +19,7 @@ class TestConnectedCount:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_matches_brute_force(self, d):
-        assert renyi.connected_count(d) == exact.enumerate_summary(d).connected_count
+        assert renyi.connected_count(d) == exact_reference.enumerate_summary(d).connected_count
 
     def test_count_factors_through_ramanujan_r(self):
         # |U_d| = d^(d-1) R_d exactly; R_d is the quantity behind kappa_d
@@ -41,7 +42,7 @@ class TestKappa:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_brute_force_average(self, d):
-        s = exact.enumerate_summary(d)
+        s = exact_reference.enumerate_summary(d)
         assert renyi.kappa_exact(d) == Fraction(s.connected_cycle_total, s.connected_count)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 17, 50, 200, 700, 2000])

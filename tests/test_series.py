@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import exact_reference
 import series_reference
 from itermap import cli, exact, series
 from itermap.mapping import CeilingError, InvariantError
@@ -26,10 +27,6 @@ class TestExpSeries:
         e = series.exp_series(np.ones(12))
         for m in range(13):
             assert math.isclose(e[m], float(exact.perm_B_mean(m)), rel_tol=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(CeilingError, match="invalid series"):
-            series.exp_series(np.array([1.0, -0.5]))
 
     def test_exact_recurrence(self):
         gamma = [Fraction(1), Fraction(1), Fraction(0)]
@@ -70,7 +67,7 @@ class TestMuTable:
 class TestExpectedB:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_exact_equals_brute_force(self, n):
-        _, bb = exact.brute_force_expectations(n)
+        _, bb = exact_reference.brute_force_expectations(n)
         assert series_reference.expected_B_exact(n) == bb
 
     def test_n2_value(self):

@@ -134,9 +134,10 @@ def parse_mapping(text: str | bytes) -> Mapping:
 def _images(f: np.ndarray):
     """Yield the image sets S_j = f^(2^j - 1)(V), j = 0, 1, ..., ending at the cyclic set.
 
-    f holds 0-based targets, one row (1-D) or a block of rows (2-D, run
-    as one graph with row offsets); each S_j is an ascending array of
-    flat vertex indices.  g = f^(2^j) is kept on S_j only, relabelled
+    f holds 0-based targets, one row (1-D) or a block of rows (2-D; two
+    or more rows run as one graph with row offsets, so a one-row block
+    costs no copy); each S_j is an ascending array of flat vertex
+    indices.  g = f^(2^j) is kept on S_j only, relabelled
     0..|S_j|-1: S_{j+1} = g(S_j), and g maps S_{j+1} into itself, so
     f^(2^(j+1)) on S_{j+1} is g o g there.  The loop stops
     at the first S_{j+1} = S_j, which is then the cyclic set, or at S_J
@@ -145,7 +146,7 @@ def _images(f: np.ndarray):
     where they barely shrink, as on a long chain, it is O(n log n).
     """
     n = f.shape[-1]
-    g = (f + np.arange(0, f.size, n)[:, None]).ravel() if f.ndim > 1 else f
+    g = (f + np.arange(0, f.size, n)[:, None]).ravel() if f.size > n else f.ravel()
     S = None  # S_0, every vertex, is made for the caller only
     yield np.arange(g.size)
     for _ in range((n - 1).bit_length()):

@@ -3,20 +3,19 @@
 Samples are drawn in fixed-size blocks; block b uses the generator
 PCG64(SeedSequence(entropy=seed, spawn_key=(b,))), so results are
 bit-identical for a given (n, samples, seed, blocks) no matter how the
-blocks would be scheduled.  Up to BATCH_N_MAX a block is drawn as one
-matrix; above it, row by row from the same stream, so memory stays O(n)
-per sample.  Each draw goes through one call of mapping._cycle_rows,
-the cycle kernel: one image-shrinking run and the cycle walk of
-`analyze`, which raises mapping.InvariantError unless f permutes the
-last image set, the cyclic set.  log T and log B come from
-mapping.period_logs, as in `analyze`.
+blocks would be scheduled.  Each block is drawn from its stream in
+chunks of max(1, CHUNK_VERTICES // n) rows, the last one possibly
+shorter; a k-row matrix holds the same values as k row draws, so the
+chunk size does not change the output.  Each chunk goes through one
+call of mapping._cycle_rows, the cycle kernel: one image-shrinking run
+and the cycle walk of `analyze`, which raises mapping.InvariantError
+unless f permutes the last image set, the cyclic set.  log T and log B
+come from mapping.period_logs, as in `analyze`.
 
-From PARALLEL_N_MIN on, the kernel runs on a few worker threads
-(numpy's gathers release the GIL) while the main thread keeps drawing
-rows in stream order; each sample is added to running sums in that
-same order, so the output does not depend on the number of threads.
-Below it, the GIL held by the cycle walk costs more than the threads
-save, and the same ordered loop runs inline.
+The kernel runs on a few worker threads (numpy's gathers release the
+GIL) while the main thread keeps drawing chunks in stream order; each
+sample is added to running sums in that same order, so the output does
+not depend on the number of threads.
 
 Only numpy is needed, so `simulate` starts without scipy; the tests'
 chi-square of the Z counts is in tests/montecarlo_reference.py.
@@ -36,8 +35,7 @@ from . import asymptotics, mapping
 
 HIST_BINS = 41          # over [-4, 4], plus two overflow bins; fixed forever
 HIST_LO, HIST_HI = -4.0, 4.0
-BATCH_N_MAX = 1024      # analyze whole blocks as matrices up to this n
-PARALLEL_N_MIN = 2**15  # run the per-row kernel on worker threads from this n
+CHUNK_VERTICES = 2**16  # vertices drawn and analysed at once, unless one row holds more
 MAX_WORKERS = 4         # beyond this the serial draw bounds the rate
 MAX_N = 10**7
 DEFAULT_BLOCK = 256
@@ -70,12 +68,12 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def _samples(f) -> list[tuple[int, float, float]]:
-    """(Z, log T, log B) of each row of f, one row or a block of rows."""
+    """(Z, log T, log B) of each row of the chunk f."""
     return [(sum(lengths), *mapping.period_logs(lengths)[1:]) for lengths in mapping._cycle_rows(f)]
 
 
 def _workers() -> int:
-    """Worker threads for the per-row kernel: the usable CPUs, at most MAX_WORKERS."""
+    """Worker threads for the cycle kernel: the usable CPUs, at most MAX_WORKERS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
@@ -84,26 +82,21 @@ def _workers() -> int:
 
 
 def _draws(n: int, seed: int, sizes: list[int]):
-    """Each sample's row in stream order: a matrix per block up to BATCH_N_MAX, else one by one."""
+    """Each block's rows in stream order, as matrices of max(1, CHUNK_VERTICES // n) rows."""
+    rows = max(1, CHUNK_VERTICES // n)
     for b, bs in enumerate(sizes):
         rng = block_rng(seed, b)
-        if n <= BATCH_N_MAX:
-            yield rng.integers(0, n, size=(bs, n), dtype=np.int64)
-        else:
-            for _ in range(bs):
-                yield rng.integers(0, n, size=n, dtype=np.int64)
+        for done in range(0, bs, rows):
+            yield rng.integers(0, n, size=(min(rows, bs - done), n), dtype=np.int64)
 
 
-def _in_order(draws, pool: ThreadPoolExecutor | None, workers: int):
+def _in_order(draws, pool: ThreadPoolExecutor, workers: int):
     """_samples of every draw, yielded in draw order.
 
-    Inline when pool is None.  Otherwise at most workers + 1 draws are
-    submitted and not yet yielded (one running per worker and one
-    queued), so rows are drawn only as fast as they are analysed.
+    At most workers + 1 draws are submitted and not yet yielded (one
+    running per worker and one queued), so chunks are drawn only as fast
+    as they are analysed.
     """
-    if pool is None:
-        yield from map(_samples, draws)
-        return
     pending: deque = deque()
     for f in draws:
         pending.append(pool.submit(_samples, f))
@@ -123,24 +116,24 @@ def run_experiment(
 
     Deterministic for fixed (n, samples, seed, blocks); blocks defaults
     to ceil(samples / 256).  One ordered loop serves every n: `_draws`
-    yields block matrices or single rows (it alone reads BATCH_N_MAX),
-    `_samples` runs the cycle kernel on each, and each sample goes into
-    running sums in draw order, so memory is O(1) in `samples`.  Raises
-    CeilingError before any draw for n outside [1, MAX_N], samples < 1,
-    seed < 0 or blocks < 1; blocks is clamped to samples.  Raises
-    mapping.InvariantError unless f permutes each sample's cyclic set.
+    yields each block in chunks of rows (it alone reads CHUNK_VERTICES),
+    w = _workers() threads run `_samples`, the cycle kernel, on the
+    chunks, and each sample goes into running sums in draw order, so the
+    output is that of a serial loop and memory is O(1) in `samples`.
+    Raises CeilingError before any draw for n outside [1, MAX_N],
+    samples < 1, seed < 0 or blocks < 1; blocks is clamped to samples.
+    Raises mapping.InvariantError unless f permutes each sample's cyclic
+    set; a worker's error is raised here unchanged, after the pool has
+    shut down.
 
-    From PARALLEL_N_MIN on, w = _workers() threads run the kernel on
-    single rows and the output is that of the inline loop.  Memory is then
-    bounded in rows of 8n bytes: at most w + 1 drawn rows are alive
-    (w running, one queued or being drawn), and each running worker
-    holds about two more in the first, largest round of
-    mapping._images: the image S_1 and f o f on it (each about 0.63 of
-    a row, as about 1 - 1/e of the vertices have a preimage) and an
-    int32 relabelling table (half a row).  Later rounds work on smaller
-    sets.  That is about 3w + 1 rows, some 1 GB at MAX_N with 4 workers.
-    A worker's InvariantError is raised here unchanged, after the pool
-    has shut down.
+    Memory is bounded in chunks of at most max(n, CHUNK_VERTICES)
+    vertices, 8 bytes each: at most w + 1 drawn chunks are alive (w
+    running, one queued or being drawn), and each running worker holds
+    about two more in the first, largest round of mapping._images: the
+    image S_1 and f o f on it (each about 0.63 of a chunk, as about
+    1 - 1/e of the vertices have a preimage) and an int32 relabelling
+    table (half a chunk).  Later rounds work on smaller sets.  That is
+    about 3w + 1 chunks, some 1 GB at MAX_N with 4 workers.
     """
     if n < 1 or n > MAX_N:
         raise mapping.CeilingError("experiment too large")
@@ -162,7 +155,7 @@ def run_experiment(
     base, extra = divmod(samples, blocks)
     sizes = [base + (1 if b < extra else 0) for b in range(blocks)]
     workers = _workers()
-    pool = ThreadPoolExecutor(workers) if n >= PARALLEL_N_MIN else None
+    pool = ThreadPoolExecutor(workers)
     try:
         for results in _in_order(_draws(n, seed, sizes), pool, workers):
             for z, log_T, log_B in results:
@@ -183,8 +176,7 @@ def run_experiment(
                     hist[1 + int((norm - HIST_LO) / (HIST_HI - HIST_LO) * HIST_BINS)] += 1
                 z_counts[z] += 1
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
     mean_T, mean_B, mean_d = s_T / samples, s_B / samples, s_d / samples
     return StatSummary(

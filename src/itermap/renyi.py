@@ -18,7 +18,7 @@ exact sum (connected_count) and kappa_d = d^d/|U_d| reads it
 (kappa_exact); Q(d) is the
 regularized upper incomplete gamma Gamma(d, d)/Gamma(d), from scipy's
 gammaincc in float64 (q_and_c) or from mpmath at a chosen
-precision (q_factor); c_d is float64 (q_and_c, c_table).  The exact
+precision (q_factor); c_d is float64 (q_and_c).  The exact
 gamma_d = c_d e^d is a test oracle in tests/series_reference.py.
 """
 
@@ -92,8 +92,3 @@ def q_and_c(N: int) -> tuple[np.ndarray, np.ndarray]:
     c = h - q / d
     c[d == 1] = 0.0
     return q, c
-
-
-def c_table(N: int) -> np.ndarray:
-    """c_1..c_N as a float array (index d-1), fully vectorized; see q_and_c."""
-    return q_and_c(N)[1]

@@ -84,7 +84,7 @@ def mu_table(N: int) -> SeriesTable:
         raise CeilingError("degree must be nonnegative")
     if N > DEGREE_CAP_DEFAULT:
         raise CeilingError("degree above configured cap")
-    e = exp_series(renyi.c_table(N))
+    e = exp_series(renyi.q_and_c(N)[1])
     return SeriesTable(N=N, e=e, mu=np.cumsum(e))
 
 

@@ -13,7 +13,7 @@ comes from renyi_reference.s_exact, and the exponential coefficients
 e_m = r_m e^{-m} from the same recurrence in rationals, so every e^{-m}
 cancels in E_n(B).  g_sums shares no code with the closed form of
 series.saddle_point: it sums c_d e^{-ds} weighted by (-d)^j over the
-float c_d of renyi.c_table.  The bisection evaluates g'(s) + n at every
+float c_d of renyi.q_and_c.  The bisection evaluates g'(s) + n at every
 bracket and bisection point, with no root located first, and g0..g3 by
 one g_eval call each.
 """
@@ -78,7 +78,7 @@ def _c_upto(N: int) -> np.ndarray:
     """c_1..c_N, rebuilt whenever a larger N is asked for."""
     global _c_cache
     if _c_cache.size < N:
-        _c_cache = renyi.c_table(N)
+        _c_cache = renyi.q_and_c(N)[1]
     return _c_cache[:N]
 
 
@@ -88,7 +88,7 @@ def g_sums(s: float, orders) -> tuple[float, ...]:
     The sum is truncated at D(s) = ceil(40/s): the geometric envelope
     c_d <= 1/sqrt(2 pi d) makes the tail beyond D(s) smaller than 1e-15
     of the total for j <= 3.  The c cache grows before any row does, so the
-    peak stays c_table's; the rows of `_g_rows` are reused from call to
+    peak stays q_and_c's; the rows of `_g_rows` are reused from call to
     call, by one thread at a time.  The sign of (-d)^j comes out of the
     sum, and d*d*d is correctly rounded while d < 2**26.5.
     """

@@ -370,9 +370,10 @@ class TestSimulate:
         assert hlines[0] == "bin_low,bin_high,count,phi_delta"
         assert hlines[1].startswith("-inf,")
 
-    def test_per_row_path_pinned(self, capsys):
-        # n above BATCH_N_MAX draws one row at a time; the CSV is the one the
-        # whole-block draw gave, so the per-row draws keep the PCG64 stream
+    def test_one_chunk_per_block_pinned_n2000(self, capsys):
+        # blocks of 14 and 13 rows, each drawn as one chunk (a chunk holds up to
+        # 32 rows of 2000); the CSV is the one that whole-block draws, and then
+        # row-by-row draws of the same PCG64 stream, gave
         code, out, _ = run(
             capsys, "simulate", "--n", "2000", "--samples", "40", "--blocks", "3", "--seed", "4"
         )
@@ -382,8 +383,8 @@ class TestSimulate:
             "8.787902377998776,1.7482403527071757,3.2537184659738987,0.6"
         )
 
-    def test_batched_path_pinned(self, capsys):
-        # n <= BATCH_N_MAX draws each block as one matrix; the line is the one
+    def test_one_chunk_per_block_pinned_n100(self, capsys):
+        # two blocks of 150 rows, each drawn as one chunk; the line is the one
         # printed while the running sums were kept in a separate record
         code, out, _ = run(
             capsys, "simulate", "--n", "100", "--samples", "300", "--blocks", "2", "--seed", "4"
@@ -394,9 +395,9 @@ class TestSimulate:
             "1.9440515960310805,0.5258376396977349,0.5852378717175878,0.6133333333333333"
         )
 
-    def test_threaded_path_pinned(self, capsys):
-        # n = 40000 >= PARALLEL_N_MIN runs the kernel on worker threads; the CSV
-        # line is the one the serial per-row loop gave before threads were added
+    def test_one_row_chunks_pinned(self, capsys):
+        # n = 40000 fills a chunk with one row; the CSV line is the one the
+        # serial row-by-row loop gave before the kernel ran on worker threads
         code, out, _ = run(
             capsys, "simulate", "--n", "40000", "--samples", "12", "--blocks", "3", "--seed", "4"
         )
@@ -407,8 +408,9 @@ class TestSimulate:
         )
 
     def test_sim_large_pinned_and_histogram_cdf(self, capsys, tmp_path):
-        # the benchmark's sim-large configuration; the CSV line is the one
-        # printed when the histogram took its normal cdf from scipy's ndtr
+        # the benchmark's sim-large configuration, one row of n > CHUNK_VERTICES
+        # per chunk; the CSV line is the one printed when the histogram took its
+        # normal cdf from scipy's ndtr
         hpath = tmp_path / "hist.csv"
         code, out, _ = run(
             capsys, "simulate", "--n", "100000", "--samples", "128", "--seed", "0",

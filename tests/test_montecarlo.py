@@ -37,6 +37,25 @@ class TestDeterminism:
         )
         assert np.array_equal(rng.integers(0, 100, 50), ref.integers(0, 100, 50))
 
+    # odd and even n, below and above CHUNK_VERTICES
+    @pytest.mark.parametrize(
+        "n", [1025, 1026, montecarlo.CHUNK_VERTICES + 1, montecarlo.CHUNK_VERTICES + 2]
+    )
+    def test_chunks_are_row_draws(self, n):
+        # a k x n matrix from block_rng holds the values of k successive row draws,
+        # so chunks of any size, a short last one included, are the row stream
+        k = max(1, montecarlo.CHUNK_VERTICES // n)
+        sizes = [2 * k + 1, 2]
+        rows = []
+        for b, bs in enumerate(sizes):
+            rng = montecarlo.block_rng(9, b)
+            rows += [rng.integers(0, n, size=n, dtype=np.int64) for _ in range(bs)]
+        matrix = montecarlo.block_rng(9, 0).integers(0, n, size=(3, n), dtype=np.int64)
+        assert np.array_equal(matrix, rows[:3])
+        chunks = list(montecarlo._draws(n, 9, sizes))
+        assert [len(c) for c in chunks] == [k, k, 1] + ([2] if k > 1 else [1, 1])
+        assert np.array_equal(np.concatenate(chunks), rows)
+
 
 class TestInvariants:
     def test_no_violations_small(self):
@@ -46,7 +65,7 @@ class TestInvariants:
         assert int(s.z_counts.sum()) == 2000
 
     def test_no_violations_large_n_path(self):
-        # n above the batch threshold exercises the per-row 1-D kernel path
+        # one block of 50 rows of 2000, drawn as a chunk of 32 rows and one of 18
         s = montecarlo.run_experiment(2000, 50, seed=3)
         assert s.mean_log_B >= s.mean_log_T
 
@@ -63,10 +82,10 @@ class TestInvariants:
         assert math.isclose(s.mean_log_T, sum_log_T / samples, rel_tol=1e-12)
         assert math.isclose(s.mean_log_B, sum_log_B / samples, rel_tol=1e-12)
 
-    # batched at n = 100, per row inline at n = 2000 and per row on threads; in the
-    # first row at each n, vertex 1 (0-based) is a tail vertex and the largest cyclic
-    # vertex lies on a cycle of length >= 2, so each fault trips the walk there
-    @pytest.mark.parametrize("n", [100, 2000, montecarlo.PARALLEL_N_MIN])
+    # one 8-row chunk at n = 100 and at n = 2000, four 2-row chunks at n = 2**15; in
+    # the first row at each n, vertex 1 (0-based) is a tail vertex and the largest
+    # cyclic vertex lies on a cycle of length >= 2, so each fault trips the walk there
+    @pytest.mark.parametrize("n", [100, 2000, 2**15])
     @pytest.mark.parametrize("fault", list(mapping_faults.FAULTS))
     def test_loop_faults_raise(self, monkeypatch, fault, n):
         first = montecarlo.block_rng(0, 0).integers(0, n, size=n, dtype=np.int64)
@@ -98,8 +117,8 @@ class TestInvariants:
 
 
 class TestKernelPaths:
-    # one block at the batched path's largest n, one row above it
-    @pytest.mark.parametrize("n, rows", [(montecarlo.BATCH_N_MAX, 16), (2000, 1)])
+    # a 16-row chunk, and a one-row chunk, which `_images` runs without row offsets
+    @pytest.mark.parametrize("n, rows", [(1024, 16), (2000, 1)])
     def test_1d_and_2d_agree_row_by_row(self, n, rows):
         fmat = montecarlo.block_rng(4, 0).integers(0, n, size=(rows, n), dtype=np.int64)
         block = _cycle_rows(fmat)
@@ -111,8 +130,8 @@ class TestKernelPaths:
             assert set((_last_sets(row, False)[2] + 1).tolist()) == ref.cyclic_vertices
 
     def test_one_image_pass_per_row(self, monkeypatch):
-        # one `_images` run per row on the per-row path and per block when batched:
-        # the walk reads the run's last set, cut at the row starts
+        # one `_images` run per chunk, here each block of 3 rows: the walk reads
+        # the run's last set, cut at the row starts
         real = mapping._images
         shapes = []
 
@@ -123,7 +142,7 @@ class TestKernelPaths:
         monkeypatch.setattr(mapping, "_images", counted)
         montecarlo.run_experiment(2000, 6, seed=0, blocks=2)
         montecarlo.run_experiment(100, 6, seed=0, blocks=2)
-        assert shapes == [(2000,)] * 6 + [(3, 100)] * 2
+        assert shapes == [(3, 2000)] * 2 + [(3, 100)] * 2
 
     def test_cycles_in_order_of_smallest_vertex(self):
         # the sampler's float sums run over the lengths in this order
@@ -183,11 +202,18 @@ def _assert_equal_summaries(s, ref):
 
 
 class TestSerialLoop:
-    # batched (whole-block matrices) and per row inline; the threaded path is below
+    # blocks of 14 and 13 rows, each one chunk; blocks of several chunks are below
     @pytest.mark.parametrize("n", [100, 2000])
     def test_equals_serial_loop(self, n):
         s = montecarlo.run_experiment(n, 40, 4, blocks=3)
         _assert_equal_summaries(s, _serial_summary(n, 4, (14, 13, 13)))
+
+    def test_short_last_chunk(self, monkeypatch):
+        # a 7-row block in chunks of 3, 3 and 1 rows, from one stream
+        monkeypatch.setattr(montecarlo, "CHUNK_VERTICES", 300)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
+        s = montecarlo.run_experiment(100, 7, 4, blocks=1)
+        _assert_equal_summaries(s, _serial_summary(100, 4, (7,)))
 
     def test_squares_are_products(self, monkeypatch):
         # log T alternates between log 733 and log 2, in draw order in both loops,
@@ -206,28 +232,34 @@ class TestSerialLoop:
 
 class TestThreadedPath:
     def test_equals_serial_loop(self, monkeypatch):
-        # the kernel is slowed down on the first row of every block, so that row
-        # finishes after the rows drawn behind it, and with three workers (on any
-        # host) completion order is not draw order
-        n, seed = montecarlo.PARALLEL_N_MIN, 6
-        firsts = [montecarlo.block_rng(seed, b).integers(0, n, size=n) for b in range(3)]
+        # two rows per chunk; the kernel is slowed down on the first chunk of every
+        # block, so that chunk finishes after the chunks drawn behind it, and with
+        # three workers (on any host) completion order is not draw order
+        n, seed = montecarlo.CHUNK_VERTICES // 2, 6
+        firsts = [
+            montecarlo.block_rng(seed, b).integers(0, n, size=(2, n), dtype=np.int64)
+            for b in range(3)
+        ]
         real = mapping._last_sets
+        slowed = []
 
         def slow(f, keep_prev):
             if any(np.array_equal(f, first) for first in firsts):
+                slowed.append(f.shape)
                 time.sleep(0.05)
             return real(f, keep_prev)
 
         monkeypatch.setattr(mapping, "_last_sets", slow)
         monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
         s = montecarlo.run_experiment(n, 13, seed, blocks=3)
+        assert slowed == [(2, n)] * 3
         _assert_equal_summaries(s, _serial_summary(n, seed, (5, 4, 4)))
 
     def test_worker_error_propagates_and_pool_shuts_down(self, monkeypatch):
         _, message = mapping_faults.install("tail_vertex_added", monkeypatch.setattr)
         before = threading.active_count()
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
-            montecarlo.run_experiment(montecarlo.PARALLEL_N_MIN, 20, seed=0)
+            montecarlo.run_experiment(2**15, 20, seed=0)
         assert threading.active_count() == before
 
 

@@ -146,10 +146,6 @@ def cmd_series(args) -> None:
             q = renyi.q_factor(d, bits) if bits else float(Q[d - 1])
             rows.append([d, u, knum, kden, repr(q), repr(float(c[d - 1]))])
         text = _csv(["d", "U_d", "kappa_num", "kappa_den", "Q_d", "c_d"], rows)
-    elif args.coefficients:
-        table = series.mu_table(args.degree)
-        rows = zip(range(args.degree + 1), table.e.tolist(), table.mu.tolist())
-        text = _csv(["m", "e_coeff", "mu"], rows)
     else:
         ns = args.eval_n or [args.degree]
         # the cap guards only log_expected_B's O(n) floats (saddle_point is O(1)): check every n first
@@ -230,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=None,
                    help="mpmath bits (>= 60) for the Q_d column of --renyi-table (default: scipy float64)")
     emit = p.add_mutually_exclusive_group()
-    emit.add_argument("--coefficients", action="store_true", help="emit (m, e_coeff, mu) table")
     emit.add_argument("--renyi-table", action="store_true",
                       help="emit the (d, U_d, kappa, Q_d, c_d) connected-mapping table")
     emit.add_argument("--eval-n", dest="eval_n", type=int, nargs="*", default=None,

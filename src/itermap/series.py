@@ -3,9 +3,7 @@
 log_expected_B sums E_n(B) = sum_m P_n(Z=m) b_m, the cyclic part of a
 uniform mapping with Z = m cyclic vertices being a uniform permutation
 of [m] with mean cycle product b_m: the one library route to E_n(B).
-mu_table builds the coefficients e_m of exp(sum_d c_d z^d) and their
-prefix sums mu(m), bounded above by the Rankin bound exp(n s + g(s))
-with g(s) = sum_d c_d e^{-ds}.
+The saddle point minimizes n s + g(s), with g(s) = sum_d c_d e^{-ds}.
 
 g has a closed form.  Put z = e^{-1-s} and let T = z e^T be the Cayley
 tree function, T(z) = sum_d d^(d-1) z^d/d!.  Then h_d e^{-ds} =
@@ -18,10 +16,12 @@ c_d = h_d - Q(d)/d, with u = 1 - T,
 
 and dT/ds = -T/u gives g' = -T^2/u^3, g'' = T^2 (2+T)/u^5 and
 g''' = -T^2 (4 + 9T + 2T^2)/u^7.  The saddle point of n s + g(s), where
-g'(s) = -n, is the root u of (1-u)^2 = n u^3 in (0, 1).  The convolution
-of e_m with h_m = m^m/(m! e^m), the exact-rational series, the truncated
-sum for g and the Rankin check are test oracles in
-tests/series_reference.py.
+g'(s) = -n, is the root u of (1-u)^2 = n u^3 in (0, 1).  The coefficients
+e_m of exp(sum_d c_d z^d) and their prefix sums mu(m) (exp_series,
+mu_table), the convolution of e_m with h_m = m^m/(m! e^m), the
+exact-rational series, the closed form of e^m e_m through b_m, the
+truncated sum for g and the Rankin check mu(n) <= exp(n s + g(s)) are
+test oracles in tests/series_reference.py.
 """
 
 from __future__ import annotations
@@ -33,63 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from . import asymptotics, renyi
+from . import asymptotics
 from .mapping import CeilingError, InvariantError
 
 DEGREE_CAP_DEFAULT = 200_000
 
 
 # ---------------------------------------------------------------------------
-# exp of a power series
-
-
-def exp_series(inner: np.ndarray) -> np.ndarray:
-    """Coefficients of exp(sum_{d>=1} c_d z^d) via m e_m = sum d c_d e_{m-d}.
-
-    inner holds c_1..c_N (index d-1); returns e_0..e_N.  O(N^2) via one
-    dot product per coefficient.
-    """
-    c = np.asarray(inner, dtype=np.float64)
-    N = c.size
-    w = c * np.arange(1, N + 1)
-    e = np.zeros(N + 1)
-    e[0] = 1.0
-    for m in range(1, N + 1):
-        e[m] = np.dot(w[:m], e[m - 1 :: -1]) / m
-    return e
-
-
-# ---------------------------------------------------------------------------
-# Series tables
-
-
-@dataclass(frozen=True)
-class SeriesTable:
-    """Immutable coefficient table to truncation degree N.
-
-    e[m] = [z^m] exp(sum c_d z^d); mu = prefix sums of e.
-    """
-
-    N: int
-    e: np.ndarray
-    mu: np.ndarray
+# E_n(B)
 
 
 _r_cache = array("d", [1.0])  # r_m = b_m/b_(m-1), m = 1, 2, ..., grown by log_expected_B
-
-
-def mu_table(N: int) -> SeriesTable:
-    """Build e and mu to degree N."""
-    if N < 0:
-        raise CeilingError("degree must be nonnegative")
-    if N > DEGREE_CAP_DEFAULT:
-        raise CeilingError("degree above configured cap")
-    e = exp_series(renyi.q_and_c(N)[1])
-    return SeriesTable(N=N, e=e, mu=np.cumsum(e))
-
-
-# ---------------------------------------------------------------------------
-# E_n(B)
 
 
 def log_expected_B(n: int) -> float:

@@ -1,11 +1,20 @@
-"""Test oracles for series: the convolution and the exact-rational routes
-to E_n(B), g(s) as a truncated float sum, the Rankin bound, plain
-bisection for the saddle point, and the g-sums as first written, with
-fresh arrays for every weight.
+"""Test oracles for series: the coefficients e_m of exp(sum_d c_d z^d) and
+their prefix sums mu(m), a closed form of e_m through the permutation
+means b_m, the convolution and the exact-rational routes to E_n(B), g(s)
+as a truncated float sum, the Rankin bound, plain bisection for the
+saddle point, and the g-sums as first written, with fresh arrays for
+every weight.
+
+exp_series runs the recurrence m e_m = sum_d d c_d e_{m-d} in float64
+over the c_d of renyi.q_and_c; mu_table adds the prefix sums.  The closed
+form shares no code with it: with T = T(z/e) the tree function,
+exp(sum_d c_d z^d) = (1-T) exp(T/(1-T)), and Lagrange inversion gives
+e^m e_m = (m^m/m!) sum_j P_m(Z=j) A_(j-1)/j, with A_k = sum_(i<k) b_i,
+a rational in the b_i of exact.perm_B_mean and the law of Z.
 
 The convolution reads the deconditioned identity E_n(B) = (n! e^n/n^n)
 sum_m e_m h_{n-m}, with the bare exponential coefficients e_m of a
-series.mu_table and h_m = m^m/(m! e^m), in float64 (putting mu into the
+mu_table and h_m = m^m/(m! e^m), in float64 (putting mu into the
 convolution gives 1 + e instead of 1 at n = 1).
 
 The exact route shares no code with the float64 one: gamma_d = c_d e^d
@@ -19,15 +28,60 @@ one g_eval call each.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
 
+import exact_reference
 import renyi_reference
-from itermap import renyi
+from itermap import exact, renyi
 from itermap.mapping import CeilingError, InvariantError
-from itermap.series import SaddleReport, SeriesTable
+from itermap.series import SaddleReport
+
+
+def exp_series(inner: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(sum_{d>=1} c_d z^d) via m e_m = sum d c_d e_{m-d}.
+
+    inner holds c_1..c_N (index d-1); returns e_0..e_N.  O(N^2) via one
+    dot product per coefficient.
+    """
+    c = np.asarray(inner, dtype=np.float64)
+    N = c.size
+    w = c * np.arange(1, N + 1)
+    e = np.zeros(N + 1)
+    e[0] = 1.0
+    for m in range(1, N + 1):
+        e[m] = np.dot(w[:m], e[m - 1 :: -1]) / m
+    return e
+
+
+@dataclass(frozen=True)
+class SeriesTable:
+    """Immutable coefficient table to truncation degree N.
+
+    e[m] = [z^m] exp(sum c_d z^d); mu = prefix sums of e.
+    """
+
+    N: int
+    e: np.ndarray
+    mu: np.ndarray
+
+
+def mu_table(N: int) -> SeriesTable:
+    """Build e and mu to degree N."""
+    e = exp_series(renyi.q_and_c(N)[1])
+    return SeriesTable(N=N, e=e, mu=np.cumsum(e))
+
+
+def scaled_e_closed_form(m: int) -> Fraction:
+    """e^m e_m = (m^m/m!) sum_{j=1..m} P_m(Z=j) A_(j-1)/j, A_k = sum_(i<k) b_i, for m >= 1."""
+    total, A = Fraction(0), Fraction(0)  # A = A_(j-1)
+    for j, p in enumerate(exact_reference.z_pmf(m), start=1):
+        total += p * A / j
+        A += exact.perm_B_mean(j - 1)
+    return Fraction(m**m, math.factorial(m)) * total
 
 
 def h_array(N: int) -> np.ndarray:
@@ -75,10 +129,13 @@ _g_rows = np.empty((3, 0))  # d = 1..D, the terms and a product row, for the lar
 
 
 def _c_upto(N: int) -> np.ndarray:
-    """c_1..c_N, rebuilt whenever a larger N is asked for."""
+    """c_1..c_N; a larger N rebuilds the cache to at least twice its size.
+
+    q_and_c(N) is a prefix of q_and_c(M) for N < M, so every c_d keeps its bits.
+    """
     global _c_cache
     if _c_cache.size < N:
-        _c_cache = renyi.q_and_c(N)[1]
+        _c_cache = renyi.q_and_c(max(N, 2 * _c_cache.size))[1]
     return _c_cache[:N]
 
 

@@ -53,7 +53,7 @@ def test_04_log_E_B_leading_order():
 
 
 def test_05_rankin_never_violated():
-    tab = series.mu_table(20000)
+    tab = series_reference.mu_table(20000)
     violations = 0
     for n in range(1, 20001):
         try:

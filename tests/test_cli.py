@@ -19,11 +19,9 @@ from itermap.mapping import CeilingError, InvariantError, MappingError
 ANALYZE_2E5_SHA256 = "15a3ad673a98ea9da4406212f6742645b0fe901f740cddf466d804f416f63d88"
 # sha256 of series stdout, recorded when h_d below d = 16 became a ratio of
 # integers and above it the Stirling series, and the saddle point the closed
-# form of g: every c_d within 7e-16, every e_m within 8e-16 and every
-# s_star, rankin_log_bound and A_n within 6e-16 of 40- to 50-digit mpmath
+# form of g: every c_d within 7e-16 and every s_star, rankin_log_bound
+# and A_n within 6e-16 of 40- to 50-digit mpmath
 SERIES_SHA256 = {
-    ("--degree", "300", "--coefficients"):
-        "e5c5b41ac671206006b0c2d6ba2c458a836efd040878549941e9bf37ea1b2a0c",
     # each log_E_B within 3e-16 of the exact value, unchanged since it was the sum over P_n(Z=m) b_m
     ("--degree", "2000", "--eval-n", "1", "2", "7", "100", "999", "2000"):
         "375cea31d8474fea10f41e50e57fabad4034450d53ac1b0b3718eaf342cd0fff",
@@ -44,8 +42,7 @@ ASYMPTOTICS_SHA256 = "3af230947d8f7b4ff39d5c1e17c91841c63a497f77b45885de279e3313
 OPTIONS = {
     "analyze": ["--help", "--out", "-h", "input"],
     "exact": ["--help", "--n", "--orders", "--out", "-h"],
-    "series": ["--coefficients", "--degree", "--eval-n", "--help", "--out", "--precision",
-               "--renyi-table", "-h"],
+    "series": ["--degree", "--eval-n", "--help", "--out", "--precision", "--renyi-table", "-h"],
     "asymptotics": ["--help", "--n", "--out", "-h"],
     "constants": ["--help", "--out", "-h"],
     "simulate": ["--blocks", "--help", "--histogram", "--n", "--out", "--samples", "--seed", "-h"],
@@ -198,13 +195,6 @@ class TestSeries:
         assert lines[0].startswith("n,log_E_B,rankin_log_bound")
         assert len(lines) == 3
 
-    def test_coefficients(self, capsys):
-        code, out, _ = run(capsys, "series", "--degree", "5", "--coefficients")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "m,e_coeff,mu"
-        assert lines[1].startswith("0,1.0,1.0")
-
     def test_renyi_table(self, capsys):
         code, out, _ = run(capsys, "series", "--degree", "10", "--renyi-table")
         assert code == 0
@@ -267,15 +257,14 @@ class TestSeries:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SERIES_20000_SHA256
 
-    # each pair of table options, and the removed options: the exact-rational
-    # mode, the exact-column ceiling of --renyi-table and the eps of asymptotics
+    # the pair of table options, and the removed options: the exact-rational
+    # mode, the coefficient table, the exact-column ceiling of --renyi-table
+    # and the eps of asymptotics
     @pytest.mark.parametrize(
         "options",
         [
-            ("--coefficients", "--eval-n", "3"),
-            ("--coefficients", "--renyi-table"),
             ("--renyi-table", "--eval-n", "3"),
-            ("--eval-n", "--coefficients"),
+            ("--coefficients",),
             ("--mode", "exact"),
             ("--exact-ceiling", "5"),
             ("asymptotics", "--n", "1000", "--eps", "0.1"),

@@ -9,24 +9,39 @@ import pytest
 
 import exact_reference
 import series_reference
-from itermap import cli, exact, series
+from itermap import exact, renyi, series
 from itermap.mapping import CeilingError, InvariantError
 
 
 class TestExpSeries:
     def test_zero_series(self):
-        e = series.exp_series(np.zeros(4))
+        e = series_reference.exp_series(np.zeros(4))
         assert np.array_equal(e, [1, 0, 0, 0, 0])
 
     def test_exp_z(self):
-        e = series.exp_series(np.array([1.0, 0, 0, 0, 0]))
+        e = series_reference.exp_series(np.array([1.0, 0, 0, 0, 0]))
         expect = [1 / math.factorial(m) for m in range(6)]
         assert np.allclose(e, expect, rtol=1e-14)
 
     def test_all_ones_matches_perm_B_mean(self):
-        e = series.exp_series(np.ones(12))
+        e = series_reference.exp_series(np.ones(12))
         for m in range(13):
             assert math.isclose(e[m], float(exact.perm_B_mean(m)), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("m", [*range(1, 40), 100, 200, 300])
+    def test_matches_closed_form(self, m):
+        # e^m e_m through the b_i of exact and the law of Z shares no code with
+        # scipy's gammaincc or the Stirling h_d behind the float c_d
+        e = series_reference.exp_series(renyi.q_and_c(300)[1])
+        with mpmath.workdps(40):
+            q = series_reference.scaled_e_closed_form(m)
+            ref = mpmath.mpf(q.numerator) / q.denominator * mpmath.exp(-m)
+        assert abs(e[m] - ref) <= 1e-13 * ref, m  # e_1 = c_1 = 0 exactly
+
+    def test_closed_form_equals_exact_recurrence(self):
+        r = series_reference.exp_series_exact([series_reference.gamma_exact(d) for d in range(1, 31)])
+        assert [series_reference.scaled_e_closed_form(m) for m in range(1, 31)] == r[1:]
+        assert r[2:5] == [Fraction(1, 2), Fraction(5, 3), Fraction(39, 8)]
 
     def test_exact_recurrence(self):
         gamma = [Fraction(1), Fraction(1), Fraction(0)]
@@ -37,31 +52,31 @@ class TestExpSeries:
 
 class TestMuTable:
     def test_mu_small_values(self):
-        t = series.mu_table(3)
+        t = series_reference.mu_table(3)
         assert t.mu[0] == 1.0
         assert math.isclose(t.mu[1], 1.0, rel_tol=1e-14)  # c_1 = 0
         assert math.isclose(t.mu[2], 1 + math.exp(-2) / 2, rel_tol=1e-12)
 
     def test_monotone_nonnegative(self):
-        t = series.mu_table(300)
+        t = series_reference.mu_table(300)
         assert t.e.min() >= 0.0
         assert np.all(np.diff(t.mu) >= 0)
 
     def test_h_stirling_sandwich(self):
-        t = series.mu_table(1)
+        t = series_reference.mu_table(1)
         m = np.arange(1, 10**6, dtype=np.float64)
         h = np.exp(m * np.log(m) - np.vectorize(math.lgamma)(m + 1) - m)
         assert np.all(h > 1 / np.sqrt(8 * np.pi * m) - 1e-12)
         assert np.all(h < 1 / np.sqrt(2 * np.pi * m) + 1e-12)
 
     def test_degree_zero(self):
-        t = series.mu_table(0)
+        t = series_reference.mu_table(0)
         assert t.e.tolist() == t.mu.tolist() == series_reference.h_array(0).tolist() == [1.0]
 
     def test_exact_mode_matches_float(self):
         r = series_reference.exp_series_exact([series_reference.gamma_exact(d) for d in range(1, 26)])
         e = [float(rm) * math.exp(-m) for m, rm in enumerate(r)]
-        assert np.allclose(e, series.mu_table(25).e, rtol=1e-9)
+        assert np.allclose(e, series_reference.mu_table(25).e, rtol=1e-9)
 
 
 class TestExpectedB:
@@ -99,7 +114,7 @@ class TestExpectedB:
     @pytest.mark.parametrize("n", [5000, 10_000, 20_000])
     def test_log_matches_convolution(self, n):
         # the paper's deconditioned identity, a route that shares no code with the sum
-        tab = series.mu_table(n)
+        tab = series_reference.mu_table(n)
         ref = series_reference.log_expected_B_convolution(n, tab)
         assert math.isclose(series.log_expected_B(n), ref, rel_tol=1e-12)
 
@@ -124,15 +139,6 @@ class TestExpectedB:
         monkeypatch.setattr(series, "_r_cache", array("d", [1.0]))
         large_first = [series.log_expected_B(n) for n in (20_000, 5000, 500, 1)]
         assert small_first == large_first[::-1]
-
-    def test_eval_builds_no_table(self, monkeypatch, capsys):
-        def refuse(*args):
-            raise AssertionError("series --eval-n built a coefficient table")
-
-        monkeypatch.setattr(series, "mu_table", refuse)
-        monkeypatch.setattr(series, "exp_series", refuse)
-        assert cli.main(["series", "--degree", "20000", "--eval-n", "5000", "10000", "20000"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 class TestGEval:
@@ -191,7 +197,7 @@ class TestGEval:
 
 class TestRankin:
     def test_trivial_floor(self):
-        t = series.mu_table(10)
+        t = series_reference.mu_table(10)
         assert series_reference.rankin_bound(0, 0.5, t) >= 1.0
 
     def test_log_bound_scale(self):
@@ -202,7 +208,7 @@ class TestRankin:
         assert abs(val - 1.5 * n ** (1 / 3)) < 6.0
 
     def test_never_violated_sampled(self):
-        t = series.mu_table(2000)
+        t = series_reference.mu_table(2000)
         for n in range(1, 2001, 97):
             series_reference.rankin_bound(n, 0.5 * n ** (-2 / 3), t)
 

@@ -3,17 +3,20 @@ b_m of a uniform permutation of [m], and the exact E_n(T) and E_n(B),
 each one integer sum over the law of the cyclic-vertex count Z.
 
 Everything here is exact arithmetic; these routines are the oracles
-every asymptotic route is validated against.  BRUTE_FORCE_SUMS records
-sum T(f) and sum B(f) over all n^n mappings f of [n] for n = 1..7, which
-the CLI compares E_n(T) and E_n(B) against; the enumeration that
-regenerates them lives in tests/exact_reference.py and shares no code
-with the sums over Z.
+every asymptotic route is validated against.  M_m reads one table of
+permutation counts by order, in numpy arrays over int64 lcm keys.
+BRUTE_FORCE_SUMS records sum T(f) and sum B(f) over all n^n mappings f
+of [n] for n = 1..7, which the CLI compares E_n(T) and E_n(B) against;
+the enumeration that regenerates them lives in tests/exact_reference.py
+and shares no code with the sums over Z.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .mapping import CeilingError
 
@@ -28,30 +31,34 @@ CONDITIONAL_MAX_N = 500
 # ---------------------------------------------------------------------------
 # Permutation averages
 
-# _ORDER_ROWS[k] = {L: number of permutations of [k] with order L} and
-# _ORDER_TOTALS[k] = sum of L * _ORDER_ROWS[k][L]; both grown on demand.
-_ORDER_ROWS: list[dict[int, int]] = [{1: 1}]
+# The order-count table, grown on demand: entry i says that _COUNTS[i] k!/60!
+# permutations of [k = _OWNER[i]] have order _KEYS[i] <= Landau's g(60) = 1021020.
+# _ORDER_TOTALS[k] = sum of L times the number of permutations of [k] with order L.
+_KEYS = np.ones(1, dtype=np.int64)
+_OWNER = np.zeros(1, dtype=np.int64)
+_COUNTS = np.array([math.factorial(M_MAX_DEFAULT)], dtype=object)
 _ORDER_TOTALS: list[int] = [1]
 
 
-def _order_counts(m: int) -> dict[int, int]:
-    """{L: number of permutations of [m] with order L}.
+def _order_counts(m: int) -> None:
+    """Grow the order-count table through row m <= M_MAX_DEFAULT (60).
 
     Conditioning on the cycle through element 1: it has length d in
     (k-1)!/(k-d)! ways, the other k-d elements carry any permutation, and
-    the order is the lcm of d and that permutation's order.
+    the order is the lcm of d and that permutation's order.  Scaled by
+    60!/k!, row k is (1/k) sum_d lcm_d(row k-d), with d = k - owner.
     """
-    for k in range(len(_ORDER_ROWS), m + 1):
-        row: dict[int, int] = {}
-        ways = 1  # (k-1)!/(k-d)!
-        for d in range(1, k + 1):
-            for L, c in _ORDER_ROWS[k - d].items():
-                key = math.lcm(L, d)
-                row[key] = row.get(key, 0) + ways * c
-            ways *= k - d
-        _ORDER_ROWS.append(row)
-        _ORDER_TOTALS.append(sum(L * c for L, c in row.items()))
-    return _ORDER_ROWS[m]
+    global _KEYS, _OWNER, _COUNTS
+    for k in range(len(_ORDER_TOTALS), m + 1):
+        keys = np.lcm(_KEYS, k - _OWNER)
+        order = np.argsort(keys)  # need not be stable: equal keys' counts are summed exactly
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys, counts = keys[starts], np.add.reduceat(_COUNTS[order], starts) // k
+        _KEYS, _COUNTS = np.concatenate((_KEYS, keys)), np.concatenate((_COUNTS, counts))
+        _OWNER = np.concatenate((_OWNER, np.full(len(keys), k)))
+        total = np.dot(keys.astype(object), counts) * math.factorial(k)
+        _ORDER_TOTALS.append(total // math.factorial(M_MAX_DEFAULT))
 
 
 def perm_order_mean(m: int) -> Fraction:

@@ -8,7 +8,9 @@ iterates.
 
 Partition enumeration for small m, independent of the order-count
 recurrence in exact: every cycle type of m is enumerated, weighted by
-the number of permutations that have it.  For b_m up to m = 500, the
+the number of permutations that have it.  The order-count rows as one
+{order: count} dict each, from the recurrence that exact's table of
+int64 lcm keys replaced.  For b_m up to m = 500, the
 O(m^2) exp-of-series convolution that exact's three-term recurrence
 replaced.  The law of the cyclic-vertex count Z as exact rationals, the
 integer-only check that it sums to one, and the term-by-term Fraction
@@ -138,6 +140,30 @@ def iter_cycle_types(m: int):
                 )
 
     yield from rec(m, m, 1, 1, 1)
+
+
+# _ORDER_ROWS[k] = {L: number of permutations of [k] with order L}, grown on demand
+_ORDER_ROWS: list[dict[int, int]] = [{1: 1}]
+
+
+def order_counts(m: int) -> dict[int, int]:
+    """{L: number of permutations of [m] with order L}, one dict per row.
+
+    The recurrence exact's int64 table replaced, conditioning on the cycle
+    through element 1: it has length d in (k-1)!/(k-d)! ways, the other
+    k-d elements carry any permutation, and the order is the lcm of d and
+    that permutation's order.
+    """
+    for k in range(len(_ORDER_ROWS), m + 1):
+        row: dict[int, int] = {}
+        ways = 1  # (k-1)!/(k-d)!
+        for d in range(1, k + 1):
+            for L, c in _ORDER_ROWS[k - d].items():
+                key = math.lcm(L, d)
+                row[key] = row.get(key, 0) + ways * c
+            ways *= k - d
+        _ORDER_ROWS.append(row)
+    return _ORDER_ROWS[m]
 
 
 @lru_cache(maxsize=None)

@@ -2,11 +2,15 @@
 
 Independent of the numpy kernel: cycles by forward walks with path
 colouring, tail heights and components by reverse BFS from the cyclic
-set, and O(f) by explicit composition of the iterates.
+set, and O(f) by explicit composition of the iterates.  The cyclic set
+of a row or a block as f^(2^J - 1)(V) by repeated squaring, which shares
+nothing with the image-shrinking loop but f.
 """
 
 from collections import Counter, deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from itermap.mapping import Mapping
 
@@ -113,3 +117,20 @@ def distinct_iterate_count(f: Mapping, limit: int = 10**6) -> int:
         cur = tuple(t[v] for v in cur)
     # Distinct functions = preperiod start of repeat + period remainder.
     return count
+
+
+def cyclic_set(f: np.ndarray) -> np.ndarray:
+    """The cyclic set of f, 0-based, one row or a block of rows, as ascending flat indices.
+
+    With 2^J >= n, f^(2^J - 1) takes every vertex past its tail, at most
+    n - 1 steps long, onto a cycle, and a cycle onto itself, so its image
+    of all vertices is the cyclic set.  The power is the composition of
+    f^(2^i) for i < J, each the square of the one before, on all vertices.
+    """
+    n = f.shape[-1]
+    g = (f + np.arange(0, f.size, n).reshape(-1, 1)).ravel()  # one graph, rows offset
+    power, acc = g, np.arange(g.size)
+    for _ in range((n - 1).bit_length()):
+        acc = power[acc]
+        power = power[power]
+    return np.unique(acc)

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import exact_reference
@@ -118,6 +119,15 @@ class TestZDistribution:
         assert all(p >= 0 for p in exact_reference.z_pmf(30))
 
 
+def order_row(m):
+    """{L: number of permutations of [m] with order L}, read off exact's order-count table."""
+    exact._order_counts(m)
+    at = exact._OWNER == m
+    scale = math.factorial(exact.M_MAX_DEFAULT) // math.factorial(m)
+    assert all(c % scale == 0 for c in exact._COUNTS[at])
+    return {L: c // scale for L, c in zip(exact._KEYS[at].tolist(), exact._COUNTS[at])}
+
+
 class TestPermutationMeans:
     def test_M_small(self):
         assert exact.perm_order_mean(1) == 1
@@ -174,8 +184,31 @@ class TestPermutationMeans:
             assert sum(c for _, _, c in exact_reference.iter_cycle_types(m)) == math.factorial(m)
 
     def test_order_count_rows_sum_to_factorial(self):
-        for m in range(1, 61):
-            assert sum(exact._order_counts(m).values()) == math.factorial(m)
+        for m in range(61):
+            assert sum(order_row(m).values()) == math.factorial(m)
+
+    def test_order_table_matches_dict_recurrence(self):
+        for m in range(exact.M_MAX_DEFAULT + 1):
+            row = exact_reference.order_counts(m)
+            assert order_row(m) == row
+            assert exact._ORDER_TOTALS[m] == sum(L * c for L, c in row.items())
+
+    def test_order_table_matches_cycle_types(self):
+        for m in range(21):
+            tally = {}
+            for L, _, c in exact_reference.iter_cycle_types(m):
+                tally[L] = tally.get(L, 0) + c
+            assert order_row(m) == tally
+
+    def test_order_table_layout(self):
+        # rows in turn, each row's keys strictly ascending, one total per row
+        exact._order_counts(exact.M_MAX_DEFAULT)
+        owner, keys = exact._OWNER, exact._KEYS
+        assert owner.dtype == keys.dtype == np.int64 and exact._COUNTS.dtype == object
+        assert np.all(np.diff(owner) >= 0) and owner[-1] == exact.M_MAX_DEFAULT
+        assert np.all(np.diff(keys)[np.diff(owner) == 0] > 0)
+        assert len(exact._ORDER_TOTALS) == exact.M_MAX_DEFAULT + 1
+        assert keys.max() == 1021020  # Landau's g(60), the largest order in S_60
 
 
 class TestConditionalExpectations:

@@ -259,6 +259,35 @@ class TestKernel:
         assert mapping._cycle_rows(block) == [mapping._cycle_rows(row)[0] for row in block]
 
 
+class TestCyclicSetOracle:
+    """`_last_sets` against f^(2^J - 1)(V) by repeated squaring, which sees a whole cycle missing."""
+
+    @staticmethod
+    def _matches(f):
+        assert np.array_equal(mapping._last_sets(f, False)[2], mapping_reference.cyclic_set(f))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 10**5])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_random_blocks(self, n, rows):
+        f = np.random.default_rng(n + rows).integers(0, n, size=(rows, n))
+        self._matches(f[0] if rows == 1 else f)
+
+    def test_long_chain_and_permutation(self):
+        self._matches(_rho(2**10 + 1, 2**10, 1))
+        self._matches(np.random.default_rng(4).permutation(1000))
+
+    def test_sees_cycle_missing_behind_tail(self, monkeypatch):
+        monkeypatch.setattr(
+            mapping, "_last_sets", mapping_faults.cycle_missing_behind_tail(mapping._last_sets)
+        )
+        f = mapping.parse_mapping(mapping_faults.RHO_64)
+        assert mapping.analyze(f).cycle_lengths == (2,)  # the walk sees nothing wrong
+        t = f.targets - 1
+        for block in (t, np.stack([t, t])):
+            with pytest.raises(AssertionError):
+                self._matches(block)
+
+
 class TestSinglePass:
     """`analyze` runs `_images` over the full row once; the height restarts run on smaller sets."""
 

@@ -215,6 +215,23 @@ class TestSerialLoop:
         s = montecarlo.run_experiment(100, 7, 4, blocks=1)
         _assert_equal_summaries(s, _serial_summary(100, 4, (7,)))
 
+    # n = 50: one-row chunks (CHUNK_VERTICES below n); one block in six chunks of six
+    # rows; blocks of 34, 33 and 33 rows, each ending in a short chunk of 4 or 3 rows
+    @pytest.mark.parametrize(
+        "chunk, samples, blocks, rows",
+        [(40, 5, 2, [1] * 5), (300, 36, 1, [6] * 6), (300, 100, 3, [6] * 15 + [4, 3, 3])],
+        ids=["one-row", "several-rows", "short-last"],
+    )
+    def test_z_counts_count_every_sample(self, monkeypatch, chunk, samples, blocks, rows):
+        real = mapping._cycle_rows
+        seen = []
+        monkeypatch.setattr(mapping, "_cycle_rows", lambda f: seen.append(len(f)) or real(f))
+        monkeypatch.setattr(montecarlo, "CHUNK_VERTICES", chunk)
+        s = montecarlo.run_experiment(50, samples, 5, blocks=blocks)
+        assert sorted(seen) == sorted(rows)
+        assert len(s.z_counts) == 51 and s.z_counts[0] == 0
+        assert int(s.z_counts.sum()) == samples
+
     def test_squares_are_products(self, monkeypatch):
         # log T alternates between log 733 and log 2, in draw order in both loops,
         # so the sums of squares, and var_log_T, differ if one side squares by pow

@@ -8,13 +8,11 @@ uniform measure at desk scale, and the asymptotic estimates of both,
 cross-validated by brute-force enumeration and Monte-Carlo sampling.
 """
 
-from .mapping import Mapping, CycleStructure, PeriodStats, parse_mapping, analyze, period_stats
+from .mapping import Mapping, PeriodStats, parse_mapping, analyze
 
 __all__ = [
     "Mapping",
-    "CycleStructure",
     "PeriodStats",
     "parse_mapping",
     "analyze",
-    "period_stats",
 ]

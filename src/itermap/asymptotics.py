@@ -114,14 +114,7 @@ def constants() -> Constants:
 
 
 # ---------------------------------------------------------------------------
-# The upper-bound profile G and its maximizer
-
-
-@dataclass(frozen=True)
-class GProfile:
-    x_star: float
-    G_at_x_star: float
-    m_star: float
+# The upper-bound profile G
 
 
 def _G(n: int, beta: float, x: float) -> float:
@@ -145,31 +138,6 @@ def _G_prime(n: int, beta: float, x: float) -> float:
 
 
 EPS = 0.01  # the eps of beta0 + eps in the upper bound's profile G
-
-
-def g_profile(n: int) -> GProfile:
-    """Maximize G at beta0 + EPS over [6, n-1] by bisection on the strictly decreasing G'."""
-    if n < 100:
-        raise CeilingError("n must be at least 100")
-    beta = constants().beta0 + EPS
-    lo, hi = 6.0, n - 1.0
-    if _G_prime(n, beta, lo) <= 0 or _G_prime(n, beta, hi) >= 0:
-        raise CeilingError("maximizer bracket failure")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _G_prime(n, beta, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-9 * hi:
-            break
-    x_star = 0.5 * (lo + hi)
-    m_star = beta ** (2.0 / 3.0) * (3.0 / 8.0) ** (1.0 / 3.0) * n ** (2.0 / 3.0) / math.log(n) ** (1.0 / 3.0)
-    return GProfile(
-        x_star=x_star,
-        G_at_x_star=_G(n, beta, x_star),
-        m_star=m_star,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +178,36 @@ def en_T_estimate(n: int) -> EnTEstimate:
     """Bracket log E_n(T) and its leading-order value k0 (n/log^2 n)^(1/3).
 
     lower_log = log P_n(Z=m0*) + beta0 sqrt(m0*/log m0*) at the nearest
-    integer m0* to a0 (n^2/log n)^(1/3); upper_log = G(x*) at eps = EPS.
-    The stated error terms O(m0^3/n^2) and O(sqrt(m0) loglog m0 / log m0)
-    have no explicit constants, so lower_log keeps only the explicit terms.
+    integer m0* (in [19, n/5]) to a0 (n^2/log n)^(1/3); upper_log = G(x*)
+    at beta0 + EPS, x* by bisection on the decreasing G' over [6, n-1]
+    (G'(6) > 0 > G'(n-1) for n >= 100).  The stated error terms
+    O(m0^3/n^2) and O(sqrt(m0) loglog m0 / log m0) have no explicit
+    constants, so lower_log keeps only the explicit terms.
     """
     if n < 100:
         raise CeilingError("n must be at least 100")
     cst = constants()
     leading = cst.k0 * (n / math.log(n) ** 2) ** (1.0 / 3.0)
     m0 = round(cst.a0 * (n * n / math.log(n)) ** (1.0 / 3.0))
-    m0 = max(3, min(n, m0))
     lower = float(log_z_pmf(n, m0)[-1]) + stong_logM(m0)
-    prof = g_profile(n)
-    upper = prof.G_at_x_star
+    beta = cst.beta0 + EPS
+    lo, hi = 6.0, n - 1.0
+    while hi - lo >= 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if _G_prime(n, beta, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    x_star = 0.5 * (lo + hi)
+    upper = _G(n, beta, x_star)
     if lower > upper:
         raise InvariantError("lower bound exceeded upper bound")
     return EnTEstimate(
         leading=leading,
         lower_log=lower,
         upper_log=upper,
-        x_star=prof.x_star,
-        m_star=prof.m_star,
+        x_star=x_star,
+        m_star=beta ** (2.0 / 3.0) * (3.0 / 8.0) ** (1.0 / 3.0) * n ** (2.0 / 3.0) / math.log(n) ** (1.0 / 3.0),
     )
 
 

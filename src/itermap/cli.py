@@ -18,11 +18,13 @@ builds no coefficient table (--degree only sets its default n) and
 checks every n against series.DEGREE_CAP_DEFAULT before computing any
 row, and `--renyi-table` checks --degree so before q_and_c allocates.
 Each cmd_* imports the modules it needs; analyze, exact, constants and
-simulate load no scipy.  Settings come from options alone, never the
-environment; one with a single value in use is a module constant
-(renyi.EXACT_MAX_D, asymptotics.EPS; `constants` prints the cached
-asymptotics.constants()).  Every CSV goes through `_csv`; the simulate
-and asymptotics CSVs and the constants JSON name each field they read once.
+simulate load no scipy.  `analyze` prints the one record mapping.analyze
+returns, with T, B and O as decimal strings.  Settings come from options
+alone, never the environment; one with a single value in use is a module
+constant (renyi.EXACT_MAX_D, asymptotics.EPS, montecarlo.DEFAULT_BLOCK;
+`constants` prints the cached asymptotics.constants()).  Every CSV goes
+through `_csv`; the simulate and asymptotics CSVs and the analyze and
+constants JSON name each field they read once.
 """
 
 from __future__ import annotations
@@ -86,10 +88,11 @@ def cmd_analyze(args) -> None:
 
     with open(args.input, "rb") as fh:
         text = fh.read()
-    f = mapping.parse_mapping(text)
-    cs = mapping.analyze(f)
-    ps = mapping.period_stats(cs)
-    _write_text((args.out, _json_dumps(mapping.stats_to_json_dict(f, cs, ps))))
+    ps = mapping.analyze(mapping.parse_mapping(text))
+    fields = ("n", "T", "B", "O", "log_T", "log_B", "cycle_lengths", "num_cyclic")
+    payload = {key: getattr(ps, key) for key in fields}
+    payload.update({key: str(payload[key]) for key in ("T", "B", "O")})
+    _write_text((args.out, _json_dumps(payload)))
 
 
 def cmd_exact(args) -> None:
@@ -183,7 +186,7 @@ def cmd_constants(args) -> None:
 def cmd_simulate(args) -> None:
     from . import montecarlo
 
-    summary = montecarlo.run_experiment(args.n, args.samples, args.seed, blocks=args.blocks)
+    summary = montecarlo.run_experiment(args.n, args.samples, args.seed)
     columns = (
         "n", "samples", "seed", "blocks",
         "mean_log_T", "var_log_T", "mean_log_B", "var_log_B",
@@ -246,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blocks", type=int, default=None)
     p.add_argument("--histogram", default=None, help="write the normalized-log-T histogram CSV here")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

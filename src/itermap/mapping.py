@@ -5,10 +5,11 @@ Every weak component contains exactly one directed cycle with trees
 hanging off it.  The period T(f) of the iterate sequence equals the lcm
 of the cycle lengths; B(f) is their product with multiplicity; O(f), the
 number of distinct iterates, equals T plus the largest tail height less
-one and always satisfies |O - T| < n.  `analyze` keeps only what these
-need: the cycle lengths, the number of cyclic vertices and the largest
-tail height, from one image-shrinking run, O(n) work on a random
-mapping.  T is `math.lcm` of the lengths, for `analyze` and the sampler.
+one and always satisfies |O - T| < n.  `analyze` returns one
+PeriodStats record: T, B, O, their logs, and the cycle lengths, number
+of cyclic vertices and largest tail height they are made of, from one
+image-shrinking run, O(n) work on a random mapping.  T is `math.lcm` of
+the lengths (`period_logs`), for `analyze` and the sampler.
 
 A mapping file is 'n t1 ... tn': tokens [+-]?[0-9]+ separated by ASCII
 whitespace, targets 1-based.
@@ -66,28 +67,23 @@ class Mapping:
 
 
 @dataclass(frozen=True)
-class CycleStructure:
-    """What T, B and O need of the functional graph of one mapping.
+class PeriodStats:
+    """Period statistics of one mapping of [n]: exact T, B, O, their logs and what they need.
 
     cycle_lengths holds the length of every cycle, ascending; num_cyclic
     counts the vertices on cycles; max_tail_height is the largest
     distance from a vertex to the cyclic set (0 iff f is a permutation).
     """
 
-    cycle_lengths: tuple[int, ...]
-    num_cyclic: int
-    max_tail_height: int
-
-
-@dataclass(frozen=True)
-class PeriodStats:
-    """Period statistics of one mapping: exact T, B, O and their logs."""
-
+    n: int
     T: int
     B: int
     O: int
     log_T: float
     log_B: float
+    cycle_lengths: tuple[int, ...]
+    num_cyclic: int
+    max_tail_height: int
 
 
 def _bad_token(data: bytes) -> bytes | None:
@@ -235,19 +231,29 @@ def _max_tail_height(f: np.ndarray, J: int, prev: np.ndarray | None) -> int:
     return height + J
 
 
-def analyze(f: Mapping) -> CycleStructure:
-    """Decompose the functional graph of f in O(n) space and, on a random mapping, O(n) work.
+def analyze(f: Mapping) -> PeriodStats:
+    """The PeriodStats of f in O(n) space and, on a random mapping, O(n) work.
 
     One `_images` run gives the cyclic set, which `_cycles` walks, and
-    the set before it, where `_max_tail_height` restarts.
+    the set before it, where `_max_tail_height` restarts at the largest
+    tail height h.  T is the lcm of the cycle lengths, B their product
+    and O = T + max(h - 1, 0).
     """
     t = f.targets - 1
     J, prev, cyclic = _last_sets(t, True)
-    lengths = _cycles(t, cyclic)
-    return CycleStructure(
-        cycle_lengths=tuple(sorted(lengths)),
+    lengths = tuple(sorted(_cycles(t, cyclic)))
+    height = _max_tail_height(t, J, prev)
+    T, log_T, log_B = period_logs(lengths)
+    return PeriodStats(
+        n=f.n,
+        T=T,
+        B=math.prod(lengths),
+        O=T + max(height - 1, 0),
+        log_T=log_T,
+        log_B=log_B,
+        cycle_lengths=lengths,
         num_cyclic=sum(lengths),
-        max_tail_height=_max_tail_height(t, J, prev),
+        max_tail_height=height,
     )
 
 
@@ -259,24 +265,3 @@ def period_logs(lengths) -> tuple[int, float, float]:
     """
     T = math.lcm(*lengths)
     return T, math.log(T), sum(math.log(L) for L in lengths)
-
-
-def period_stats(cs: CycleStructure) -> PeriodStats:
-    """T = lcm of cycle lengths, B = their product, O = T + max(h-1, 0)."""
-    T, log_T, log_B = period_logs(cs.cycle_lengths)
-    O = T + max(cs.max_tail_height - 1, 0)
-    return PeriodStats(T=T, B=math.prod(cs.cycle_lengths), O=O, log_T=log_T, log_B=log_B)
-
-
-def stats_to_json_dict(f: Mapping, cs: CycleStructure, ps: PeriodStats) -> dict:
-    """JSON-ready dict with big integers as decimal strings."""
-    return {
-        "n": f.n,
-        "T": str(ps.T),
-        "B": str(ps.B),
-        "O": str(ps.O),
-        "log_T": ps.log_T,
-        "log_B": ps.log_B,
-        "cycle_lengths": list(cs.cycle_lengths),
-        "num_cyclic": cs.num_cyclic,
-    }

@@ -1,9 +1,10 @@
 """Reproducible sampling of uniform random mappings at large n.
 
-Samples are drawn in fixed-size blocks; block b uses the generator
+Samples are drawn in ceil(samples / DEFAULT_BLOCK) blocks of nearly
+equal size; block b uses the generator
 PCG64(SeedSequence(entropy=seed, spawn_key=(b,))), so results are
-bit-identical for a given (n, samples, seed, blocks) no matter how the
-blocks would be scheduled.  Each block is drawn from its stream in
+bit-identical for a given (n, samples, seed) no matter how the blocks
+would be scheduled.  Each block is drawn from its stream in
 chunks of max(1, CHUNK_VERTICES // n) rows, the last one possibly
 shorter; a k-row matrix holds the same values as k row draws, so the
 chunk size does not change the output.  Each chunk goes through one
@@ -38,7 +39,7 @@ HIST_LO, HIST_HI = -4.0, 4.0
 CHUNK_VERTICES = 2**16  # vertices drawn and analysed at once, unless one row holds more
 MAX_WORKERS = 4         # beyond this the serial draw bounds the rate
 MAX_N = 10**7
-DEFAULT_BLOCK = 256
+DEFAULT_BLOCK = 256      # the most samples in one block
 
 
 @dataclass
@@ -106,25 +107,19 @@ def _in_order(draws, pool: ThreadPoolExecutor, workers: int):
         yield pending.popleft().result()
 
 
-def run_experiment(
-    n: int,
-    samples: int,
-    seed: int,
-    blocks: int | None = None,
-) -> StatSummary:
+def run_experiment(n: int, samples: int, seed: int) -> StatSummary:
     """Sample `samples` uniform mappings of [n] and accumulate StatSummary.
 
-    Deterministic for fixed (n, samples, seed, blocks); blocks defaults
-    to ceil(samples / 256).  One ordered loop serves every n: `_draws`
-    yields each block in chunks of rows (it alone reads CHUNK_VERTICES),
-    w = _workers() threads run `_samples`, the cycle kernel, on the
-    chunks, and each sample goes into running sums in draw order, so the
-    output is that of a serial loop and memory is O(1) in `samples`.
-    Raises CeilingError before any draw for n outside [1, MAX_N],
-    samples < 1, seed < 0 or blocks < 1; blocks is clamped to samples.
-    Raises mapping.InvariantError unless f permutes each sample's cyclic
-    set; a worker's error is raised here unchanged, after the pool has
-    shut down.
+    Deterministic for fixed (n, samples, seed); the samples fall into
+    ceil(samples / DEFAULT_BLOCK) blocks.  One ordered loop serves every
+    n: `_draws` yields each block in chunks of rows (it alone reads
+    CHUNK_VERTICES), w = _workers() threads run `_samples`, the cycle
+    kernel, on the chunks, and each sample goes into running sums in draw
+    order, so the output is that of a serial loop and memory is O(1) in
+    `samples`.  Raises CeilingError before any draw for n outside
+    [1, MAX_N], samples < 1 or seed < 0.  Raises mapping.InvariantError
+    unless f permutes each sample's cyclic set; a worker's error is
+    raised here unchanged, after the pool has shut down.
 
     Memory is bounded in chunks of at most max(n, CHUNK_VERTICES)
     vertices, 8 bytes each: at most w + 1 drawn chunks are alive (w
@@ -141,11 +136,7 @@ def run_experiment(
         raise mapping.CeilingError("samples must be positive")
     if seed < 0:
         raise mapping.CeilingError("seed must be non-negative")
-    if blocks is None:
-        blocks = math.ceil(samples / DEFAULT_BLOCK)
-    elif blocks < 1:
-        raise mapping.CeilingError("blocks must be positive")
-    blocks = min(blocks, samples)
+    blocks = math.ceil(samples / DEFAULT_BLOCK)
     a_n, b_n = asymptotics.harris_params(max(n, 2))
     s_T = s2_T = s_B = s2_B = s_d = s2_d = 0.0  # sums of log T, log B, log B - log T, squares
     nonpos = 0

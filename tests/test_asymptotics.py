@@ -52,18 +52,21 @@ class TestConstants:
 
 
 class TestGProfile:
+    """The profile G at beta0 + EPS, maximized by bisection in en_T_estimate."""
+
     def test_maximizer_scaling(self):
         # x* ~ m* = beta^(2/3) (3/8)^(1/3) n^(2/3) / log^(1/3) n
-        prof = asymptotics.g_profile(10**6)
+        est = asymptotics.en_T_estimate(10**6)
         beta = asymptotics.constants().beta0 + asymptotics.EPS
-        assert asymptotics._G_prime(10**6, beta, 0.75 * prof.m_star) > 0
-        assert asymptotics._G_prime(10**6, beta, 1.25 * prof.m_star) < 0
-        assert 0.8 < prof.x_star / prof.m_star < 1.2
+        assert asymptotics._G_prime(10**6, beta, 0.75 * est.m_star) > 0
+        assert asymptotics._G_prime(10**6, beta, 1.25 * est.m_star) < 0
+        assert 0.8 < est.x_star / est.m_star < 1.2
 
     def test_stationary_point(self):
-        prof = asymptotics.g_profile(10**5)
+        est = asymptotics.en_T_estimate(10**5)
         beta = asymptotics.constants().beta0 + asymptotics.EPS
-        assert abs(asymptotics._G_prime(10**5, beta, prof.x_star)) < 1e-6
+        assert abs(asymptotics._G_prime(10**5, beta, est.x_star)) < 1e-6
+        assert est.upper_log == asymptotics._G(10**5, beta, est.x_star)
 
     def test_G_prime_is_derivative_of_G(self):
         # G' carries psi(n+1-x); an mpmath derivative of G is the oracle
@@ -83,10 +86,10 @@ class TestGProfile:
 
     def test_maximum_beats_neighbors(self):
         n = 10**4
-        prof = asymptotics.g_profile(n)
+        est = asymptotics.en_T_estimate(n)
         beta = asymptotics.constants().beta0 + asymptotics.EPS
-        for x in (prof.x_star * 0.9, prof.x_star * 1.1, 10.0, n / 2):
-            assert asymptotics._G(n, beta, x) <= prof.G_at_x_star + 1e-12
+        for x in (est.x_star * 0.9, est.x_star * 1.1, 10.0, n / 2):
+            assert asymptotics._G(n, beta, x) <= est.upper_log + 1e-12
 
     def test_k_eps_closure(self):
         # k_eps at beta0 equals k0: same stationary algebra
@@ -99,8 +102,28 @@ class TestGProfile:
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
     def test_domain(self):
-        with pytest.raises(mapping.CeilingError):
-            asymptotics.g_profile(50)
+        with pytest.raises(mapping.CeilingError, match="n must be at least 100"):
+            asymptotics.en_T_estimate(50)
+
+    # every n from 100 to 2000, and geometric points to 1e12
+    NS = [*range(100, 2001), *(round(10 ** (k / 8)) for k in range(27, 97))]
+
+    def test_bisection_brackets_the_maximizer(self):
+        # G'(6) > 0 > G'(n-1) for every n >= 100, so en_T_estimate needs no bracket check:
+        # G'(6) = psi(n-5) - log n + beta/(2 sqrt(6 log 6)) (1 - 1/log 6) rises from 0.1456
+        # at n = 100 to its limit 0.2022, and G'(n-1) = psi(2) - log n + O(1/sqrt(n log n))
+        # falls from -4.127 at n = 100
+        beta = asymptotics.constants().beta0 + asymptotics.EPS
+        for n in self.NS:
+            assert asymptotics._G_prime(n, beta, 6.0) > 0 > asymptotics._G_prime(n, beta, n - 1.0), n
+
+    def test_m0_needs_no_clamp(self):
+        # the nearest integer m0 to a0 (n^2/log n)^(1/3) lies in [19, n/5], inside
+        # log_z_pmf's domain [1, n] and stong_logM's [3, oo)
+        a0 = asymptotics.constants().a0
+        for n in self.NS:
+            m0 = round(a0 * (n * n / math.log(n)) ** (1.0 / 3.0))
+            assert 19 <= m0 <= n / 5, n
 
 
 class TestZLaw:

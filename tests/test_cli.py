@@ -45,7 +45,7 @@ OPTIONS = {
     "series": ["--degree", "--eval-n", "--help", "--out", "--precision", "--renyi-table", "-h"],
     "asymptotics": ["--help", "--n", "--out", "-h"],
     "constants": ["--help", "--out", "-h"],
-    "simulate": ["--blocks", "--help", "--histogram", "--n", "--out", "--samples", "--seed", "-h"],
+    "simulate": ["--help", "--histogram", "--n", "--out", "--samples", "--seed", "-h"],
 }
 
 
@@ -359,37 +359,34 @@ class TestSimulate:
         assert hlines[0] == "bin_low,bin_high,count,phi_delta"
         assert hlines[1].startswith("-inf,")
 
-    def test_one_chunk_per_block_pinned_n2000(self, capsys):
+    def test_one_chunk_per_block_pinned_n2000(self, capsys, monkeypatch):
         # blocks of 14 and 13 rows, each drawn as one chunk (a chunk holds up to
         # 32 rows of 2000); the CSV is the one that whole-block draws, and then
         # row-by-row draws of the same PCG64 stream, gave
-        code, out, _ = run(
-            capsys, "simulate", "--n", "2000", "--samples", "40", "--blocks", "3", "--seed", "4"
-        )
+        monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", 14)
+        code, out, _ = run(capsys, "simulate", "--n", "2000", "--samples", "40", "--seed", "4")
         assert code == 0
         assert out.splitlines()[1] == (
             "2000,40,4,3,6.765463099468809,4.464771109175992,8.513703452175985,"
             "8.787902377998776,1.7482403527071757,3.2537184659738987,0.6"
         )
 
-    def test_one_chunk_per_block_pinned_n100(self, capsys):
+    def test_one_chunk_per_block_pinned_n100(self, capsys, monkeypatch):
         # two blocks of 150 rows, each drawn as one chunk; the line is the one
         # printed while the running sums were kept in a separate record
-        code, out, _ = run(
-            capsys, "simulate", "--n", "100", "--samples", "300", "--blocks", "2", "--seed", "4"
-        )
+        monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", 150)
+        code, out, _ = run(capsys, "simulate", "--n", "100", "--samples", "300", "--seed", "4")
         assert code == 0
         assert out.splitlines()[1] == (
             "100,300,4,2,2.449543962124768,1.3256910478773083,2.9753816018225017,"
             "1.9440515960310805,0.5258376396977349,0.5852378717175878,0.6133333333333333"
         )
 
-    def test_one_row_chunks_pinned(self, capsys):
-        # n = 40000 fills a chunk with one row; the CSV line is the one the
-        # serial row-by-row loop gave before the kernel ran on worker threads
-        code, out, _ = run(
-            capsys, "simulate", "--n", "40000", "--samples", "12", "--blocks", "3", "--seed", "4"
-        )
+    def test_one_row_chunks_pinned(self, capsys, monkeypatch):
+        # n = 40000 fills a chunk with one row, in three blocks of 4 rows; the CSV line
+        # is the one the serial row-by-row loop gave before the kernel ran on worker threads
+        monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", 4)
+        code, out, _ = run(capsys, "simulate", "--n", "40000", "--samples", "12", "--seed", "4")
         assert code == 0
         assert out.splitlines()[1] == (
             "40000,12,4,3,9.870518864224946,15.593021418973038,13.32797467768772,"
@@ -447,15 +444,9 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--n", "100000000", "--samples", "1")
         assert code == cli.EXIT_CEILING
 
-    @pytest.mark.parametrize(
-        "option, message",
-        [(("--seed", "-1"), "seed must be non-negative"),
-         (("--blocks", "0"), "blocks must be positive"),
-         (("--blocks", "-3"), "blocks must be positive")],
-    )
-    def test_bad_seed_or_blocks(self, capsys, option, message):
-        code, out, err = run(capsys, "simulate", "--n", "100", "--samples", "10", *option)
-        assert (code, out, err) == (cli.EXIT_CEILING, "", f"error: {message}\n")
+    def test_bad_seed(self, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "100", "--samples", "10", "--seed", "-1")
+        assert (code, out, err) == (cli.EXIT_CEILING, "", "error: seed must be non-negative\n")
 
 
 @pytest.mark.parametrize(

@@ -11,14 +11,13 @@ from itermap import exact, mapping
 
 
 def dumb_enumeration(n):
-    """Independent pure-Python pass over all n^n mappings (reference analyze)."""
+    """Independent pure-Python pass over all n^n mappings (reference analyze, lcm and product)."""
     sum_T = sum_B = conn = conn_cycles = 0
     z = [0] * (n + 1)
     for tgt in itertools.product(range(1, n + 1), repeat=n):
         cs = mapping_reference.analyze(mapping.Mapping(n, tgt))
-        ps = mapping.period_stats(cs)
-        sum_T += ps.T
-        sum_B += ps.B
+        sum_T += math.lcm(*cs.cycle_lengths)
+        sum_B += math.prod(cs.cycle_lengths)
         z[cs.num_cyclic] += 1
         if cs.component_profile == {n: 1}:
             conn += 1

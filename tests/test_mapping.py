@@ -168,24 +168,25 @@ class TestMapping:
             mapping.Mapping(3, (1, 1))
 
 
+def structure(ps):
+    """The fields of a PeriodStats that T, B and O are made of."""
+    return ps.cycle_lengths, ps.num_cyclic, ps.max_tail_height
+
+
 class TestAnalyze:
     def test_identity_three(self):
-        cs = mapping.analyze(mk(3, 1, 2, 3))
-        assert cs == mapping.CycleStructure(cycle_lengths=(1, 1, 1), num_cyclic=3, max_tail_height=0)
+        assert structure(mapping.analyze(mk(3, 1, 2, 3))) == ((1, 1, 1), 3, 0)
 
     def test_transposition(self):
-        cs = mapping.analyze(mk(2, 2, 1))
-        assert cs == mapping.CycleStructure(cycle_lengths=(2,), num_cyclic=2, max_tail_height=0)
+        assert structure(mapping.analyze(mk(2, 2, 1))) == ((2,), 2, 0)
 
     def test_tail_chain(self):
         # 3 -> 2 -> 1 -> 1
-        cs = mapping.analyze(mk(3, 1, 1, 2))
-        assert cs == mapping.CycleStructure(cycle_lengths=(1,), num_cyclic=1, max_tail_height=2)
+        assert structure(mapping.analyze(mk(3, 1, 1, 2))) == ((1,), 1, 2)
 
     def test_lengths_ascending(self):
         # cycles by smallest vertex: (1 2 3), (4), (5 6); cycle_lengths sorts them
-        cs = mapping.analyze(mk(6, 2, 3, 1, 4, 6, 5))
-        assert cs.cycle_lengths == (1, 2, 3)
+        assert mapping.analyze(mk(6, 2, 3, 1, 4, 6, 5)).cycle_lengths == (1, 2, 3)
 
 
 class TestInvariantErrors:
@@ -194,7 +195,7 @@ class TestInvariantErrors:
     def _raises(self, monkeypatch, fault):
         text, message = mapping_faults.install(fault, monkeypatch.setattr)
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
-            mapping.period_stats(mapping.analyze(mapping.parse_mapping(text)))
+            mapping.analyze(mapping.parse_mapping(text))
 
     def test_loop_tail_vertex_added_checked(self, monkeypatch):
         self._raises(monkeypatch, "tail_vertex_added")
@@ -315,24 +316,21 @@ class TestSinglePass:
 class TestPeriodStats:
     def test_coprime_cycles(self):
         # 2-cycle and 3-cycle: permutation of [5]
-        cs = mapping.analyze(mk(5, 2, 1, 4, 5, 3))
-        ps = mapping.period_stats(cs)
-        assert (ps.T, ps.B, ps.O) == (6, 6, 6)
+        ps = mapping.analyze(mk(5, 2, 1, 4, 5, 3))
+        assert (ps.n, ps.T, ps.B, ps.O) == (5, 6, 6, 6)
 
     def test_constant_pair(self):
-        cs = mapping.analyze(mk(2, 1, 1))
-        ps = mapping.period_stats(cs)
+        ps = mapping.analyze(mk(2, 1, 1))
         assert (ps.T, ps.B, ps.O) == (1, 1, 1)
 
     def test_chain(self):
-        cs = mapping.analyze(mk(3, 1, 1, 2))
-        ps = mapping.period_stats(cs)
+        ps = mapping.analyze(mk(3, 1, 1, 2))
         assert (ps.T, ps.B, ps.O) == (1, 1, 2)
 
     def test_prime_exponents(self):
         # cycles of lengths 4 and 6: T = 12 = 2^2 * 3
         targets = (2, 3, 4, 1, 6, 7, 8, 9, 10, 5)
-        ps = mapping.period_stats(mapping.analyze(mk(10, *targets)))
+        ps = mapping.analyze(mk(10, *targets))
         assert ps.T == 12 and ps.B == 24
         assert math.isclose(ps.log_T, math.log(12), rel_tol=1e-12)
 
@@ -343,21 +341,20 @@ def all_mappings(n):
 
 
 def reference_structure(f):
-    """The reference decomposition cut down to the fields the library keeps."""
-    ref = mapping_reference.analyze(f)
-    return mapping.CycleStructure(ref.cycle_lengths, ref.num_cyclic, ref.max_tail_height)
+    """The reference decomposition cut down to the fields `structure` reads."""
+    return structure(mapping_reference.analyze(f))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_analyze_matches_reference(n):
     for f in all_mappings(n):
-        assert mapping.analyze(f) == reference_structure(f)
+        assert structure(mapping.analyze(f)) == reference_structure(f)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_O_matches_explicit_composition(n):
     for f in all_mappings(n):
-        ps = mapping.period_stats(mapping.analyze(f))
+        ps = mapping.analyze(f)
         assert ps.O == mapping_reference.distinct_iterate_count(f)
 
 
@@ -367,20 +364,20 @@ def test_invariants_random(data):
     n = data.draw(st.integers(1, 40))
     targets = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
     f = mapping.Mapping(n, tuple(targets))
-    cs = mapping.analyze(f)
-    ps = mapping.period_stats(cs)
+    ps = mapping.analyze(f)
+    assert ps.n == n
     assert ps.B % ps.T == 0
     assert abs(ps.O - ps.T) < n
-    assert sum(cs.cycle_lengths) == cs.num_cyclic
+    assert sum(ps.cycle_lengths) == ps.num_cyclic
     # permutations, and only they, have no tails; for them O = T
-    assert (cs.max_tail_height == 0) == (cs.num_cyclic == n)
-    if cs.num_cyclic == n:
+    assert (ps.max_tail_height == 0) == (ps.num_cyclic == n)
+    if ps.num_cyclic == n:
         assert ps.O == ps.T
     # pure and deterministic, equal to the pure-Python reference, and the
     # same from the parsed text
-    assert mapping.analyze(f) == cs
-    assert reference_structure(f) == cs
-    assert mapping.analyze(mapping.parse_mapping(" ".join(map(str, [n, *targets])))) == cs
+    assert mapping.analyze(f) == ps
+    assert reference_structure(f) == structure(ps)
+    assert mapping.analyze(mapping.parse_mapping(" ".join(map(str, [n, *targets])))) == ps
 
 
 def _primes(count):
@@ -397,21 +394,20 @@ def test_log_T_within_one_ulp():
     # log T against 200-bit mpmath: random mappings, and a permutation of
     # n = 997,661 whose 546 cycles have the first 546 primes as lengths
     # (T = their product, 5595 bits)
-    structures = [
-        mapping.analyze(mapping.Mapping(n, np.random.default_rng(n).integers(1, n + 1, size=n)))
-        for n in (10, 100, 1000, 10**4, 10**5)
-    ]
-    primes = _primes(546)
-    structures.append(mapping.CycleStructure(tuple(primes), sum(primes), 0))
-    for cs in structures:
-        ps = mapping.period_stats(cs)
+    pairs = []
+    for n in (10, 100, 1000, 10**4, 10**5):
+        ps = mapping.analyze(mapping.Mapping(n, np.random.default_rng(n).integers(1, n + 1, size=n)))
+        pairs.append((ps.T, ps.log_T))
+    T, log_T, _ = mapping.period_logs(_primes(546))
+    pairs.append((T, log_T))
+    for T, log_T in pairs:
         with mpmath.workprec(200):
-            assert abs(mpmath.mpf(ps.log_T) - mpmath.log(ps.T)) <= math.ulp(ps.log_T)
-    assert ps.T.bit_length() == 5595
+            assert abs(mpmath.mpf(log_T) - mpmath.log(T)) <= math.ulp(log_T)
+    assert T.bit_length() == 5595
 
 
 def test_log_values_match_integers():
     f = mk(6, 2, 1, 4, 3, 6, 5)
-    ps = mapping.period_stats(mapping.analyze(f))
+    ps = mapping.analyze(f)
     assert math.isclose(ps.log_T, math.log(ps.T), rel_tol=1e-12)
     assert math.isclose(ps.log_B, math.log(ps.B), rel_tol=1e-12)

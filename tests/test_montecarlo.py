@@ -72,7 +72,7 @@ class TestInvariants:
     def test_means_match_reference(self):
         # the same rows through the pure-Python reference, T by gcd and B as a product
         n, samples = 300, 200
-        s = montecarlo.run_experiment(n, samples, seed=5, blocks=1)
+        s = montecarlo.run_experiment(n, samples, seed=5)  # one block
         rows = montecarlo.block_rng(5, 0).integers(0, n, size=(samples, n), dtype=np.int64)
         sum_log_T = sum_log_B = 0.0
         for row in rows:
@@ -101,19 +101,11 @@ class TestInvariants:
         with pytest.raises(mapping.CeilingError):
             montecarlo.run_experiment(10, 0, seed=0)
 
-    # rejected before the first draw, as samples < 1 is
-    @pytest.mark.parametrize(
-        "seed, blocks, message",
-        [(-1, None, "seed must be non-negative"), (0, 0, "blocks must be positive"),
-         (0, -3, "blocks must be positive")],
-    )
-    def test_bad_seed_or_blocks(self, monkeypatch, seed, blocks, message):
+    def test_bad_seed(self, monkeypatch):
+        # rejected before the first draw, as samples < 1 is
         monkeypatch.setattr(montecarlo, "block_rng", None)  # any draw would raise TypeError
-        with pytest.raises(mapping.CeilingError, match=f"^{message}$"):
-            montecarlo.run_experiment(10, 5, seed, blocks=blocks)
-
-    def test_blocks_clamped_to_samples(self):
-        assert montecarlo.run_experiment(10, 5, 0, blocks=50).blocks == 5
+        with pytest.raises(mapping.CeilingError, match="^seed must be non-negative$"):
+            montecarlo.run_experiment(10, 5, -1)
 
 
 class TestKernelPaths:
@@ -140,8 +132,9 @@ class TestKernelPaths:
             return real(g)
 
         monkeypatch.setattr(mapping, "_images", counted)
-        montecarlo.run_experiment(2000, 6, seed=0, blocks=2)
-        montecarlo.run_experiment(100, 6, seed=0, blocks=2)
+        monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", 3)
+        montecarlo.run_experiment(2000, 6, seed=0)
+        montecarlo.run_experiment(100, 6, seed=0)
         assert shapes == [(3, 2000)] * 2 + [(3, 100)] * 2
 
     def test_cycles_in_order_of_smallest_vertex(self):
@@ -204,30 +197,34 @@ def _assert_equal_summaries(s, ref):
 class TestSerialLoop:
     # blocks of 14 and 13 rows, each one chunk; blocks of several chunks are below
     @pytest.mark.parametrize("n", [100, 2000])
-    def test_equals_serial_loop(self, n):
-        s = montecarlo.run_experiment(n, 40, 4, blocks=3)
+    def test_equals_serial_loop(self, monkeypatch, n):
+        monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", 14)
+        s = montecarlo.run_experiment(n, 40, 4)
         _assert_equal_summaries(s, _serial_summary(n, 4, (14, 13, 13)))
 
     def test_short_last_chunk(self, monkeypatch):
         # a 7-row block in chunks of 3, 3 and 1 rows, from one stream
         monkeypatch.setattr(montecarlo, "CHUNK_VERTICES", 300)
         monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
-        s = montecarlo.run_experiment(100, 7, 4, blocks=1)
+        s = montecarlo.run_experiment(100, 7, 4)
         _assert_equal_summaries(s, _serial_summary(100, 4, (7,)))
 
-    # n = 50: one-row chunks (CHUNK_VERTICES below n); one block in six chunks of six
-    # rows; blocks of 34, 33 and 33 rows, each ending in a short chunk of 4 or 3 rows
+    # n = 50: one-row chunks (CHUNK_VERTICES below n) in blocks of 3 and 2 rows; one
+    # block in six chunks of six rows; blocks of 34, 33 and 33 rows, each ending in a
+    # short chunk of 4 or 3 rows
     @pytest.mark.parametrize(
-        "chunk, samples, blocks, rows",
-        [(40, 5, 2, [1] * 5), (300, 36, 1, [6] * 6), (300, 100, 3, [6] * 15 + [4, 3, 3])],
+        "chunk, samples, block, rows",
+        [(40, 5, 3, [1] * 5), (300, 36, 36, [6] * 6), (300, 100, 34, [6] * 15 + [4, 3, 3])],
         ids=["one-row", "several-rows", "short-last"],
     )
-    def test_z_counts_count_every_sample(self, monkeypatch, chunk, samples, blocks, rows):
+    def test_z_counts_count_every_sample(self, monkeypatch, chunk, samples, block, rows):
         real = mapping._cycle_rows
         seen = []
         monkeypatch.setattr(mapping, "_cycle_rows", lambda f: seen.append(len(f)) or real(f))
         monkeypatch.setattr(montecarlo, "CHUNK_VERTICES", chunk)
-        s = montecarlo.run_experiment(50, samples, 5, blocks=blocks)
+        monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", block)
+        s = montecarlo.run_experiment(50, samples, 5)
+        assert s.blocks == math.ceil(samples / block)
         assert sorted(seen) == sorted(rows)
         assert len(s.z_counts) == 51 and s.z_counts[0] == 0
         assert int(s.z_counts.sum()) == samples
@@ -242,7 +239,7 @@ class TestSerialLoop:
             return lambda lengths: (0, next(logs), real(lengths)[2])
 
         monkeypatch.setattr(mapping, "period_logs", alternating())
-        s = montecarlo.run_experiment(100, 9, 4, blocks=1)
+        s = montecarlo.run_experiment(100, 9, 4)
         monkeypatch.setattr(mapping, "period_logs", alternating())
         _assert_equal_summaries(s, _serial_summary(100, 4, (9,)))
 
@@ -268,7 +265,8 @@ class TestThreadedPath:
 
         monkeypatch.setattr(mapping, "_last_sets", slow)
         monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
-        s = montecarlo.run_experiment(n, 13, seed, blocks=3)
+        monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", 5)
+        s = montecarlo.run_experiment(n, 13, seed)
         assert slowed == [(2, n)] * 3
         _assert_equal_summaries(s, _serial_summary(n, seed, (5, 4, 4)))
 

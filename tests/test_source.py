@@ -119,3 +119,8 @@ def test_sampler_calls_the_cycle_kernel_whole():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("mapping"):
                 private |= {a.name for a in node.names if a.name.startswith("_")}
     assert private == {"_cycle_rows"}
+
+
+def test_all_names_resolve():
+    # a name left in __all__ after its definition went fails `from itermap import *`
+    assert [name for name in itermap.__all__ if not hasattr(itermap, name)] == []

@@ -123,12 +123,12 @@ def run_experiment(n: int, samples: int, seed: int) -> StatSummary:
 
     Memory is bounded in chunks of at most max(n, CHUNK_VERTICES)
     vertices, 8 bytes each: at most w + 1 drawn chunks are alive (w
-    running, one queued or being drawn), and each running worker holds
-    about two more in the first, largest round of mapping._images: the
-    image S_1 and f o f on it (each about 0.63 of a chunk, as about
-    1 - 1/e of the vertices have a preimage) and an int32 relabelling
-    table (half a chunk).  Later rounds work on smaller sets.  That is
-    about 3w + 1 chunks, some 1 GB at MAX_N with 4 workers.
+    running, one queued or being drawn); each running worker holds about
+    two more in the first, largest round of mapping._images, the image S_1
+    and f o f on it (each about 0.63 of a chunk, as about 1 - 1/e of the
+    vertices have a preimage) and an int32 relabelling table (half a
+    chunk); z_counts (n + 1 int64) is one more.  That is about 3w + 2
+    chunks, some 1.1 GB at MAX_N with 4 workers.
     """
     if n < 1 or n > MAX_N:
         raise mapping.CeilingError("experiment too large")

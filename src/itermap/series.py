@@ -1,9 +1,10 @@
 """Float64 routes to the cycle-product expectation E_n(B) and its saddle point.
 
 log_expected_B sums E_n(B) = sum_m P_n(Z=m) b_m, the cyclic part of a
-uniform mapping with Z = m cyclic vertices being a uniform permutation
-of [m] with mean cycle product b_m: the one library route to E_n(B).
-The saddle point minimizes n s + g(s), with g(s) = sum_d c_d e^{-ds}.
+uniform mapping with Z = m cyclic vertices being a uniform permutation of
+[m] with mean cycle product b_m: the one library route to E_n(B).  Its b_m
+recurrence stops at M(n) = O(sqrt n), past which every term is 0.0.  The
+saddle point minimizes n s + g(s), with g(s) = sum_d c_d e^{-ds}.
 
 g has a closed form.  Put z = e^{-1-s} and let T = z e^T be the Cayley
 tree function, T(z) = sum_d d^(d-1) z^d/d!.  Then h_d e^{-ds} =
@@ -43,7 +44,7 @@ DEGREE_CAP_DEFAULT = 200_000
 # E_n(B)
 
 
-_r_cache = array("d", [1.0])  # r_m = b_m/b_(m-1), m = 1, 2, ..., grown by log_expected_B
+_r_cache = array("d", [1.0])  # r_m = b_m/b_(m-1), m = 1..M(n), grown by log_expected_B
 
 
 def log_expected_B(n: int) -> float:
@@ -52,13 +53,22 @@ def log_expected_B(n: int) -> float:
     log P_n(Z=m) is asymptotics.log_z_pmf, the law en_T_estimate reads.  The
     ratios r_m (`_r_cache`, grown on demand) solve m r_m = (2m-1) -
     (m-2)/r_{m-1}, r_1 = 1: the recurrence of exact._perm_B_numerators / m!.
+    They run to M(n) only: the last m with log P_n(Z=m) + 2 sqrt(m) >= max
+    log P_n(Z) - 800 (5860 at n = 2e4).  As 0 <= log b_m <= 2 sqrt(m), each
+    later term is below e^-800 of the largest, which logsumexp's exp rounds to
+    exactly 0.0; -inf there, in a length-n array, keeps every bit.
     """
     if n < 1:
         raise CeilingError("n must be positive")
     log_p = asymptotics.log_z_pmf(n, n)  # its cap is checked before _r_cache grows
-    for k in range(len(_r_cache) + 1, n + 1):
-        _r_cache.append((2 * k - 1 - (k - 2) / _r_cache[-1]) / k)
-    return float(logsumexp(log_p + np.cumsum(np.log(_r_cache[:n]))))
+    keep = log_p + 2 * np.sqrt(np.arange(1, n + 1)) >= log_p.max() - 800
+    M = 1 + int(np.flatnonzero(keep)[-1])
+    r = _r_cache[-1]
+    for k in map(float, range(len(_r_cache) + 1, M + 1)):
+        r = (k + k - 1 - (k - 2) / r) / k
+        _r_cache.append(r)
+    log_b = np.cumsum(np.log(_r_cache[:M]))
+    return float(logsumexp(log_p + np.pad(log_b, (0, n - M), constant_values=-np.inf)))
 
 
 # ---------------------------------------------------------------------------

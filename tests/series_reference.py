@@ -2,8 +2,8 @@
 their prefix sums mu(m), a closed form of e_m through the permutation
 means b_m, the convolution and the exact-rational routes to E_n(B), g(s)
 as a truncated float sum, the Rankin bound, plain bisection for the
-saddle point, and the g-sums as first written, with fresh arrays for
-every weight.
+saddle point, the g-sums as first written, with fresh arrays for
+every weight, and log_expected_B as first written, over all n terms.
 
 exp_series runs the recurrence m e_m = sum_d d c_d e_{m-d} in float64
 over the c_d of renyi.q_and_c; mu_table adds the prefix sums.  The closed
@@ -25,18 +25,22 @@ series.saddle_point: it sums c_d e^{-ds} weighted by (-d)^j over the
 float c_d of renyi.q_and_c.  The bisection evaluates g'(s) + n at every
 bracket and bisection point, with no root located first, and g0..g3 by
 one g_eval call each.
+
+log_expected_B_full runs the b_m ratio recurrence to m = n, with its own
+ratio table, where series.log_expected_B stops at the cut M(n).
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 import exact_reference
 import renyi_reference
-from itermap import exact, renyi
+from itermap import asymptotics, exact, renyi
 from itermap.mapping import CeilingError, InvariantError
 from itermap.series import SaddleReport
 
@@ -102,6 +106,19 @@ def log_expected_B_convolution(n: int, table: SeriesTable) -> float:
     s = float(np.dot(table.e[: n + 1], h_array(n)[::-1]))
     logpref = math.lgamma(n + 1) + n - n * math.log(n)
     return logpref + math.log(s)
+
+
+_full_r = array("d", [1.0])  # r_m = b_m/b_(m-1), m = 1, 2, ..., grown by log_expected_B_full
+
+
+def log_expected_B_full(n: int) -> float:
+    """log E_n(B) = log sum_m P_n(Z=m) b_m over every m = 1..n, with no cut."""
+    if n < 1:
+        raise CeilingError("n must be positive")
+    log_p = asymptotics.log_z_pmf(n, n)
+    for k in range(len(_full_r) + 1, n + 1):
+        _full_r.append((2 * k - 1 - (k - 2) / _full_r[-1]) / k)
+    return float(logsumexp(log_p + np.cumsum(np.log(_full_r[:n]))))
 
 
 def gamma_exact(d: int) -> Fraction:

@@ -133,12 +133,34 @@ class TestExpectedB:
             assert 0 < residual <= 0.05 / n, (n, residual)
 
     def test_ratio_table_grown_in_any_order(self, monkeypatch):
-        # the cached ratios give the same bits whether a larger n came first or not
+        # the same bits as the sum over all n terms, whether a larger n came first or
+        # not.  Cuts down to 30 below the maximum leave these bits unchanged and a cut
+        # of 8 changes most of them, so the 800 rests on exp(x) == 0.0 for x < -745.2,
+        # not on this test
+        cap = series.DEGREE_CAP_DEFAULT
+        points = [*range(1, 1501), *map(int, np.unique(np.geomspace(1501, cap, 200).round()))]
+        full = [series_reference.log_expected_B_full(n) for n in points]
         monkeypatch.setattr(series, "_r_cache", array("d", [1.0]))
-        small_first = [series.log_expected_B(n) for n in (1, 500, 5000, 20_000)]
+        assert [series.log_expected_B(n) for n in points] == full
         monkeypatch.setattr(series, "_r_cache", array("d", [1.0]))
-        large_first = [series.log_expected_B(n) for n in (20_000, 5000, 500, 1)]
-        assert small_first == large_first[::-1]
+        assert [series.log_expected_B(n) for n in points[::-1]] == full[::-1]
+
+    def test_cut_premise(self):
+        # 0 <= log b_m <= 2 sqrt(m) for every m to the cap, closest at m = 1 (-2.0)
+        cap = series.DEGREE_CAP_DEFAULT
+        series_reference.log_expected_B_full(cap)
+        log_b = np.cumsum(np.log(series_reference._full_r[:cap]))
+        gap = log_b - 2 * np.sqrt(np.arange(1, cap + 1))
+        assert log_b.min() >= 0
+        assert gap.max() == -2.0 and gap.argmax() == 0
+
+    def test_ratio_table_stops_at_cut(self, monkeypatch):
+        # the recurrence runs to M(n) = O(sqrt n), not to n
+        monkeypatch.setattr(series, "_r_cache", array("d", [1.0]))
+        series.log_expected_B(20_000)
+        assert len(series._r_cache) == 5860
+        series.log_expected_B(series.DEGREE_CAP_DEFAULT)
+        assert len(series._r_cache) == 20522
 
 
 class TestGEval:

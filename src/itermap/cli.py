@@ -179,7 +179,7 @@ def cmd_constants(args) -> None:
     c = asymptotics.constants()
     if not 3.35 <= c.k0 <= 3.37:
         raise InvariantError("k0 outside expected range")
-    payload = {key: getattr(c, key) for key in ("I", "beta0", "k0", "quadrature_error")}
+    payload = {key: getattr(c, key) for key in ("I", "beta0", "k0")}
     _write_text((args.out, _json_dumps(payload)))
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mapping import CeilingError, InvariantError
+from .mapping import CeilingError
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +131,16 @@ def en_T_estimate(n: int) -> EnTEstimate:
     at beta0 + EPS, x* by bisection on the decreasing G' over [6, n-1]
     (G'(6) > 0 > G'(n-1) for n >= 100).  The stated error terms
     O(m0^3/n^2) and O(sqrt(m0) loglog m0 / log m0) have no explicit
-    constants, so lower_log keeps only the explicit terms.
+    constants, so lower_log keeps only the explicit terms.  With G_b for G
+    at b, lower_log = G_beta0(m0) + log(m0/n^2) and upper_log >=
+    G_(beta0+EPS)(m0) > G_beta0(m0): the bracket is wider than log(n^2/m0)
+    >= log(5n) and is not checked.  n > Z_LAW_MAX_M^2 is refused first: its
+    m0 > sqrt(n) passes log_z_pmf's cap, and n*n may overflow a float.
     """
     if n < 100:
         raise CeilingError("n must be at least 100")
+    if n > Z_LAW_MAX_M**2:
+        raise CeilingError(f"n is above the cap {Z_LAW_MAX_M**2}")
     cst = constants()
     leading = cst.k0 * (n / math.log(n) ** 2) ** (1.0 / 3.0)
     m0 = round(cst.a0 * (n * n / math.log(n)) ** (1.0 / 3.0))
@@ -148,13 +154,10 @@ def en_T_estimate(n: int) -> EnTEstimate:
         else:
             hi = mid
     x_star = 0.5 * (lo + hi)
-    upper = _G(n, beta, x_star)
-    if lower > upper:
-        raise InvariantError("lower bound exceeded upper bound")
     return EnTEstimate(
         leading=leading,
         lower_log=lower,
-        upper_log=upper,
+        upper_log=_G(n, beta, x_star),
         x_star=x_star,
         m_star=beta ** (2.0 / 3.0) * (3.0 / 8.0) ** (1.0 / 3.0) * n ** (2.0 / 3.0) / math.log(n) ** (1.0 / 3.0),
     )

@@ -24,7 +24,6 @@ chi-square of the Z counts is in tests/montecarlo_reference.py.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -82,10 +81,16 @@ def _workers() -> int:
     return min(MAX_WORKERS, cpus)
 
 
-def _draws(n: int, seed: int, sizes: list[int]):
-    """Each block's rows in stream order, as matrices of max(1, CHUNK_VERTICES // n) rows."""
+def _draws(n: int, seed: int, samples: int):
+    """Each block's rows in stream order, as matrices of max(1, CHUNK_VERTICES // n) rows.
+
+    Block sizes are integers worked out one block at a time: nothing grows with samples.
+    """
     rows = max(1, CHUNK_VERTICES // n)
-    for b, bs in enumerate(sizes):
+    blocks = -(-samples // DEFAULT_BLOCK)
+    base, extra = divmod(samples, blocks)
+    for b in range(blocks):
+        bs = base + (b < extra)
         rng = block_rng(seed, b)
         for done in range(0, bs, rows):
             yield rng.integers(0, n, size=(min(rows, bs - done), n), dtype=np.int64)
@@ -136,19 +141,17 @@ def run_experiment(n: int, samples: int, seed: int) -> StatSummary:
         raise mapping.CeilingError("samples must be positive")
     if seed < 0:
         raise mapping.CeilingError("seed must be non-negative")
-    blocks = math.ceil(samples / DEFAULT_BLOCK)
+    blocks = -(-samples // DEFAULT_BLOCK)  # as in _draws
     a_n, b_n = asymptotics.harris_params(max(n, 2))
     s_T = s2_T = s_B = s2_B = s_d = s2_d = 0.0  # sums of log T, log B, log B - log T, squares
     nonpos = 0
     hist = np.zeros(HIST_BINS + 2, dtype=np.int64)
     z_counts = np.zeros(n + 1, dtype=np.int64)
 
-    base, extra = divmod(samples, blocks)
-    sizes = [base + (1 if b < extra else 0) for b in range(blocks)]
     workers = _workers()
     pool = ThreadPoolExecutor(workers)
     try:
-        for results in _in_order(_draws(n, seed, sizes), pool, workers):
+        for results in _in_order(_draws(n, seed, samples), pool, workers):
             for z, log_T, log_B in results:
                 diff = log_B - log_T
                 s_T += log_T

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import asymptotics
-from .mapping import CeilingError, InvariantError
+from .mapping import CeilingError
 
 DEGREE_CAP_DEFAULT = 200_000
 
@@ -87,31 +87,23 @@ class SaddleReport:
     rankin_log_value: float  # n*s_star + g(s_star)
 
 
-NEWTON_MAX_STEPS = 50
-
-
 def saddle_point(n: int) -> SaddleReport:
     """Minimize n s + g(s): g'(s) = -n where u = 1 - T solves (1-u)^2 = n u^3.
 
-    p(u) = n u^3 - (1-u)^2 is increasing and convex on (0, 1] and
-    positive at u = n^(-1/3), so Newton's method from there falls
-    monotonically to the root; it stops at the first iterate that does
-    not fall (at most 6 steps for n <= 1e15).  s = -u - log(1-u) cancels
-    for small u, so it is summed as u x + 2 sum_{j>=1} x^(2j+1)/(2j+1)
-    with x = u/(2-u), from -log(1-u) = 2 atanh(x) and 2x - u = u x: every
-    term is positive, and x < 0.4 for n >= 1, so 20 terms leave less
-    than 1e-18 of s.
+    p(u) = n u^3 - (1-u)^2 is increasing and convex on (0, 1] and positive
+    at u = n^(-1/3), so Newton's method from there falls monotonically to
+    the root; it stops at the first iterate that does not fall, so it runs
+    over strictly decreasing floats and needs no cap: at most 7 passes for
+    n = 1..3e5 and 10^(k/10) to 1e300.  s = -u - log(1-u) cancels for small u,
+    so it is summed as u x + 2 sum_{j>=1} x^(2j+1)/(2j+1) with x = u/(2-u),
+    from -log(1-u) = 2 atanh(x) and 2x - u = u x: every term is positive,
+    and x < 0.4 for n >= 1, so 20 terms leave less than 1e-18 of s.
     """
     if n < 1:
         raise CeilingError("n must be positive")
     u = n ** (-1.0 / 3.0)
-    for _ in range(NEWTON_MAX_STEPS):
-        below = u - (n * u**3 - (1 - u) ** 2) / (3 * n * u * u + 2 * (1 - u))
-        if not below < u:
-            break
+    while (below := u - (n * u**3 - (1 - u) ** 2) / (3 * n * u * u + 2 * (1 - u))) < u:
         u = below
-    else:
-        raise InvariantError(f"saddle search did not converge at n={n}")
     T = 1 - u
     x = u / (2 - u)
     odd = 0.0  # sum_{j=1..20} x^(2j-2)/(2j+1), by Horner's rule

@@ -146,9 +146,28 @@ class TestZLaw:
 
 
 class TestEnTEstimate:
+    # every n from 100 to 2000, and geometric points to 1e10
+    NS = [*range(100, 2001), *(round(10 ** (k / 8)) for k in range(27, 81))]
+
     def test_bracket_order(self):
-        est = asymptotics.en_T_estimate(10**6)
-        assert est.lower_log <= est.upper_log
+        # lower_log = G_beta0(m0) + log(m0/n^2) and upper_log >= G_(beta0+EPS)(m0) =
+        # G_beta0(m0) + EPS sqrt(m0/log m0), so the bracket cannot invert and
+        # en_T_estimate does not check it; upper_log's excess over G at m0 is 0.09 at least
+        a0 = asymptotics.constants().a0
+        for n in self.NS:
+            est = asymptotics.en_T_estimate(n)
+            m0 = round(a0 * (n * n / math.log(n)) ** (1.0 / 3.0))
+            margin = math.log(n * n / m0) + asymptotics.EPS * math.sqrt(m0 / math.log(m0))
+            assert est.upper_log - est.lower_log >= margin, n
+
+    def test_cap(self):
+        # n above Z_LAW_MAX_M^2 is refused before n * n can overflow a float; at the
+        # cap itself m0 already passes log_z_pmf's cap, so no n that ran before is refused
+        cap = asymptotics.Z_LAW_MAX_M**2
+        with pytest.raises(mapping.CeilingError, match="the law of Z to m = .* is above the cap"):
+            asymptotics.en_T_estimate(cap)
+        with pytest.raises(mapping.CeilingError, match=f"^n is above the cap {cap}$"):
+            asymptotics.en_T_estimate(cap + 1)
 
     def test_leading_scale(self):
         # both explicit bounds track k0 (n/log^2 n)^(1/3) to leading order

@@ -41,20 +41,30 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "n", [1025, 1026, montecarlo.CHUNK_VERTICES + 1, montecarlo.CHUNK_VERTICES + 2]
     )
-    def test_chunks_are_row_draws(self, n):
+    def test_chunks_are_row_draws(self, monkeypatch, n):
         # a k x n matrix from block_rng holds the values of k successive row draws,
         # so chunks of any size, a short last one included, are the row stream
         k = max(1, montecarlo.CHUNK_VERTICES // n)
-        sizes = [2 * k + 1, 2]
+        monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", 2 * k + 1)
         rows = []
-        for b, bs in enumerate(sizes):
+        for b, bs in enumerate([2 * k + 1, 2 * k]):  # 4k + 1 samples: the first block is larger
             rng = montecarlo.block_rng(9, b)
             rows += [rng.integers(0, n, size=n, dtype=np.int64) for _ in range(bs)]
         matrix = montecarlo.block_rng(9, 0).integers(0, n, size=(3, n), dtype=np.int64)
         assert np.array_equal(matrix, rows[:3])
-        chunks = list(montecarlo._draws(n, 9, sizes))
-        assert [len(c) for c in chunks] == [k, k, 1] + ([2] if k > 1 else [1, 1])
+        chunks = list(montecarlo._draws(n, 9, 4 * k + 1))
+        assert [len(c) for c in chunks] == [k, k, 1, k, k]
         assert np.array_equal(np.concatenate(chunks), rows)
+
+    @pytest.mark.parametrize("samples", [10**12, 10**400], ids=["1e12", "1e400"])
+    def test_first_chunk_of_a_huge_run(self, samples):
+        # block sizes are worked out block by block in integers, so the first chunk
+        # comes at once: no list of ceil(samples / DEFAULT_BLOCK) sizes (31 GB at
+        # 1e12) and no float of samples (it overflows at 1e400) is built before it
+        n = 1000
+        first = next(montecarlo._draws(n, 3, samples))
+        rows = montecarlo.CHUNK_VERTICES // n
+        assert np.array_equal(first, montecarlo.block_rng(3, 0).integers(0, n, size=(rows, n), dtype=np.int64))
 
 
 class TestInvariants:

@@ -124,3 +124,17 @@ def test_sampler_calls_the_cycle_kernel_whole():
 def test_all_names_resolve():
     # a name left in __all__ after its definition went fails `from itermap import *`
     assert [name for name in itermap.__all__ if not hasattr(itermap, name)] == []
+
+
+def test_invariant_error_sites():
+    # InvariantError is raised only where computed data can be wrong: the cycle walk,
+    # which tests/mapping_faults.py trips, and exact's cross-check of recorded sums.
+    # A new site needs a fault test that trips it; a check no input can trip is not kept.
+    sites = set()
+    for name, tree in _modules():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Raise) and "InvariantError" in _names(node):
+                        sites.add(f"{name[:-3]}.{func.name}")
+    assert sites == {"mapping._cycles", "cli.cmd_exact"}

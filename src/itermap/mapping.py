@@ -8,8 +8,9 @@ number of distinct iterates, equals T plus the largest tail height less
 one and always satisfies |O - T| < n.  `analyze` returns one
 PeriodStats record: T, B, O, their logs, and the cycle lengths, number
 of cyclic vertices and largest tail height they are made of, from one
-image-shrinking run, O(n) work on a random mapping.  T is `math.lcm` of
-the lengths (`period_logs`), for `analyze` and the sampler.
+image-shrinking run, O(n) work on a random mapping; the sampler's kernel
+`_cycle_rows` finds the cyclic set by pointer doubling.  T is `math.lcm`
+of the lengths (`period_logs`), for `analyze` and the sampler.
 
 A mapping file is 'n t1 ... tn': tokens [+-]?[0-9]+ separated by ASCII
 whitespace, targets 1-based.
@@ -26,6 +27,7 @@ import numpy as np
 _TOKEN = re.compile(rb"[+-]?[0-9]+")
 _TOKEN_BYTES = b" \t\n\r\x0b\x0c+-0123456789"  # the grammar's bytes: ASCII whitespace, signs, digits
 _INT64 = np.iinfo(np.int64)
+SHRINK_ABOVE = 2**17  # `_cyclic_set` shrinks larger sets by image rounds first: doubling alone lost from 3e6
 
 
 class MappingError(ValueError):
@@ -134,8 +136,8 @@ def _images(f: np.ndarray):
     or more rows run as one graph with row offsets, so a one-row block
     costs no copy); each S_j is an ascending array of flat vertex
     indices.  g = f^(2^j) is kept on S_j only, relabelled
-    0..|S_j|-1: S_{j+1} = g(S_j), and g maps S_{j+1} into itself, so
-    f^(2^(j+1)) on S_{j+1} is g o g there.  The loop stops
+    0..|S_j|-1: S_{j+1} = g(S_j) (`_image`), and g maps S_{j+1} into
+    itself, so f^(2^(j+1)) on S_{j+1} is g o g there.  The loop stops
     at the first S_{j+1} = S_j, which is then the cyclic set, or at S_J
     with 2^J >= n, past every tail.  The sets shrink about geometrically
     on random mappings (|f^k(V)| is about 2n/k), so the work is O(n);
@@ -146,15 +148,19 @@ def _images(f: np.ndarray):
     S = None  # S_0, every vertex, is made for the caller only
     yield np.arange(g.size)
     for _ in range((n - 1).bit_length()):
-        mark = np.zeros(g.size, dtype=bool)
-        mark[g] = True
-        keep = np.flatnonzero(mark)
-        del mark
+        keep = _image(g)
         if len(keep) == len(g):
             return
         S = keep if S is None else S.take(keep)
         yield S
         g = _relabel(g.take(g.take(keep)), keep, len(g))
+
+
+def _image(g: np.ndarray) -> np.ndarray:
+    """The labels g maps something onto, ascending, from one scatter into a bool mark."""
+    mark = np.zeros(g.size, dtype=bool)
+    mark[g] = True
+    return np.flatnonzero(mark)
 
 
 def _relabel(x: np.ndarray, keep: np.ndarray, m: int) -> np.ndarray:
@@ -168,11 +174,11 @@ def _relabel(x: np.ndarray, keep: np.ndarray, m: int) -> np.ndarray:
     return label.take(x)
 
 
-def _last_sets(f: np.ndarray, keep_prev: bool):
-    """(J, S_(J-1), S_J) of one `_images` run; S_(J-1) only if keep_prev and J > 1 (a restart)."""
+def _last_sets(f: np.ndarray):
+    """(J, S_(J-1), S_J) of one `_images` run; S_(J-1) only if J > 1 (a restart)."""
     prev = last = None
     for J, S in enumerate(_images(f)):
-        prev, last = (last if keep_prev and J > 1 else None), S
+        prev, last = (last if J > 1 else None), S
     return J, prev, last
 
 
@@ -200,23 +206,50 @@ def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
     return lengths
 
 
-def _cycle_rows(f: np.ndarray) -> list[list[int]]:
-    """Each row's cycle lengths of f, a row or a block: the one cycle kernel.
+def _cyclic_set(f: np.ndarray) -> np.ndarray:
+    """The cyclic set of f, a row or a block (as in `_images`), as ascending flat indices.
 
-    `_images` runs once; its last set S_J, the cyclic set, is cut at the
-    row starts, and `_cycles` walks each row's part.  The walk catches an
-    S_J that holds a tail vertex or lacks part of a cycle, but not one
-    that lacks a whole cycle.
+    C = h(V) for h = f^(2^J), J = isqrt(n).bit_length() + 1 squarings: 2^J >
+    2 sqrt(n) passes the largest tail of 93% to 99.8% of random rows at n =
+    1e2..1e5.  C is closed under f, so it is the cyclic set exactly when f,
+    or equally its power h, is injective on it; until then h is squared
+    once more.  Sets above SHRINK_ABOVE first take image rounds, as
+    `_images` does, each one of the squarings, on the set S they leave.
     """
-    _, _, last = _last_sets(f, False)
     n = f.shape[-1]
-    cuts = np.searchsorted(last, np.arange(0, f.size + 1, n)).tolist()
+    h = (f + np.arange(0, f.size, n)[:, None]).ravel() if f.size > n else f.ravel()
+    S, squarings = None, math.isqrt(n).bit_length() + 1
+    while len(h) > SHRINK_ABOVE and len(keep := _image(h)) < len(h):
+        S = keep if S is None else S.take(keep)  # before the relabelling, so S_j is freed first
+        h, squarings = _relabel(h.take(h.take(keep)), keep, len(h)), squarings - 1
+    for _ in range(squarings):
+        h = h.take(h)
+    while True:
+        C = _image(h)
+        mark = np.zeros(len(h), dtype=bool)
+        mark[h.take(C)] = True  # h(C) lies in C, and fills it exactly when h is injective on C
+        if np.count_nonzero(mark) == len(C):
+            return C if S is None else S.take(C)
+        h = h.take(h)
+
+
+def _cycle_rows(f: np.ndarray) -> list[list[int]]:
+    """Each row's cycle lengths of f, a row or a block: the sampler's cycle kernel.
+
+    `_cyclic_set` runs once; the cyclic set is cut at the row starts,
+    and `_cycles`, as in `analyze`, walks each row's part.  The walk
+    catches a set that holds a tail vertex or lacks part of a cycle, but
+    not one that lacks a whole cycle.
+    """
+    cyclic = _cyclic_set(f)
+    n = f.shape[-1]
+    cuts = np.searchsorted(cyclic, np.arange(0, f.size + 1, n)).tolist()
     rows = enumerate(zip(f.reshape(-1, n), cuts, cuts[1:]))
-    return [_cycles(row, last[lo:hi] - r * n) for r, (row, lo, hi) in rows]
+    return [_cycles(row, cyclic[lo:hi] - r * n) for r, (row, lo, hi) in rows]
 
 
 def _max_tail_height(f: np.ndarray, J: int, prev: np.ndarray | None) -> int:
-    """Largest distance from a vertex of one row f to its cyclic set, from `_last_sets(f, True)`.
+    """Largest distance from a vertex of one row f to its cyclic set, from `_last_sets(f)`.
 
     Each set before S_J strictly holds the cyclic set, so the height lies
     in [2^(J-1), 2^J).  S_(J-1) is 2^(J-1) - 1 steps in and f maps it into
@@ -227,7 +260,7 @@ def _max_tail_height(f: np.ndarray, J: int, prev: np.ndarray | None) -> int:
     while J > 1:
         height += 2 ** (J - 1) - 1
         f = _relabel(f.take(prev), prev, len(f))
-        J, prev, _ = _last_sets(f, True)
+        J, prev, _ = _last_sets(f)
     return height + J
 
 
@@ -240,7 +273,7 @@ def analyze(f: Mapping) -> PeriodStats:
     and O = T + max(h - 1, 0).
     """
     t = f.targets - 1
-    J, prev, cyclic = _last_sets(t, True)
+    J, prev, cyclic = _last_sets(t)
     lengths = tuple(sorted(_cycles(t, cyclic)))
     height = _max_tail_height(t, J, prev)
     T, log_T, log_B = period_logs(lengths)

@@ -8,10 +8,10 @@ would be scheduled.  Each block is drawn from its stream in
 chunks of max(1, CHUNK_VERTICES // n) rows, the last one possibly
 shorter; a k-row matrix holds the same values as k row draws, so the
 chunk size does not change the output.  Each chunk goes through one
-call of mapping._cycle_rows, the cycle kernel: one image-shrinking run
-and the cycle walk of `analyze`, which raises mapping.InvariantError
-unless f permutes the last image set, the cyclic set.  log T and log B
-come from mapping.period_logs, as in `analyze`.
+call of mapping._cycle_rows, the cycle kernel: the cyclic set by pointer
+doubling and the cycle walk of `analyze`, which raises
+mapping.InvariantError unless f permutes that set.  log T and log B come
+from mapping.period_logs, as in `analyze`.
 
 The kernel runs on a few worker threads (numpy's gathers release the
 GIL) while the main thread keeps drawing chunks in stream order; each
@@ -128,12 +128,13 @@ def run_experiment(n: int, samples: int, seed: int) -> StatSummary:
 
     Memory is bounded in chunks of at most max(n, CHUNK_VERTICES)
     vertices, 8 bytes each: at most w + 1 drawn chunks are alive (w
-    running, one queued or being drawn); each running worker holds about
-    two more in the first, largest round of mapping._images, the image S_1
-    and f o f on it (each about 0.63 of a chunk, as about 1 - 1/e of the
-    vertices have a preimage) and an int32 relabelling table (half a
-    chunk); z_counts (n + 1 int64) is one more.  That is about 3w + 2
-    chunks, some 1.1 GB at MAX_N with 4 workers.
+    running, one queued or being drawn).  Up to mapping.SHRINK_ABOVE
+    vertices a running worker holds h, h o h and a bool mark, about two
+    chunks; above it, the first image round comes first, as in `analyze`
+    (S_1 and f o f on it, each about 0.63 of a chunk, as about 1 - 1/e of
+    the vertices have a preimage, and an int32 relabelling table): 2.13
+    chunks at n = 1e7 (tracemalloc).  z_counts (n + 1 int64) is one more:
+    about 3w + 2 chunks, some 1.2 GB at MAX_N with 4 workers.
     """
     if n < 1 or n > MAX_N:
         raise mapping.CeilingError("experiment too large")

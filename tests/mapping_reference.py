@@ -1,10 +1,11 @@
 """Pure-Python routes for one mapping, the test oracles for the mapping module.
 
-Independent of the numpy kernel: cycles by forward walks with path
+Independent of the numpy kernels: cycles by forward walks with path
 colouring, tail heights and components by reverse BFS from the cyclic
 set, and O(f) by explicit composition of the iterates.  The cyclic set
-of a row or a block as f^(2^J - 1)(V) by repeated squaring, which shares
-nothing with the image-shrinking loop but f.
+of a row or a block as f^(2^J - 1)(V) by repeated squaring with 2^J >= n,
+past every tail, which shares no code with the image-shrinking loop or
+with the sampler's doubling and needs no stop test.
 """
 
 from collections import Counter, deque

@@ -39,6 +39,23 @@ EXACT_40_STDERR_SHA256 = "314b75b1c1639fa822f8f61cc4dda2777ff407affc55c7e2517d4f
 # within an ulp of its 40-digit value (16 of 20 cells moved, at most 6.0e-12
 # relative); each log P_n(Z=m0) within 3e-15 relative of a 40-digit mpmath value
 ASYMPTOTICS_SHA256 = "76e180e8ff3cde9a433100f979f53e28201b5cda43055fafdd49978100922125"
+# sha256 of simulate stdout and of its --histogram file (seed 0), recorded while the
+# sampler still took the cyclic set from the image-shrinking loop: chunks of 65 rows,
+# one-row chunks doubled alone, and one row above mapping.SHRINK_ABOVE
+SIMULATE_SHA256 = {
+    ("1000", "2000"): (
+        "cdea47a1ee2e5a8a60cd028d1a6420139e0bcac6a0b651a032026758f66f4571",
+        "60ff000233032acc28ebd370f6b310017429e7a3397bf660344a37a12204c556",
+    ),
+    ("100000", "16"): (
+        "ffb2b9e0d961412b7d75ded6b763d61d379fe97bde7a80ee7bd011698f98b421",
+        "628d42c835e9ec82b23528ef519925452f897726ce707083740d8100182748e6",
+    ),
+    ("300000", "4"): (
+        "ab7439810e6a511c9b96a4bb6919452841a2afed8b4a6e267a804a046639ec32",
+        "595309447e7246f3ad79e81ac8102841f9a40c92269df0971ef697ed165f189c",
+    ),
+}
 # every option string of each subcommand; an option no caller sets belongs in a constant
 OPTIONS = {
     "analyze": ["--help", "--out", "-h", "input"],
@@ -419,6 +436,14 @@ class TestSimulate:
             ref = int(count) - (phi[1] - phi[0]) * 128
             assert abs(float(delta) - ref) <= 2 * 2.3e-16 * 128 + 4 * math.ulp(abs(ref))
 
+    @pytest.mark.parametrize("n, samples", list(SIMULATE_SHA256), ids=lambda v: v)
+    def test_output_pinned(self, capsys, tmp_path, n, samples):
+        hpath = tmp_path / "hist.csv"
+        code, out, _ = run(capsys, "simulate", "--n", n, "--samples", samples, "--histogram", str(hpath))
+        assert code == 0
+        digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(hpath.read_bytes()).hexdigest())
+        assert digests == SIMULATE_SHA256[n, samples]
+
     def test_unwritable_histogram(self, capsys, tmp_path):
         # the histogram path is opened before the summary CSV is written
         path = tmp_path / "missing" / "x"
@@ -431,7 +456,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("fault", list(mapping_faults.FAULTS))
     def test_invariant_violation(self, capsys, monkeypatch, fault):
-        _, message = mapping_faults.install(fault, monkeypatch.setattr)
+        _, message = mapping_faults.install(fault, monkeypatch.setattr, mapping_faults.SAMPLER)
         code, out, err = run(capsys, "simulate", "--n", "100", "--samples", "200")
         assert (code, out, err) == (cli.EXIT_INVARIANT, "", f"error: {message}\n")
 

@@ -223,9 +223,9 @@ def kernel_sets(f):
     ref = mapping_reference.analyze(mapping.Mapping(len(f), f + 1))
     [lengths] = mapping._cycle_rows(f)  # first, so that a wrong last set fails in the walk
     assert tuple(sorted(lengths)) == ref.cycle_lengths
-    J, prev, cyclic = mapping._last_sets(f, True)
+    J, prev, cyclic = mapping._last_sets(f)
     assert set((cyclic + 1).tolist()) == ref.cyclic_vertices
-    assert mapping._last_sets(f, False)[1] is None  # the sampler's call keeps no S_(J-1)
+    assert np.array_equal(mapping._cyclic_set(f), cyclic)  # the sampler's route to the same set
     assert mapping._max_tail_height(f, J, prev) == ref.max_tail_height
     sets = list(mapping._images(f))
     # _last_sets hands over the index and the last two sets of the same run
@@ -261,32 +261,62 @@ class TestKernel:
 
 
 class TestCyclicSetOracle:
-    """`_last_sets` against f^(2^J - 1)(V) by repeated squaring, which sees a whole cycle missing."""
+    """Both kernels against f^(2^J - 1)(V) by repeated squaring, which sees a whole cycle missing.
 
-    @staticmethod
-    def _matches(f):
-        assert np.array_equal(mapping._last_sets(f, False)[2], mapping_reference.cyclic_set(f))
+    Each input runs through both kernels: `_last_sets`, which `analyze`
+    reads, and `_cyclic_set`, the sampler's.
+    """
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 10**5])
+    KERNELS = {  # looked up at each call, so that an installed fault is met
+        mapping_faults.ANALYZE: lambda f: mapping._last_sets(f)[2],
+        mapping_faults.SAMPLER: lambda f: mapping._cyclic_set(f),
+    }
+
+    @classmethod
+    def _matches(cls, f):
+        expected = mapping_reference.cyclic_set(f)
+        for name, kernel in cls.KERNELS.items():
+            assert np.array_equal(kernel(f), expected), name
+
+    # 2**17 + 1: a row, and a block of three, above SHRINK_ABOVE, where image rounds run first
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 10**5, 2**17 + 1])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_random_blocks(self, n, rows):
         f = np.random.default_rng(n + rows).integers(0, n, size=(rows, n))
         self._matches(f[0] if rows == 1 else f)
 
     def test_long_chain_and_permutation(self):
+        # the chain's tail 2^10 is longer than 2^J = 2^7 at the first stop test, so the tests
+        # at 2^7, 2^8 and 2^9 fail before the one at 2^10 passes; on a permutation the first passes
+        assert math.isqrt(2**10 + 1).bit_length() + 1 == 7
         self._matches(_rho(2**10 + 1, 2**10, 1))
         self._matches(np.random.default_rng(4).permutation(1000))
+        self._matches(mapping.parse_mapping(mapping_faults.RHO_64).targets - 1)
+
+    def test_shrink_then_double_past_a_long_tail(self):
+        # 2**18 vertices: image rounds shrink the set below SHRINK_ABOVE, then the
+        # doubling meets a tail of 2**14 (spliced into a random row), longer than
+        # 2^J = 2^11, so stop tests fail after the shrink phase too
+        f = np.random.default_rng(5).integers(0, 2**18, size=2**18)
+        f[1 : 2**14 + 1] = np.arange(2**14)  # vertex v + 1 -> v: the tail 2^14 -> ... -> 1 -> 0
+        assert math.isqrt(2**18).bit_length() + 1 == 11 and 2**18 > mapping.SHRINK_ABOVE
+        self._matches(f)
+        self._matches(_rho(2**18, 2**18 - 1, 1))  # image rounds to the end of a chain
+        self._matches(np.random.default_rng(6).permutation(2**17 + 1))  # no image round shrinks it
 
     def test_sees_cycle_missing_behind_tail(self, monkeypatch):
-        monkeypatch.setattr(
-            mapping, "_last_sets", mapping_faults.cycle_missing_behind_tail(mapping._last_sets)
-        )
         f = mapping.parse_mapping(mapping_faults.RHO_64)
-        assert mapping.analyze(f).cycle_lengths == (2,)  # the walk sees nothing wrong
         t = f.targets - 1
-        for block in (t, np.stack([t, t])):
-            with pytest.raises(AssertionError):
-                self._matches(block)
+        for kernel in self.KERNELS:
+            with monkeypatch.context() as m:
+                mapping_faults.install("cycle_missing_behind_tail", m.setattr, kernel)
+                # the walk sees nothing wrong: the faulty kernel's reader loses the 3-cycle
+                analyzed, sampled = ((2,), [[2, 3]]) if kernel == mapping_faults.ANALYZE else ((2, 3), [[2]])
+                assert mapping.analyze(f).cycle_lengths == analyzed
+                assert mapping._cycle_rows(t) == sampled
+                for block in (t, np.stack([t, t])):
+                    with pytest.raises(AssertionError, match=kernel):
+                        self._matches(block)
 
 
 class TestSinglePass:

@@ -13,7 +13,7 @@ import mapping_faults
 import mapping_reference
 import montecarlo_reference
 from itermap import asymptotics, mapping, montecarlo
-from itermap.mapping import _cycle_rows, _cycles, _last_sets
+from itermap.mapping import _cycle_rows, _cycles, _cyclic_set, _last_sets
 
 
 class TestDeterminism:
@@ -92,14 +92,15 @@ class TestInvariants:
         assert math.isclose(s.mean_log_T, sum_log_T / samples, rel_tol=1e-12)
         assert math.isclose(s.mean_log_B, sum_log_B / samples, rel_tol=1e-12)
 
-    # one 8-row chunk at n = 100 and at n = 2000, four 2-row chunks at n = 2**15; in
-    # the first row at each n, vertex 1 (0-based) is a tail vertex and the largest
-    # cyclic vertex lies on a cycle of length >= 2, so each fault trips the walk there
+    # each fault on the sampler's kernel `_cyclic_set`: one 8-row chunk at n = 100 and
+    # at n = 2000, four 2-row chunks at n = 2**15; in the first row at each n, vertex 1
+    # (0-based) is a tail vertex, the largest cyclic vertex lies on a cycle of length
+    # >= 2 and some tail is at least 2 high, so each fault trips the walk there
     @pytest.mark.parametrize("n", [100, 2000, 2**15])
     @pytest.mark.parametrize("fault", list(mapping_faults.FAULTS))
     def test_loop_faults_raise(self, monkeypatch, fault, n):
         first = montecarlo.block_rng(0, 0).integers(0, n, size=n, dtype=np.int64)
-        _, message = mapping_faults.install(fault, monkeypatch.setattr)
+        _, message = mapping_faults.install(fault, monkeypatch.setattr, mapping_faults.SAMPLER)
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
             _cycle_rows(first)
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
@@ -119,7 +120,7 @@ class TestInvariants:
 
 
 class TestKernelPaths:
-    # a 16-row chunk, and a one-row chunk, which `_images` runs without row offsets
+    # a 16-row chunk, and a one-row chunk, which `_cyclic_set` runs without row offsets
     @pytest.mark.parametrize("n, rows", [(1024, 16), (2000, 1)])
     def test_1d_and_2d_agree_row_by_row(self, n, rows):
         fmat = montecarlo.block_rng(4, 0).integers(0, n, size=(rows, n), dtype=np.int64)
@@ -129,19 +130,20 @@ class TestKernelPaths:
             assert _cycle_rows(row) == [lengths]
             ref = mapping_reference.analyze(mapping.Mapping(n, row + 1))
             assert tuple(sorted(lengths)) == ref.cycle_lengths
-            assert set((_last_sets(row, False)[2] + 1).tolist()) == ref.cyclic_vertices
+            assert set((_cyclic_set(row) + 1).tolist()) == ref.cyclic_vertices
 
-    def test_one_image_pass_per_row(self, monkeypatch):
-        # one `_images` run per chunk, here each block of 3 rows: the walk reads
-        # the run's last set, cut at the row starts
-        real = mapping._images
+    def test_one_kernel_run_per_chunk(self, monkeypatch):
+        # one `_cyclic_set` run per chunk, here each block of 3 rows: the walk reads
+        # its cyclic set, cut at the row starts; `analyze`'s `_last_sets` never runs
+        real = mapping._cyclic_set
         shapes = []
 
         def counted(g):
             shapes.append(g.shape)
             return real(g)
 
-        monkeypatch.setattr(mapping, "_images", counted)
+        monkeypatch.setattr(mapping, "_cyclic_set", counted)
+        monkeypatch.setattr(mapping, "_last_sets", None)
         monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", 3)
         montecarlo.run_experiment(2000, 6, seed=0)
         montecarlo.run_experiment(100, 6, seed=0)
@@ -154,7 +156,10 @@ class TestKernelPaths:
 
 
 def _serial_summary(n, seed, sizes):
-    """StatSummary of the rows of run_experiment, accumulated in draw order by a plain loop."""
+    """StatSummary of the rows of run_experiment, accumulated in draw order by a plain loop.
+
+    Each row's cyclic set comes from `analyze`'s kernel `_last_sets`, not the sampler's.
+    """
     a_n, b_n = asymptotics.harris_params(n)
     sums = [0.0] * 6  # log T, its square, log B, its square, diff, its square
     nonpos = 0
@@ -164,7 +169,7 @@ def _serial_summary(n, seed, sizes):
         rng = montecarlo.block_rng(seed, b)
         for _ in range(bs):
             row = rng.integers(0, n, size=n, dtype=np.int64)
-            cyclic = _last_sets(row, False)[2]
+            cyclic = _last_sets(row)[2]
             _, log_T, log_B = mapping.period_logs(_cycles(row, cyclic))
             for i, x in enumerate((log_T, log_B, log_B - log_T)):
                 sums[2 * i] += x
@@ -264,16 +269,16 @@ class TestThreadedPath:
             montecarlo.block_rng(seed, b).integers(0, n, size=(2, n), dtype=np.int64)
             for b in range(3)
         ]
-        real = mapping._last_sets
+        real = mapping._cyclic_set
         slowed = []
 
-        def slow(f, keep_prev):
+        def slow(f):
             if any(np.array_equal(f, first) for first in firsts):
                 slowed.append(f.shape)
                 time.sleep(0.05)
-            return real(f, keep_prev)
+            return real(f)
 
-        monkeypatch.setattr(mapping, "_last_sets", slow)
+        monkeypatch.setattr(mapping, "_cyclic_set", slow)
         monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
         monkeypatch.setattr(montecarlo, "DEFAULT_BLOCK", 5)
         s = montecarlo.run_experiment(n, 13, seed)
@@ -281,7 +286,7 @@ class TestThreadedPath:
         _assert_equal_summaries(s, _serial_summary(n, seed, (5, 4, 4)))
 
     def test_worker_error_propagates_and_pool_shuts_down(self, monkeypatch):
-        _, message = mapping_faults.install("tail_vertex_added", monkeypatch.setattr)
+        _, message = mapping_faults.install("tail_vertex_added", monkeypatch.setattr, mapping_faults.SAMPLER)
         before = threading.active_count()
         with pytest.raises(mapping.InvariantError, match=f"^{message}$"):
             montecarlo.run_experiment(2**15, 20, seed=0)

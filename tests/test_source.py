@@ -107,7 +107,7 @@ def test_no_environment_reads():
 
 
 def test_sampler_calls_the_cycle_kernel_whole():
-    # the image-shrinking run and the cycle walk stay in mapping, behind one call
+    # the cyclic-set search and the cycle walk stay in mapping, behind one call
     private = set()
     for name, tree in _modules():
         if name != "montecarlo.py":

@@ -7,10 +7,11 @@ of the cycle lengths; B(f) is their product with multiplicity; O(f), the
 number of distinct iterates, equals T plus the largest tail height less
 one and always satisfies |O - T| < n.  `analyze` returns one
 PeriodStats record: T, B, O, their logs, and the cycle lengths, number
-of cyclic vertices and largest tail height they are made of, from one
-image-shrinking run, O(n) work on a random mapping; the sampler's kernel
-`_cycle_rows` finds the cyclic set by pointer doubling.  T is `math.lcm`
-of the lengths (`period_logs`), for `analyze` and the sampler.
+of cyclic vertices and largest tail height they are made of.  It and
+the sampler's kernel `_cycle_rows` find the cyclic set by one route,
+`_last_sets`: image rounds that each square f SQUARINGS times, O(n)
+work on a random mapping.  T is `math.lcm` of the lengths
+(`period_logs`), for `analyze` and the sampler.
 
 A mapping file is 'n t1 ... tn': tokens [+-]?[0-9]+ separated by ASCII
 whitespace, targets 1-based.
@@ -27,7 +28,7 @@ import numpy as np
 _TOKEN = re.compile(rb"[+-]?[0-9]+")
 _TOKEN_BYTES = b" \t\n\r\x0b\x0c+-0123456789"  # the grammar's bytes: ASCII whitespace, signs, digits
 _INT64 = np.iinfo(np.int64)
-SHRINK_ABOVE = 2**17  # `_cyclic_set` shrinks larger sets by image rounds first: doubling alone lost from 3e6
+SQUARINGS = 3  # squarings of f per image round of `_images`
 
 
 class MappingError(ValueError):
@@ -129,31 +130,33 @@ def parse_mapping(text: str | bytes) -> Mapping:
     return Mapping(int(values[0]), values[1:])  # which checks n >= 1 and the token count
 
 
-def _images(f: np.ndarray):
-    """Yield the image sets S_j = f^(2^j - 1)(V), j = 0, 1, ..., ending at the cyclic set.
+def _images(f: np.ndarray, squarings: int):
+    """Yield (e_r, S_r), S_r = f^(e_r)(V), r = 1, 2, ..., ending at the cyclic set.
 
     f holds 0-based targets, one row (1-D) or a block of rows (2-D; two
     or more rows run as one graph with row offsets, so a one-row block
-    costs no copy); each S_j is an ascending array of flat vertex
-    indices.  g = f^(2^j) is kept on S_j only, relabelled
-    0..|S_j|-1: S_{j+1} = g(S_j) (`_image`), and g maps S_{j+1} into
-    itself, so f^(2^(j+1)) on S_{j+1} is g o g there.  The loop stops
-    at the first S_{j+1} = S_j, which is then the cyclic set, or at S_J
-    with 2^J >= n, past every tail.  The sets shrink about geometrically
-    on random mappings (|f^k(V)| is about 2n/k), so the work is O(n);
-    where they barely shrink, as on a long chain, it is O(n log n).
+    costs no copy); each S_r is an ascending array of flat vertex
+    indices.  Round r squares g, f^(2^(squarings (r-1))) on S_(r-1)
+    relabelled 0..|S_(r-1)|-1, `squarings` times, so S_r = g(S_(r-1))
+    and e_r = e_(r-1) + 2^(squarings r).  The first image that is the
+    whole set is the cyclic set, as f permutes it; S_0 = V is not made.
+    |f^k(V)| is about 2n/k on random mappings, so the work is O(n); on a
+    long chain, where the sets barely shrink, it is O(n log n).
     """
     n = f.shape[-1]
     g = (f + np.arange(0, f.size, n)[:, None]).ravel() if f.size > n else f.ravel()
-    S = None  # S_0, every vertex, is made for the caller only
-    yield np.arange(g.size)
-    for _ in range((n - 1).bit_length()):
+    S, e, step = None, 0, 1
+    while True:
+        for _ in range(squarings):
+            g = g.take(g)
         keep = _image(g)
         if len(keep) == len(g):
             return
         S = keep if S is None else S.take(keep)
-        yield S
-        g = _relabel(g.take(g.take(keep)), keep, len(g))
+        step <<= squarings
+        e += step
+        yield e, S
+        g = _relabel(g.take(keep), keep, len(g))
 
 
 def _image(g: np.ndarray) -> np.ndarray:
@@ -164,22 +167,25 @@ def _image(g: np.ndarray) -> np.ndarray:
 
 
 def _relabel(x: np.ndarray, keep: np.ndarray, m: int) -> np.ndarray:
-    """Positions in keep (ascending labels below m) of the values x, all in keep.
+    """Positions in keep (distinct labels below m) of the values x, and 0 for a value not in keep.
 
     int32 while the labels fit, which keeps the largest round of
     `_images` near two rows of 8 bytes per vertex.
     """
-    label = np.empty(m, dtype=np.int32 if m < 2**31 else np.int64)
+    label = np.zeros(m, dtype=np.int32 if m < 2**31 else np.int64)
     label[keep] = np.arange(len(keep), dtype=label.dtype)
     return label.take(x)
 
 
 def _last_sets(f: np.ndarray):
-    """(J, S_(J-1), S_J) of one `_images` run; S_(J-1) only if J > 1 (a restart)."""
-    prev = last = None
-    for J, S in enumerate(_images(f)):
-        prev, last = (last if J > 1 else None), S
-    return J, prev, last
+    """(R, e_(R-1), S_(R-1), cyclic set) of one `_images` run of R rounds.
+
+    S_0 = V is None and e_0 = 0; for R = 0 (a permutation) the cyclic set is every vertex.
+    """
+    R, prev, last = 0, (0, None), (0, None)
+    for R, sets in enumerate(_images(f, SQUARINGS), 1):
+        prev, last = last, sets
+    return R, *prev, last[1] if R else np.arange(f.size)
 
 
 def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
@@ -206,76 +212,55 @@ def _cycles(f: np.ndarray, cyclic: np.ndarray) -> list[int]:
     return lengths
 
 
-def _cyclic_set(f: np.ndarray) -> np.ndarray:
-    """The cyclic set of f, a row or a block (as in `_images`), as ascending flat indices.
-
-    C = h(V) for h = f^(2^J), J = isqrt(n).bit_length() + 1 squarings: 2^J >
-    2 sqrt(n) passes the largest tail of 93% to 99.8% of random rows at n =
-    1e2..1e5.  C is closed under f, so it is the cyclic set exactly when f,
-    or equally its power h, is injective on it; until then h is squared
-    once more.  Sets above SHRINK_ABOVE first take image rounds, as
-    `_images` does, each one of the squarings, on the set S they leave.
-    """
-    n = f.shape[-1]
-    h = (f + np.arange(0, f.size, n)[:, None]).ravel() if f.size > n else f.ravel()
-    S, squarings = None, math.isqrt(n).bit_length() + 1
-    while len(h) > SHRINK_ABOVE and len(keep := _image(h)) < len(h):
-        S = keep if S is None else S.take(keep)  # before the relabelling, so S_j is freed first
-        h, squarings = _relabel(h.take(h.take(keep)), keep, len(h)), squarings - 1
-    for _ in range(squarings):
-        h = h.take(h)
-    while True:
-        C = _image(h)
-        mark = np.zeros(len(h), dtype=bool)
-        mark[h.take(C)] = True  # h(C) lies in C, and fills it exactly when h is injective on C
-        if np.count_nonzero(mark) == len(C):
-            return C if S is None else S.take(C)
-        h = h.take(h)
-
-
 def _cycle_rows(f: np.ndarray) -> list[list[int]]:
     """Each row's cycle lengths of f, a row or a block: the sampler's cycle kernel.
 
-    `_cyclic_set` runs once; the cyclic set is cut at the row starts,
-    and `_cycles`, as in `analyze`, walks each row's part.  The walk
+    One `_last_sets` run gives the cyclic set, as in `analyze`; it is cut
+    at the row starts, and `_cycles` walks each row's part.  The walk
     catches a set that holds a tail vertex or lacks part of a cycle, but
     not one that lacks a whole cycle.
     """
-    cyclic = _cyclic_set(f)
+    cyclic = _last_sets(f)[3]
     n = f.shape[-1]
     cuts = np.searchsorted(cyclic, np.arange(0, f.size + 1, n)).tolist()
     rows = enumerate(zip(f.reshape(-1, n), cuts, cuts[1:]))
     return [_cycles(row, cyclic[lo:hi] - r * n) for r, (row, lo, hi) in rows]
 
 
-def _max_tail_height(f: np.ndarray, J: int, prev: np.ndarray | None) -> int:
+def _max_tail_height(f: np.ndarray, R: int, e: int, prev: np.ndarray | None, cyclic: np.ndarray) -> int:
     """Largest distance from a vertex of one row f to its cyclic set, from `_last_sets(f)`.
 
-    Each set before S_J strictly holds the cyclic set, so the height lies
-    in [2^(J-1), 2^J).  S_(J-1) is 2^(J-1) - 1 steps in and f maps it into
-    itself, so the loop restarts on f restricted to it until J <= 1, each
-    restart taking the leading bit off the height left.
+    The height lies in (e_(R-1), e_R], and f maps S_(R-1) into itself,
+    so the loop restarts on f restricted to S_(R-1), adding e_(R-1),
+    with the cyclic set merged into one fixed point so that only tail
+    vertices are left to run.  At R = 1 the height left is at most
+    2^SQUARINGS, and a run with one f step per round counts it.
     """
     height = 0
-    while J > 1:
-        height += 2 ** (J - 1) - 1
-        f = _relabel(f.take(prev), prev, len(f))
-        J, prev, _ = _last_sets(f)
-    return height + J
+    while R:
+        tail = np.ones(len(f), dtype=bool)
+        tail[cyclic] = False
+        keep = np.concatenate((cyclic[:1], np.flatnonzero(tail) if prev is None else prev[tail.take(prev)]))
+        f, height = _relabel(f.take(keep), keep, len(f)), height + e  # the cyclic set falls on 0
+        del tail, keep  # before the restart's own peak
+        if R == 1:
+            return height + sum(1 for _ in _images(f, 0))
+        R, e, prev, cyclic = _last_sets(f)
+    return height
 
 
 def analyze(f: Mapping) -> PeriodStats:
     """The PeriodStats of f in O(n) space and, on a random mapping, O(n) work.
 
-    One `_images` run gives the cyclic set, which `_cycles` walks, and
-    the set before it, where `_max_tail_height` restarts at the largest
-    tail height h.  T is the lcm of the cycle lengths, B their product
-    and O = T + max(h - 1, 0).
+    One `_last_sets` run, as in the sampler's `_cycle_rows`, gives the
+    cyclic set, which `_cycles` walks, and the set before it, where
+    `_max_tail_height` restarts at the largest tail height h.  T is the
+    lcm of the cycle lengths, B their product and O = T + max(h - 1, 0).
     """
     t = f.targets - 1
-    J, prev, cyclic = _last_sets(t)
+    R, e, prev, cyclic = _last_sets(t)
     lengths = tuple(sorted(_cycles(t, cyclic)))
-    height = _max_tail_height(t, J, prev)
+    height = _max_tail_height(t, R, e, prev, cyclic)
     T, log_T, log_B = period_logs(lengths)
     return PeriodStats(
         n=f.n,

@@ -8,8 +8,8 @@ would be scheduled.  Each block is drawn from its stream in
 chunks of max(1, CHUNK_VERTICES // n) rows, the last one possibly
 shorter; a k-row matrix holds the same values as k row draws, so the
 chunk size does not change the output.  Each chunk goes through one
-call of mapping._cycle_rows, the cycle kernel: the cyclic set by pointer
-doubling and the cycle walk of `analyze`, which raises
+call of mapping._cycle_rows, the cycle kernel: the cyclic set by the
+image rounds of `analyze` and its cycle walk, which raises
 mapping.InvariantError unless f permutes that set.  log T and log B come
 from mapping.period_logs, as in `analyze`.
 
@@ -128,13 +128,12 @@ def run_experiment(n: int, samples: int, seed: int) -> StatSummary:
 
     Memory is bounded in chunks of at most max(n, CHUNK_VERTICES)
     vertices, 8 bytes each: at most w + 1 drawn chunks are alive (w
-    running, one queued or being drawn).  Up to mapping.SHRINK_ABOVE
-    vertices a running worker holds h, h o h and a bool mark, about two
-    chunks; above it, the first image round comes first, as in `analyze`
-    (S_1 and f o f on it, each about 0.63 of a chunk, as about 1 - 1/e of
-    the vertices have a preimage, and an int32 relabelling table): 2.13
-    chunks at n = 1e7 (tracemalloc).  z_counts (n + 1 int64) is one more:
-    about 3w + 2 chunks, some 1.2 GB at MAX_N with 4 workers.
+    running, one queued or being drawn).  A running worker holds g and
+    g o g while it squares in the first image round, two chunks
+    (tracemalloc: 2.00 at n = 100, 1e4, 1e5, 1e6 and 1e7); the later
+    rounds run on f^8(V), about a quarter of the vertices, relabelled in
+    int32.  z_counts (n + 1 int64) is one more: about 3w + 2 chunks, some
+    1.2 GB at MAX_N with 4 workers.
     """
     if n < 1 or n > MAX_N:
         raise mapping.CeilingError("experiment too large")

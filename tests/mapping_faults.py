@@ -1,17 +1,13 @@
 """Broken kernels for the mapping module: each one must trip an InvariantError.
 
-The cyclic set has two routes: `analyze` reads the last image set S_J of
-`_last_sets` (the image-shrinking loop `_images`), and the sampler's
-`_cycle_rows` reads `_cyclic_set` (pointer doubling).  A fault names an
-input mapping, a factory per kernel that builds the broken kernel from
-the real one, and the error message the cycle walk must then raise.
-Each factory changes the cyclic set as a bug in its kernel could: a
-tail vertex kept, a cycle vertex lost, or the kernel stopped one round
-early (for `_images`, S_(J-1); for `_cyclic_set`, a stop test skipped,
-so that C = f^(2^j)(V) still holds tail vertices).  A fault changes
-every row of a block alike.  `install` works with `setattr` (a
-subprocess) or `monkeypatch.setattr`, on `ANALYZE`'s kernel or on
-`SAMPLER`'s.
+The cyclic set has one route: `analyze` and the sampler's `_cycle_rows`
+both read the last set of `_last_sets` (the image-round loop `_images`).
+A fault names an input mapping, a factory that builds the broken kernel
+from the real one, and the error message the cycle walk must then raise.
+Each factory changes the cyclic set as a bug in the kernel could: a tail
+vertex kept, a cycle vertex lost, or the loop stopped one round early
+(S_(R-1) handed over).  A fault changes every row of a block alike.
+`install` works with `setattr` (a subprocess) or `monkeypatch.setattr`.
 
 `cycle_missing_behind_tail` is no entry of FAULTS: a set that lacks a
 whole cycle is still permuted by f, so the walk raises nothing, and only
@@ -22,20 +18,20 @@ import numpy as np
 
 from itermap import mapping
 
-ANALYZE, SAMPLER = "_last_sets", "_cyclic_set"  # the kernel each reads its cyclic set from
+KERNEL = "_last_sets"  # where `analyze` and the sampler read the cyclic set
 
 
 def _changing(change):
-    """A factory per kernel: the real kernel, with change(f, C) handed over for its cyclic set C."""
+    """A factory: the real kernel, with change(f, C) handed over for its cyclic set C."""
 
-    def last_sets(real):
+    def factory(real):
         def broken(f):
-            J, prev, last = real(f)
-            return J, prev, change(f, last)
+            *sets, cyclic = real(f)
+            return *sets, change(f, cyclic)
 
         return broken
 
-    return {ANALYZE: last_sets, SAMPLER: lambda real: lambda f: change(f, real(f))}
+    return factory
 
 
 def _tail_vertex_added(f, cyclic):
@@ -56,27 +52,11 @@ def _cycle_missing_behind_tail(f, cyclic):
 
 
 def _one_round_short(real):
-    # S_(J-1) is handed over as the last set; it strictly holds the cyclic set of
-    # some row whenever J >= 1, so the inputs below need at least one round
+    # S_(R-1), every vertex when R = 1, is handed over as the last set; it strictly
+    # holds the cyclic set of some row whenever R >= 1, so the inputs below need a tail
     def broken(f):
-        *sets, _ = mapping._images(f)
-        J = len(sets) - 1
-        return J, sets[-2] if J > 1 else None, sets[-1]
-
-    return broken
-
-
-def _stop_test_skipped(real):
-    # the last C = f^(2^j)(V) that a stop test rejects is handed over as if it had
-    # passed; it holds a tail vertex whenever some tail is at least 2 high
-    def broken(f):
-        cyclic, h = real(f), (f + np.arange(0, f.size, f.shape[-1]).reshape(-1, 1)).ravel()
-        C = np.unique(h)
-        while True:
-            h = h.take(h)
-            if np.array_equal(np.unique(h), cyclic):
-                return C
-            C = np.unique(h)
+        R, e, prev, _ = real(f)
+        return R, e, prev, np.arange(f.size) if prev is None else prev
 
     return broken
 
@@ -91,14 +71,14 @@ FAULTS = {
     "tail_vertex_added": ("4 1 1 2 3", _changing(_tail_vertex_added), PERMUTE),
     # the 3-cycle 1 -> 2 -> 3 -> 1 loses vertex 3, so f sends vertex 2 out of the set
     "cyclic_vertex_missing": ("3 2 3 1", _changing(_cycle_vertex_dropped), PERMUTE),
-    # RHO_64: S_5 = f^31(V), and C = f^32(V), still hold tail vertices 6..33 and 6..32
-    "one_round_short": (RHO_64, {ANALYZE: _one_round_short, SAMPLER: _stop_test_skipped}, PERMUTE),
+    # RHO_64: R = 2, and S_1 = f^8(V) still holds tail vertices 6..56
+    "one_round_short": (RHO_64, _one_round_short, PERMUTE),
 }
 _SILENT = {"cycle_missing_behind_tail": (RHO_64, _changing(_cycle_missing_behind_tail), None)}
 
 
-def install(name, set_attr=setattr, kernel=ANALYZE):
-    """Install fault `name` on `mapping.<kernel>`; return its input text and expected message."""
-    text, makers, message = {**FAULTS, **_SILENT}[name]
-    set_attr(mapping, kernel, makers[kernel](getattr(mapping, kernel)))
+def install(name, set_attr=setattr):
+    """Install fault `name` on `mapping.<KERNEL>`; return its input text and expected message."""
+    text, make, message = {**FAULTS, **_SILENT}[name]
+    set_attr(mapping, KERNEL, make(getattr(mapping, KERNEL)))
     return text, message

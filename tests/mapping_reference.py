@@ -1,11 +1,11 @@
 """Pure-Python routes for one mapping, the test oracles for the mapping module.
 
-Independent of the numpy kernels: cycles by forward walks with path
+Independent of the numpy kernel: cycles by forward walks with path
 colouring, tail heights and components by reverse BFS from the cyclic
 set, and O(f) by explicit composition of the iterates.  The cyclic set
 of a row or a block as f^(2^J - 1)(V) by repeated squaring with 2^J >= n,
-past every tail, which shares no code with the image-shrinking loop or
-with the sampler's doubling and needs no stop test.
+past every tail, on all vertices, which shares no code with the image
+rounds of `mapping._images`.
 """
 
 from collections import Counter, deque

@@ -41,7 +41,7 @@ EXACT_40_STDERR_SHA256 = "314b75b1c1639fa822f8f61cc4dda2777ff407affc55c7e2517d4f
 ASYMPTOTICS_SHA256 = "76e180e8ff3cde9a433100f979f53e28201b5cda43055fafdd49978100922125"
 # sha256 of simulate stdout and of its --histogram file (seed 0), recorded while the
 # sampler still took the cyclic set from the image-shrinking loop: chunks of 65 rows,
-# one-row chunks doubled alone, and one row above mapping.SHRINK_ABOVE
+# one-row chunks, and one row of 3e5 vertices
 SIMULATE_SHA256 = {
     ("1000", "2000"): (
         "cdea47a1ee2e5a8a60cd028d1a6420139e0bcac6a0b651a032026758f66f4571",
@@ -456,7 +456,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("fault", list(mapping_faults.FAULTS))
     def test_invariant_violation(self, capsys, monkeypatch, fault):
-        _, message = mapping_faults.install(fault, monkeypatch.setattr, mapping_faults.SAMPLER)
+        _, message = mapping_faults.install(fault, monkeypatch.setattr)
         code, out, err = run(capsys, "simulate", "--n", "100", "--samples", "200")
         assert (code, out, err) == (cli.EXIT_INVARIANT, "", f"error: {message}\n")
 

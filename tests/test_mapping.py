@@ -218,67 +218,93 @@ def _rho(n, tail, cycle):
     return f
 
 
+E_R = (8, 72, 584, 4680)  # e_r = e_(r-1) + 2^(3r) for r = 1..4, SQUARINGS = 3
+
+
 def kernel_sets(f):
-    """The image sets of one 0-based row, after checking the kernel's results against the reference."""
+    """The (e_r, S_r) of one 0-based row, after checking the kernel's results against the reference."""
     ref = mapping_reference.analyze(mapping.Mapping(len(f), f + 1))
     [lengths] = mapping._cycle_rows(f)  # first, so that a wrong last set fails in the walk
     assert tuple(sorted(lengths)) == ref.cycle_lengths
-    J, prev, cyclic = mapping._last_sets(f)
+    R, e, prev, cyclic = mapping._last_sets(f)
     assert set((cyclic + 1).tolist()) == ref.cyclic_vertices
-    assert np.array_equal(mapping._cyclic_set(f), cyclic)  # the sampler's route to the same set
-    assert mapping._max_tail_height(f, J, prev) == ref.max_tail_height
-    sets = list(mapping._images(f))
-    # _last_sets hands over the index and the last two sets of the same run
-    assert J == len(sets) - 1 and np.array_equal(cyclic, sets[-1])
-    assert prev is None if J <= 1 else np.array_equal(prev, sets[-2])
+    assert mapping._max_tail_height(f, R, e, prev, cyclic) == ref.max_tail_height
+    assert len(list(mapping._images(f, 0))) == ref.max_tail_height  # one f step per round
+    sets = list(mapping._images(f, mapping.SQUARINGS))
+    assert mapping.SQUARINGS == 3 and [e_r for e_r, _ in sets] == list(E_R[: len(sets)])
+    # S_r = f^(e_r)(V), from steps of f on every vertex
+    x, steps = np.arange(len(f)), 0
+    for e_r, S in sets:
+        for _ in range(e_r - steps):
+            x = f[x]
+        steps = e_r
+        assert np.array_equal(S, np.unique(x))
+    # _last_sets hands over the round count and the last two sets of the same run
+    assert R == len(sets) and (R == 0 or np.array_equal(cyclic, sets[-1][1]))
+    if R <= 1:
+        assert (e, prev) == (0, None)
+    else:
+        assert e == sets[-2][0] and np.array_equal(prev, sets[-2][1])
     return sets
 
 
 class TestKernel:
     """`_images` and the kernels on it, at the edges of its round count."""
 
-    # the chain n-1 -> ... -> 1 -> 0 -> 0 has tail n - 1, so S_j = {0, ..., n - 2^j} until
-    # the round cap J = (n-1).bit_length(): the loop ends there, never by a repeated set
-    @pytest.mark.parametrize("n", [2**k + extra for k in range(1, 8) for extra in (0, 1)])
+    # the chain n-1 -> ... -> 1 -> 0 -> 0 has tail n - 1, so S_r = {0, ..., n - 1 - e_r}
+    # until the first e_r >= n - 1, where the set is {0} and the next image repeats it
+    @pytest.mark.parametrize(
+        "n",
+        sorted(
+            {2**k + extra for k in range(1, 8) for extra in (0, 1)}
+            | {e + d for e in E_R for d in (0, 1, 2) if e + d <= E_R[-1] + 1}  # heights e - 1, e, e + 1
+        ),
+    )
     def test_longest_tail_ends_at_round_cap(self, n):
         sets = kernel_sets(_rho(n, n - 1, 1))
-        assert [len(S) for S in sets] == [max(n + 1 - 2**j, 1) for j in range((n - 1).bit_length() + 1)]
+        R = next(r for r, e in enumerate(E_R, 1) if e >= n - 1)
+        assert [len(S) for _, S in sets] == [max(n - e, 1) for e in E_R[:R]]
 
     def test_permutation_stops_after_one_round(self):
+        # the first image is the whole set: no S_r is made
         f = np.random.default_rng(3).permutation(1000)
-        assert len(kernel_sets(f)) == 1
+        assert kernel_sets(f) == [] and mapping._last_sets(f)[0] == 0
 
     def test_single_vertex(self):
-        assert [S.tolist() for S in kernel_sets(np.zeros(1, dtype=np.int64))] == [[0]]
+        f = np.zeros(1, dtype=np.int64)
+        assert kernel_sets(f) == [] and mapping._last_sets(f)[3].tolist() == [0]
 
     def test_block_rows_stabilise_in_different_rounds(self):
-        # tail heights 0, 1, 3, 10 and 63 reach the cyclic set after 0, 1, 2, 4 and 6 rounds
-        n = 64
-        block = np.stack([_rho(n, h, c) for h, c in [(0, 5), (1, 2), (3, 7), (10, 3), (63, 1)]])
-        assert [len(kernel_sets(row)) for row in block] == [1, 2, 3, 5, 7]
-        assert len(list(mapping._images(block))) == 7
+        # tail heights 0, 1, 8, 9, 72 and 73 reach the cyclic set after 0, 1, 1, 2, 2 and 3 rounds
+        n = 128
+        rows = [(0, 5), (1, 2), (8, 7), (9, 3), (72, 1), (73, 2)]
+        block = np.stack([_rho(n, h, c) for h, c in rows])
+        assert [len(kernel_sets(row)) for row in block] == [0, 1, 1, 2, 2, 3]
+        assert len(list(mapping._images(block, mapping.SQUARINGS))) == 3
         assert mapping._cycle_rows(block) == [mapping._cycle_rows(row)[0] for row in block]
+
+    # around each e_r, where the restart on S_(R-1) starts and the R = 1 rerun takes over
+    @pytest.mark.parametrize("height", [0, 1, 7, 8, 9, 71, 72, 73, 583, 584, 585])
+    @pytest.mark.parametrize("cycle", [1, 3], ids=["fixed-point", "3-cycle"])
+    def test_tail_heights(self, height, cycle):
+        f = _rho(height + cycle + 2, height, cycle)
+        kernel_sets(f)
+        assert mapping.analyze(mapping.Mapping(len(f), f + 1)).max_tail_height == height
 
 
 class TestCyclicSetOracle:
-    """Both kernels against f^(2^J - 1)(V) by repeated squaring, which sees a whole cycle missing.
+    """The kernel against f^(2^J - 1)(V) by repeated squaring, which sees a whole cycle missing.
 
-    Each input runs through both kernels: `_last_sets`, which `analyze`
-    reads, and `_cyclic_set`, the sampler's.
+    The kernel is the last set of `_last_sets`, which `analyze` and the
+    sampler's `_cycle_rows` both read.
     """
 
-    KERNELS = {  # looked up at each call, so that an installed fault is met
-        mapping_faults.ANALYZE: lambda f: mapping._last_sets(f)[2],
-        mapping_faults.SAMPLER: lambda f: mapping._cyclic_set(f),
-    }
+    @staticmethod
+    def _matches(f):
+        cyclic = mapping._last_sets(f)[3]  # looked up at each call, so that an installed fault is met
+        assert np.array_equal(cyclic, mapping_reference.cyclic_set(f)), mapping_faults.KERNEL
 
-    @classmethod
-    def _matches(cls, f):
-        expected = mapping_reference.cyclic_set(f)
-        for name, kernel in cls.KERNELS.items():
-            assert np.array_equal(kernel(f), expected), name
-
-    # 2**17 + 1: a row, and a block of three, above SHRINK_ABOVE, where image rounds run first
+    # 2**17 + 1: a row, and a block of three, whose first image round is the largest
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 10**5, 2**17 + 1])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_random_blocks(self, n, rows):
@@ -286,20 +312,17 @@ class TestCyclicSetOracle:
         self._matches(f[0] if rows == 1 else f)
 
     def test_long_chain_and_permutation(self):
-        # the chain's tail 2^10 is longer than 2^J = 2^7 at the first stop test, so the tests
-        # at 2^7, 2^8 and 2^9 fail before the one at 2^10 passes; on a permutation the first passes
-        assert math.isqrt(2**10 + 1).bit_length() + 1 == 7
+        # the chain's tail 2^10 lies in (e_3, e_4] = (584, 4680], so it takes four rounds;
+        # on a permutation the first image is the whole set
         self._matches(_rho(2**10 + 1, 2**10, 1))
         self._matches(np.random.default_rng(4).permutation(1000))
         self._matches(mapping.parse_mapping(mapping_faults.RHO_64).targets - 1)
 
     def test_shrink_then_double_past_a_long_tail(self):
-        # 2**18 vertices: image rounds shrink the set below SHRINK_ABOVE, then the
-        # doubling meets a tail of 2**14 (spliced into a random row), longer than
-        # 2^J = 2^11, so stop tests fail after the shrink phase too
+        # 2**18 vertices: a tail of 2**14 spliced into a random row, so the rounds go on
+        # past e_4 = 4680 on a small set, after the random part has reached its cycles
         f = np.random.default_rng(5).integers(0, 2**18, size=2**18)
         f[1 : 2**14 + 1] = np.arange(2**14)  # vertex v + 1 -> v: the tail 2^14 -> ... -> 1 -> 0
-        assert math.isqrt(2**18).bit_length() + 1 == 11 and 2**18 > mapping.SHRINK_ABOVE
         self._matches(f)
         self._matches(_rho(2**18, 2**18 - 1, 1))  # image rounds to the end of a chain
         self._matches(np.random.default_rng(6).permutation(2**17 + 1))  # no image round shrinks it
@@ -307,20 +330,38 @@ class TestCyclicSetOracle:
     def test_sees_cycle_missing_behind_tail(self, monkeypatch):
         f = mapping.parse_mapping(mapping_faults.RHO_64)
         t = f.targets - 1
-        for kernel in self.KERNELS:
-            with monkeypatch.context() as m:
-                mapping_faults.install("cycle_missing_behind_tail", m.setattr, kernel)
-                # the walk sees nothing wrong: the faulty kernel's reader loses the 3-cycle
-                analyzed, sampled = ((2,), [[2, 3]]) if kernel == mapping_faults.ANALYZE else ((2, 3), [[2]])
-                assert mapping.analyze(f).cycle_lengths == analyzed
-                assert mapping._cycle_rows(t) == sampled
-                for block in (t, np.stack([t, t])):
-                    with pytest.raises(AssertionError, match=kernel):
-                        self._matches(block)
+        mapping_faults.install("cycle_missing_behind_tail", monkeypatch.setattr)
+        # the walk sees nothing wrong: `analyze` and the sampler both lose the 3-cycle
+        assert mapping.analyze(f).cycle_lengths == (2,)
+        assert mapping._cycle_rows(t) == [[2]]
+        for block in (t, np.stack([t, t])):
+            with pytest.raises(AssertionError, match=mapping_faults.KERNEL):
+                self._matches(block)
 
 
 class TestSinglePass:
-    """`analyze` runs `_images` over the full row once; the height restarts run on smaller sets."""
+    """`analyze` runs `_images` over the full row once; the height restarts run on smaller sets.
+
+    An input whose height is at most 2^SQUARINGS takes R = 1 round; the
+    rerun for its height, one f step per round, runs on its tail
+    vertices and one fixed point for the cyclic set, not on the full row.
+    """
+
+    @staticmethod
+    def _sizes(monkeypatch, f):
+        """The size of the row each `_images` run of `analyze(f)` starts on, and its squarings."""
+        real = mapping._images
+        runs = []
+
+        def counted(g, squarings):
+            runs.append((g.size, squarings))
+            return real(g, squarings)
+
+        monkeypatch.setattr(mapping, "_images", counted)
+        n = len(f)
+        ref = mapping_reference.analyze(mapping.Mapping(n, f + 1))
+        assert mapping.analyze(mapping.Mapping(n, f + 1)).max_tail_height == ref.max_tail_height
+        return runs
 
     @pytest.mark.parametrize(
         "f",
@@ -328,19 +369,15 @@ class TestSinglePass:
         ids=["random-1e4", "chain-2^10"],
     )
     def test_one_pass_on_the_full_row(self, monkeypatch, f):
-        real = mapping._images
-        sizes = []
-
-        def counted(g):
-            sizes.append(g.size)
-            return real(g)
-
-        monkeypatch.setattr(mapping, "_images", counted)
+        sizes = [size for size, _ in self._sizes(monkeypatch, f)]
         n = len(f)
-        ref = mapping_reference.analyze(mapping.Mapping(n, f + 1))
-        assert mapping.analyze(mapping.Mapping(n, f + 1)).max_tail_height == ref.max_tail_height
         assert sizes[0] == n and all(size < n for size in sizes[1:])
         assert len(sizes) > 1  # both rows need at least one restart
+
+    def test_short_tail_reruns_on_its_tail(self, monkeypatch):
+        # height 8 = 2^SQUARINGS: R = 1, so the 8 tail vertices and the merged cyclic
+        # set rerun with squarings = 0; the 991 fixed points are merged too
+        assert self._sizes(monkeypatch, _rho(1000, 8, 1)) == [(1000, mapping.SQUARINGS), (9, 0)]
 
 
 class TestPeriodStats:

@@ -121,6 +121,27 @@ def test_sampler_calls_the_cycle_kernel_whole():
     assert private == {"_cycle_rows"}
 
 
+def test_one_route_to_the_cyclic_set():
+    # `analyze` and the sampler's `_cycle_rows` both read `_last_sets`, and only the
+    # image-round loop `_images` takes images; no second cyclic-set routine is kept
+    [tree] = [tree for name, tree in _modules() if name == "mapping.py"]
+    calls = {
+        stmt.name: {
+            node.func.id
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+    defined = {getattr(stmt, "name", None) for stmt in tree.body} | {
+        target.id for stmt in tree.body if isinstance(stmt, ast.Assign) for target in stmt.targets
+    }
+    assert {caller for caller, callees in calls.items() if "_image" in callees} == {"_images"}
+    assert "_last_sets" in calls["_cycle_rows"] & calls["analyze"]
+    assert not defined & {"_cyclic_set", "SHRINK_ABOVE"}
+
+
 def test_all_names_resolve():
     # a name left in __all__ after its definition went fails `from itermap import *`
     assert [name for name in itermap.__all__ if not hasattr(itermap, name)] == []
